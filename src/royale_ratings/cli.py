@@ -12,7 +12,8 @@ parameter the run actually used, defaulted or not; the same JSON is
 written next to the other outputs.  Outputs carry no wall-clock state,
 so identical flags and seed reproduce identical bytes.
 
-Exit codes: 0 success, 1 unusable data, 2 usage errors.
+Exit codes: 0 success, 1 unusable data, 2 usage errors (unknown or
+missing flags, and a non-positive --window, --top-k or --horizon).
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ _SETUP_DEFAULTS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="royale-ratings",
@@ -71,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--system", required=True, choices=SYSTEM_NAMES, help="rating system"
         )
-        p.add_argument("--ndcg-base", type=float, default=2.0)
         p.add_argument(
             "--position-index",
             choices=("observed", "predicted"),
@@ -114,10 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_exp)
     p_exp.add_argument("--setup", required=True, choices=SETUP_NAMES)
     p_exp.add_argument(
-        "--window", type=int, default=500, help="moving-average window (setup all)"
+        "--window",
+        type=_positive_int,
+        default=500,
+        help="moving-average window (setup all)",
     )
     p_exp.add_argument(
-        "--top-k", type=int, default=1000, help="cohort size (setup best)"
+        "--top-k", type=_positive_int, default=1000, help="cohort size (setup best)"
     )
     p_exp.add_argument(
         "--min-games",
@@ -127,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument(
         "--horizon",
-        type=int,
+        type=_positive_int,
         default=None,
         help="game indices to trend (default 10 best / 100 frequent)",
     )
@@ -204,10 +217,7 @@ def _base_summary(
         "team_size": args.team_size,
         "system": system.name,
         "system_params": system.params_dict(),
-        "metric_options": {
-            "ndcg_base": args.ndcg_base,
-            "position_index": args.position_index,
-        },
+        "metric_options": {"position_index": args.position_index},
         "counts": {
             "rows": stats.rows,
             "matches_read": stats.matches_read,
@@ -220,9 +230,7 @@ def _base_summary(
         "mean_metrics_alt_position_index": {
             "position_index": _other_index(args.position_index),
             **mean_metrics_alt_index(
-                result.reports,
-                ndcg_base=args.ndcg_base,
-                position_index=_other_index(args.position_index),
+                result.reports, position_index=_other_index(args.position_index)
             ),
         },
     }
@@ -238,11 +246,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     system = make_system(args.system, **_system_overrides(args))
     matches, stats = _load_matches(args)
     result = replay(
-        matches,
-        system,
-        seed=args.seed,
-        ndcg_base=args.ndcg_base,
-        position_index=args.position_index,
+        matches, system, seed=args.seed, position_index=args.position_index
     )
     write_match_metrics_csv(out / "per_match_metrics.csv", result.reports)
     result.store.save(out / "rating_store.txt")
@@ -261,11 +265,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     system = make_system(args.system, **_system_overrides(args))
     matches, stats = _load_matches(args)
-    shared = {
-        "seed": args.seed,
-        "ndcg_base": args.ndcg_base,
-        "position_index": args.position_index,
-    }
+    shared = {"seed": args.seed, "position_index": args.position_index}
     if args.setup == "all":
         setup_params: dict[str, Any] = {"window": args.window}
         trend, result = setup_all_players(

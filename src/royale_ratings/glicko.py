@@ -18,6 +18,10 @@ opposing team deviations:
 with q = ln(10)/400.  Team deltas flow to members in proportion to each
 member's share of the team sum, separately for mu and for sigma, so a
 member's sigma scales by sigma_t'/sigma_t and stays positive.
+
+When E rounds to exactly 0 or 1 the information term q^2 g^2 E (1 - E)
+is 0 and d^2 is undefined: the update raises a RatingsError naming the
+match instead of dividing by zero.
 """
 
 from __future__ import annotations
@@ -163,12 +167,13 @@ class GlickoSystem(RatingSystem):
                 sum(team_sigmas[j] ** 2 for j in range(n) if j != i) / (n - 1)
             )
             g_opp = g_weight(opp_rms, q)
-            d_squared = 1.0 / (q * q * g_opp * g_opp * expected * (1.0 - expected))
-            if not d_squared > 0:
+            information = q * q * g_opp * g_opp * expected * (1.0 - expected)
+            if not information > 0:
                 raise RatingsError(
-                    f"match {match.match_id!r}: non-positive d^2 for team "
-                    f"{team.team_id!r}"
+                    f"match {match.match_id!r}: team {team.team_id!r} has a "
+                    f"certain outcome (E = {expected!r}), so d^2 is undefined"
                 )
+            d_squared = 1.0 / information
             precision = 1.0 / sigma_t**2 + 1.0 / d_squared
             delta_mu_team = (q / precision) * g_opp * residual
             sigma_t_new = math.sqrt(1.0 / precision)

@@ -9,13 +9,17 @@ mae            mean absolute rank error
 kendall_tau    tau-a, (concordant - discordant) / C(N, 2)
 mrr            mean reciprocal rank, mean of 1 / (1 + e_i)
 ap             average precision with graded relevance 1 / (1 + e_i)
-ndcg           discounted cumulative gain against the ideal prefix
+ndcg           discounted cumulative gain against the ideal prefix, with
+               positional weight 1 / log2(i + 1)
 
 AP and NDCG walk leaderboard positions i = 1..N.  By default position i
 is the team that actually finished i-th (``position_index="observed"``);
 ``"predicted"`` walks the predicted leaderboard instead.  Both are
 reported by the harness summaries since the two conventions disagree on
 imperfect predictions.
+
+``score_match`` computes all six in one pass over the teams and one walk
+over the positions; each single-metric function reads its field.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .core import DomainError, MatchRecord, PredictedRanking
 
@@ -89,77 +95,22 @@ def _validate(pairs: Sequence[RankPair]) -> int:
 
 def accuracy(pairs: Sequence[RankPair]) -> float:
     """Fraction of teams whose rank was predicted exactly."""
-    n = _validate(pairs)
-    return sum(1 for _, p, o in pairs if p == o) / n
+    return score_match(pairs).accuracy
 
 
 def mae(pairs: Sequence[RankPair]) -> float:
     """Mean absolute rank error; 0 iff the prediction is perfect."""
-    n = _validate(pairs)
-    return sum(abs(p - o) for _, p, o in pairs) / n
-
-
-def _count_inversions(seq: list[int]) -> int:
-    """Inversions via merge sort, O(N log N)."""
-    if len(seq) <= 1:
-        return 0
-    mid = len(seq) // 2
-    left, right = seq[:mid], seq[mid:]
-    count = _count_inversions(left) + _count_inversions(right)
-    merged: list[int] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            j += 1
-            count += len(left) - i
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    seq[:] = merged
-    return count
+    return score_match(pairs).mae
 
 
 def kendall_tau(pairs: Sequence[RankPair]) -> float:
-    """Kendall tau-a between the two permutations, in [-1, 1].
-
-    With strict ranks every pair is either concordant or discordant, so
-    (concordant - discordant) = pairs - 2 inv where inv counts inversions
-    of the observed ranks read in predicted order.  The quotient is formed
-    from the exact integer numerator so the result rounds once.
-    """
-    n = _validate(pairs)
-    observed_in_predicted_order = [
-        o for _, _, o in sorted(pairs, key=lambda pair: pair[1])
-    ]
-    inversions = _count_inversions(observed_in_predicted_order)
-    total = n * (n - 1) // 2
-    return (total - 2 * inversions) / total
+    """Kendall tau-a between the two permutations, in [-1, 1]."""
+    return score_match(pairs).kendall_tau
 
 
 def mrr(pairs: Sequence[RankPair]) -> float:
     """Mean reciprocal rank with reciprocal 1 / (1 + |error|), in (0, 1]."""
-    n = _validate(pairs)
-    return sum(1.0 / (1 + abs(p - o)) for _, p, o in pairs) / n
-
-
-def _errors_by_position(
-    pairs: Sequence[RankPair], position_index: str
-) -> list[int]:
-    """Per-position |error|, position 1 first.
-
-    Position i holds the team observed i-th (``"observed"``) or predicted
-    i-th (``"predicted"``).
-    """
-    if position_index not in _POSITION_INDICES:
-        raise DomainError(
-            f"position_index must be one of {_POSITION_INDICES}, got {position_index!r}"
-        )
-    key = 2 if position_index == "observed" else 1
-    ordered = sorted(pairs, key=lambda pair: pair[key])
-    return [abs(p - o) for _, p, o in ordered]
+    return score_match(pairs).mrr
 
 
 def average_precision(
@@ -167,55 +118,64 @@ def average_precision(
 ) -> float:
     """AP with prefix precision P(i) = exact hits in positions 1..i over i
     and graded relevance 1 / (1 + e_i); 0 when nothing was hit exactly."""
-    n = _validate(pairs)
-    errors = _errors_by_position(pairs, position_index)
-    hits = 0
-    total = 0.0
-    for i, err in enumerate(errors, start=1):
-        if err == 0:
-            hits += 1
-        total += (hits / i) * (1.0 / (1 + err))
-    return total / n
+    return score_match(pairs, position_index=position_index).ap
 
 
-def ndcg(
-    pairs: Sequence[RankPair],
-    weight_base: float = 2.0,
-    position_index: str = "observed",
-) -> float:
+def ndcg(pairs: Sequence[RankPair], position_index: str = "observed") -> float:
     """Normalized DCG with relevance 1 / (1 + e_i) and positional weight
-    1 / log_base(i + 1), in (0, 1], 1 iff perfect.
-
-    The base scales every weight by the same constant and cancels in the
-    DCG/IDCG ratio; it is exposed for inspecting unnormalized DCG.
-    """
-    if not weight_base > 1:
-        raise DomainError(f"weight_base must be > 1, got {weight_base}")
-    _validate(pairs)
-    errors = _errors_by_position(pairs, position_index)
-    dcg = 0.0
-    ideal = 0.0
-    for i, err in enumerate(errors, start=1):
-        weight = 1.0 / math.log(i + 1, weight_base)
-        dcg += weight * (1.0 / (1 + err))
-        ideal += weight
-    return dcg / ideal
+    1 / log2(i + 1), in (0, 1], 1 iff perfect."""
+    return score_match(pairs, position_index=position_index).ndcg
 
 
 def score_match(
-    pairs: Sequence[RankPair],
-    *,
-    ndcg_base: float = 2.0,
-    position_index: str = "observed",
+    pairs: Sequence[RankPair], *, position_index: str = "observed"
 ) -> MetricReport:
-    """All six metrics for one match."""
+    """All six metrics for one match.
+
+    Kendall's (concordant - discordant) = C(N, 2) - 2 inv, where inv
+    counts inversions of the observed ranks read in predicted order; the
+    quotient is formed from that exact integer so it rounds once.  MRR
+    sums over the teams in the order given, AP and NDCG over positions.
+    """
+    if position_index not in _POSITION_INDICES:
+        raise DomainError(
+            f"position_index must be one of {_POSITION_INDICES}, got {position_index!r}"
+        )
     n = _validate(pairs)
+    by_observed = position_index == "observed"
+    observed_in_predicted_order = [0] * n
+    errors_by_position = [0] * n
+    error_sum = 0
+    reciprocal_sum = 0.0
+    for _, p, o in pairs:
+        err = abs(p - o)
+        error_sum += err
+        reciprocal_sum += 1.0 / (1 + err)
+        observed_in_predicted_order[p - 1] = o
+        errors_by_position[(o if by_observed else p) - 1] = err
+
+    hits = 0
+    ap_total = dcg = ideal = 0.0
+    for i, err in enumerate(errors_by_position, start=1):
+        relevance = 1.0 / (1 + err)
+        if err == 0:
+            hits += 1
+        ap_total += (hits / i) * relevance
+        # not math.log2: it differs in the last bit at some i, which
+        # would change the written metric bytes
+        weight = 1.0 / math.log(i + 1, 2.0)
+        dcg += weight * relevance
+        ideal += weight
+
+    ranks = np.array(observed_in_predicted_order)
+    inversions = int(np.count_nonzero(np.triu(ranks[:, None] > ranks, 1)))
+    total = n * (n - 1) // 2
     return MetricReport(
-        accuracy=accuracy(pairs),
-        mae=mae(pairs),
-        kendall_tau=kendall_tau(pairs),
-        mrr=mrr(pairs),
-        ap=average_precision(pairs, position_index),
-        ndcg=ndcg(pairs, ndcg_base, position_index),
+        accuracy=hits / n,
+        mae=error_sum / n,
+        kendall_tau=(total - 2 * inversions) / total,
+        mrr=reciprocal_sum / n,
+        ap=ap_total / n,
+        ndcg=dcg / ideal,
         team_count=n,
     )

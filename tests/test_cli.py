@@ -157,10 +157,7 @@ class TestReplayCommand:
         )
         assert summary["system_params"]["k_factor"] == 20.0
         assert summary["system_params"]["d_scale"] == 400.0
-        assert summary["metric_options"] == {
-            "ndcg_base": 2.0,
-            "position_index": "observed",
-        }
+        assert summary["metric_options"] == {"position_index": "observed"}
         alt = summary["mean_metrics_alt_position_index"]
         assert alt["position_index"] == "predicted"
         assert "ndcg" in alt
@@ -300,6 +297,31 @@ class TestExperimentCommand:
         assert params["horizon"] == 10  # default fills in when not given
         assert params["conservative_k"] == 0.0
 
+    @pytest.mark.parametrize(
+        "setup, flag",
+        [("all", "--window"), ("best", "--top-k"), ("best", "--horizon"), ("frequent", "--horizon")],
+    )
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_size_is_exit_two(self, capsys, tmp_path, setup, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "experiment",
+                    "--input",
+                    str(tmp_path / "unread.csv"),
+                    "--output-dir",
+                    str(tmp_path / "exp"),
+                    "--system",
+                    "elo",
+                    "--setup",
+                    setup,
+                    flag,
+                    value,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
     def test_frequent_setup(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path)
         summary = run_json(
@@ -355,6 +377,18 @@ class TestInspectCommand:
         assert len(summary["top_players"]) == 10
         mus = [p["mu"] for p in summary["top_players"]]
         assert mus == sorted(mus, reverse=True)
+
+    def test_corrupt_store_is_exit_one(self, capsys, tmp_path):
+        log = make_log(capsys, tmp_path, matches="2")
+        out = tmp_path / "run"
+        run_json(
+            capsys, "replay", "--input", str(log), "--output-dir", str(out), "--system", "elo"
+        )
+        store = out / "rating_store.txt"
+        store.write_text(store.read_text().replace("#seed=0", "#seed=x"))
+        code, captured = run_cli(capsys, "inspect", "--input", str(store))
+        assert code == 1
+        assert f"{store}:3:" in captured.err
 
     def test_inspect_writes_no_files(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path, matches="2")

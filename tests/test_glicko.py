@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from royale_ratings.core import DomainError, PlayerRating
+from royale_ratings.core import DomainError, PlayerRating, RatingsError
 from royale_ratings.glicko import (
     GlickoParams,
     GlickoSystem,
@@ -225,6 +225,17 @@ class TestGlickoUpdate:
         with caplog.at_level(logging.WARNING):
             system.update_match(state, match, 0)
         assert any("sigma collapsed" in r.message for r in caplog.records)
+
+    def test_certain_outcome_is_a_ratings_error(self):
+        # E rounds to exactly 1.0, so the match carries no information
+        system = GlickoSystem()
+        match = quick_match([1, 2], match_id="lopsided")
+        state = {
+            "t1_p1": PlayerRating(mu=1e6, sigma=1.0),
+            "t2_p1": PlayerRating(mu=0.0, sigma=1.0),
+        }
+        with pytest.raises(RatingsError, match="lopsided"):
+            system.update_match(state, match, 0)
 
     def test_params_validated(self):
         with pytest.raises(DomainError):

@@ -155,15 +155,6 @@ class TestNdcg:
         idcg = 1 / math.log2(2) + 1 / math.log2(3) + 1 / math.log2(4)
         assert ndcg(pairs) == pytest.approx(dcg / idcg, abs=1e-15)
 
-    def test_base_cancels_in_the_ratio(self):
-        pairs = pairs_from([2, 1, 4, 3], [1, 2, 3, 4])
-        assert ndcg(pairs, 2.0) == pytest.approx(ndcg(pairs, 10.0), abs=1e-12)
-        assert ndcg(pairs, 2.0) == pytest.approx(ndcg(pairs, math.e), abs=1e-12)
-
-    def test_bad_base_rejected(self):
-        with pytest.raises(DomainError):
-            ndcg(pairs_from([1, 2], [1, 2]), weight_base=1.0)
-
     def test_error_later_hurts_less(self):
         # same errors {1, 1, 0}; paying them at observed positions (2, 3)
         # beats paying them at positions (1, 2)

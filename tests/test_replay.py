@@ -283,7 +283,7 @@ class TestReplay:
 class TestMeanMetrics:
     def test_empty_is_empty(self):
         assert mean_metrics([]) == {}
-        assert mean_metrics_alt_index([], ndcg_base=2.0, position_index="predicted") == {}
+        assert mean_metrics_alt_index([], position_index="predicted") == {}
 
     def test_means_are_per_metric(self):
         matches = synth_matches(match_count=6)
@@ -297,9 +297,7 @@ class TestMeanMetrics:
     def test_alt_index_reports_ap_and_ndcg(self):
         matches = synth_matches(match_count=6)
         result = replay(matches, EloSystem())
-        alt = mean_metrics_alt_index(
-            result.reports, ndcg_base=2.0, position_index="predicted"
-        )
+        alt = mean_metrics_alt_index(result.reports, position_index="predicted")
         assert set(alt) == {"ap", "ndcg"}
 
 
@@ -357,6 +355,39 @@ class TestRatingStore:
         ]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="lacks 'seed'"):
+            RatingStore.load(path)
+
+    @pytest.mark.parametrize(
+        "prefix, replacement, where",
+        [
+            ("#seed=", "#seed=x", ":3:"),
+            ("#matches=", "#matches=2.5", ":4:"),
+            ("#params=", "#params={", ":5:"),
+        ],
+    )
+    def test_bad_header_value_names_its_line(self, tmp_path, prefix, replacement, where):
+        store = replay(synth_matches(match_count=2), EloSystem()).store
+        path = tmp_path / "store.txt"
+        store.save(path)
+        lines = [
+            replacement if line.startswith(prefix) else line
+            for line in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=where):
+            RatingStore.load(path)
+
+    @pytest.mark.parametrize("field", [1, 2, 3, 4])
+    def test_non_numeric_body_field_names_its_line(self, tmp_path, field):
+        store = replay(synth_matches(match_count=2), EloSystem()).store
+        path = tmp_path / "store.txt"
+        store.save(path)
+        lines = path.read_text().splitlines()
+        parts = lines[-1].split("\t")
+        parts[field] = "abc"
+        lines[-1] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f":{len(lines)}:"):
             RatingStore.load(path)
 
 
