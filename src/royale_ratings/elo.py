@@ -8,8 +8,9 @@ team i beats team j is the logistic of the rating gap on the d_scale,
 and the pooled probability that team i "wins the match" divides the sum
 of its pairwise wins by the number of pairs C(N, 2).  The observed
 placement is normalized onto the same scale, so one K-scaled surprise
-term updates the whole team and members absorb it in proportion to
-their share of the team rating.
+term updates the whole team and members absorb it by the shared rule
+``systems.member_weights``: in proportion to their share of the team
+rating, or evenly when any member is rated <= 0.
 
 Note the kernel is base e, not the classical base-10 curve; with
 d_scale = 400 the two differ by a factor ln(10)/1 in the exponent.
@@ -17,27 +18,17 @@ d_scale = 400 the two differ by a factor ln(10)/1 in the exponent.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .core import DomainError, MatchRecord, PlayerRating, normalized_result
-from .systems import RatingState, RatingSystem
+from .systems import Posterior, RatingSystem, member_weights
 
-__all__ = [
-    "EloParams",
-    "EloSystem",
-    "team_rating",
-    "contribution_weights",
-    "win_probability",
-    "win_probabilities",
-]
-
-log = logging.getLogger(__name__)
+__all__ = ["EloParams", "EloSystem", "win_probabilities"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,39 +44,6 @@ class EloParams:
             raise DomainError(f"d_scale must be > 0, got {self.d_scale}")
         if not math.isfinite(self.default_rating):
             raise DomainError("default_rating must be finite")
-
-
-def team_rating(member_ratings: Sequence[float]) -> float:
-    """Team rating = sum of member ratings."""
-    if len(member_ratings) == 0:
-        raise DomainError("team has no members")
-    return float(sum(member_ratings))
-
-
-def contribution_weights(member_ratings: Sequence[float]) -> list[float]:
-    """Member shares of the team rating, w_j = mu_j / sum(mu).
-
-    The weights sum to 1 whenever the team rating is non-zero; a team
-    rating of exactly zero is degenerate and raises.
-    """
-    total = team_rating(member_ratings)
-    if total == 0:
-        raise DomainError("team rating is 0, contribution weights undefined")
-    return [m / total for m in member_ratings]
-
-
-def _weights_or_uniform(member_ratings: Sequence[float], team_id: str) -> list[float]:
-    """Contribution weights, falling back to uniform when the team rating
-    is non-positive (weights would be meaningless or undefined)."""
-    total = team_rating(member_ratings)
-    if total <= 0:
-        log.warning(
-            "team %s has non-positive rating %.6g, using uniform member weights",
-            team_id,
-            total,
-        )
-        return [1.0 / len(member_ratings)] * len(member_ratings)
-    return [m / total for m in member_ratings]
 
 
 def win_probabilities(team_ratings: Sequence[float], params: EloParams) -> np.ndarray:
@@ -108,15 +66,6 @@ def win_probabilities(team_ratings: Sequence[float], params: EloParams) -> np.nd
     return pooled
 
 
-def win_probability(
-    team_index: int, team_ratings: Sequence[float], params: EloParams
-) -> float:
-    """Pooled probability that the team at ``team_index`` wins the match."""
-    if not 0 <= team_index < len(team_ratings):
-        raise DomainError(f"team_index {team_index} out of range")
-    return float(win_probabilities(team_ratings, params)[team_index])
-
-
 class EloSystem(RatingSystem):
     name = "elo"
 
@@ -129,22 +78,19 @@ class EloSystem(RatingSystem):
     def initial_rating(self) -> PlayerRating:
         return PlayerRating(mu=self.params.default_rating, sigma=None)
 
-    def team_score(
-        self, state: RatingState, members: tuple[str, ...], team_count: int
-    ) -> float:
-        return team_rating([state[p].mu for p in members])
-
-    def _apply(self, state: RatingState, match: MatchRecord) -> None:
+    def _apply(
+        self, rosters: list[list[PlayerRating]], match: MatchRecord
+    ) -> list[list[Posterior]]:
         n = match.team_count
-        team_mus = [
-            team_rating([state[p].mu for p in team.members]) for team in match.teams
-        ]
-        pooled = win_probabilities(team_mus, self.params)
-        for team, prob in zip(match.teams, pooled):
+        pooled = win_probabilities(
+            [float(sum(r.mu for r in roster)) for roster in rosters], self.params
+        )
+        posteriors = []
+        for team, roster, prob in zip(match.teams, rosters, pooled):
             surprise = normalized_result(team.observed_rank, n) - float(prob)
             delta_team = self.params.k_factor * surprise
-            member_mus = [state[p].mu for p in team.members]
-            weights = _weights_or_uniform(member_mus, team.team_id)
-            for player, weight in zip(team.members, weights):
-                r = state[player]
-                state[player] = replace(r, mu=r.mu + weight * delta_team)
+            weights = member_weights([r.mu for r in roster], team.team_id)
+            posteriors.append(
+                [(r.mu + w * delta_team, r.sigma) for r, w in zip(roster, weights)]
+            )
+        return posteriors

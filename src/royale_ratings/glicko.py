@@ -15,9 +15,12 @@ opposing team deviations:
     sigma_t' = sqrt(1 / (1/sigma_t^2 + 1/d^2))
     d^2      = [q^2 g(sigma_opp)^2 E (1 - E)]^-1,  E = Pr
 
-with q = ln(10)/400.  Team deltas flow to members in proportion to each
-member's share of the team sum, separately for mu and for sigma, so a
-member's sigma scales by sigma_t'/sigma_t and stays positive.
+with q = ln(10)/400.  Team deltas flow to members separately for mu and
+for sigma.  The mu delta is split by the shared rule
+``systems.member_weights`` (share of the team mu, or evenly when any
+member is rated <= 0); the sigma delta in proportion to each member's
+share of the team sigma, so a member's sigma scales by sigma_t'/sigma_t
+and stays positive.
 
 When E rounds to exactly 0 or 1 the information term q^2 g^2 E (1 - E)
 is 0 and d^2 is undefined: the update raises a RatingsError naming the
@@ -28,22 +31,20 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .core import DomainError, MatchRecord, PlayerRating, RatingsError, normalized_result
-from .elo import _weights_or_uniform, team_rating
-from .systems import RatingState, RatingSystem
+from .systems import Posterior, RatingSystem, member_weights
 
 __all__ = [
     "GlickoParams",
     "GlickoSystem",
     "team_mu_sigma",
     "g_weight",
-    "win_probability",
     "win_probabilities",
 ]
 
@@ -117,17 +118,6 @@ def win_probabilities(
     return pooled
 
 
-def win_probability(
-    team_index: int,
-    team_mus: Sequence[float],
-    team_sigmas: Sequence[float],
-    params: GlickoParams,
-) -> float:
-    if not 0 <= team_index < len(team_mus):
-        raise DomainError(f"team_index {team_index} out of range")
-    return float(win_probabilities(team_mus, team_sigmas, params)[team_index])
-
-
 class GlickoSystem(RatingSystem):
     name = "glicko"
 
@@ -140,26 +130,21 @@ class GlickoSystem(RatingSystem):
     def initial_rating(self) -> PlayerRating:
         return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
 
-    def team_score(
-        self, state: RatingState, members: tuple[str, ...], team_count: int
-    ) -> float:
-        return team_rating([state[p].mu for p in members])
-
-    def _apply(self, state: RatingState, match: MatchRecord) -> None:
+    def _apply(
+        self, rosters: list[list[PlayerRating]], match: MatchRecord
+    ) -> list[list[Posterior]]:
         q = self.params.q_constant
         n = match.team_count
         beliefs = [
-            team_mu_sigma(
-                [state[p].mu for p in team.members],
-                [state[p].sigma for p in team.members],
-            )
-            for team in match.teams
+            team_mu_sigma([r.mu for r in roster], [r.sigma for r in roster])
+            for roster in rosters
         ]
         team_mus = [b[0] for b in beliefs]
         team_sigmas = [b[1] for b in beliefs]
         pooled = win_probabilities(team_mus, team_sigmas, self.params)
 
-        for i, team in enumerate(match.teams):
+        posteriors = []
+        for i, (team, roster) in enumerate(zip(match.teams, rosters)):
             mu_t, sigma_t = beliefs[i]
             expected = float(pooled[i])
             residual = normalized_result(team.observed_rank, n) - expected
@@ -186,14 +171,14 @@ class GlickoSystem(RatingSystem):
                 )
             delta_sigma_team = sigma_t_new - sigma_t
 
-            member_mus = [state[p].mu for p in team.members]
-            member_sigmas = [state[p].sigma for p in team.members]
-            mu_weights = _weights_or_uniform(member_mus, team.team_id)
-            sigma_weights = [s / sigma_t for s in member_sigmas]
-            for player, w_mu, w_sigma in zip(team.members, mu_weights, sigma_weights):
-                r = state[player]
-                state[player] = replace(
-                    r,
-                    mu=r.mu + w_mu * delta_mu_team,
-                    sigma=r.sigma + w_sigma * delta_sigma_team,
-                )
+            mu_weights = member_weights([r.mu for r in roster], team.team_id)
+            posteriors.append(
+                [
+                    (
+                        r.mu + w_mu * delta_mu_team,
+                        r.sigma + (r.sigma / sigma_t) * delta_sigma_team,
+                    )
+                    for r, w_mu in zip(roster, mu_weights)
+                ]
+            )
+        return posteriors

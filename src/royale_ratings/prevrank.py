@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from .core import DomainError, MatchRecord, PlayerRating
-from .systems import RatingState, RatingSystem
+from .systems import Posterior, RatingState, RatingSystem
 
 __all__ = ["PreviousRankSystem", "player_prev_rank"]
 
@@ -48,7 +48,9 @@ class PreviousRankSystem(RatingSystem):
         # lowest previous-placement sum should rank first, so negate
         return -sum(player_prev_rank(state, p, team_count) for p in members)
 
-    def _apply(self, state: RatingState, match: MatchRecord) -> None:
-        # the stored placement is maintained by the shared bookkeeping
-        # (last_observed_rank), after the prediction was already made
-        pass
+    def _apply(
+        self, rosters: list[list[PlayerRating]], match: MatchRecord
+    ) -> list[list[Posterior]]:
+        # beliefs never change: the placement this baseline predicts from is
+        # the last_observed_rank that update_match stores for every member
+        return [[(r.mu, r.sigma) for r in roster] for roster in rosters]

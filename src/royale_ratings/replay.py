@@ -103,10 +103,11 @@ def ingest(
 
     Structurally malformed rows (missing fields, bad timestamp,
     non-integer placement) raise a DataError naming file and line.
-    Semantically invalid matches (placements not a permutation,
-    duplicated players, placement < 1) are rejected with a logged
-    diagnostic and the rest of the file is still used.  ``team_size``
-    keeps only matches whose teams all have exactly that many players.
+    Semantically invalid matches (rows that disagree on the timestamp,
+    placements not a permutation, duplicated players, placement < 1) are
+    rejected with a logged diagnostic and the rest of the file is still
+    used.  ``team_size`` keeps only matches whose teams all have exactly
+    that many players.
     """
     path = Path(path)
     stats = stats if stats is not None else IngestStats()
@@ -150,7 +151,14 @@ def ingest(
         teams: dict[str, list[str]] = {}
         placements: dict[str, int] = {}
         bad_reason: str | None = None
-        for _, team_id, player_id, placement in rows:
+        stamp = rows[0][0]
+        for row_stamp, team_id, player_id, placement in rows:
+            if row_stamp != stamp:
+                bad_reason = (
+                    f"rows carry different timestamps ({stamp.isoformat()} "
+                    f"and {row_stamp.isoformat()})"
+                )
+                break
             teams.setdefault(team_id, []).append(player_id)
             if team_id in placements and placements[team_id] != placement:
                 bad_reason = f"team {team_id!r} has inconsistent placements"
@@ -164,7 +172,7 @@ def ingest(
             try:
                 record = MatchRecord(
                     match_id=match_id,
-                    timestamp=rows[0][0],
+                    timestamp=stamp,
                     teams=tuple(
                         TeamEntry(
                             team_id=tid,

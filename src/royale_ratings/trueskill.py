@@ -20,11 +20,16 @@ slower.  Draws are not modelled: placements are strict.
 
 A match of N ranked teams is processed as a chain of these pairwise
 updates over adjacent observed ranks (1 vs 2, 2 vs 3, ...), each pair
-reading the beliefs already updated by the previous pair.  Team deltas
-reach members proportionally to member variance (or to member mu with
-``member_share="mu"``), and a member's sigma scales by the team's
-shrink factor so the team aggregate follows the pair update.  With two
-single-player teams the chain is exactly one pair update.
+reading the beliefs already updated by the previous pair.  The chain
+runs on local per-member (mu, sigma) lists, so a team in the middle of
+the order is updated twice but the rating state is written once, after
+the whole chain.  After each pair update the team's mu delta is split
+across its members in proportion to member variance, or with
+``member_share="mu"`` by the shared rule ``systems.member_weights``
+(share of the team mu, or evenly when any member is rated <= 0); every
+member's sigma scales by the team's shrink factor sigma_t'/sigma_t, so
+the team aggregate follows the pair update.  With two single-player
+teams the chain is exactly one pair update.
 
 The default dynamics noise tau = 0.833 is deliberately large, ten times
 the usual sigma0/100 choice for mu0 = 25; it is kept as a parameter so
@@ -36,14 +41,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from scipy.special import log_ndtr
 
 from .core import DomainError, MatchRecord, PlayerRating
-from .elo import _weights_or_uniform
-from .systems import RatingState, RatingSystem
+from .systems import Posterior, RatingSystem, member_weights
 
 __all__ = [
     "TrueSkillParams",
@@ -141,65 +145,35 @@ class TrueSkillSystem(RatingSystem):
     def initial_rating(self) -> PlayerRating:
         return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
 
-    def team_score(
-        self, state: RatingState, members: tuple[str, ...], team_count: int
-    ) -> float:
-        return float(sum(state[p].mu for p in members))
-
-    def _team_belief(
-        self, state: RatingState, members: tuple[str, ...]
-    ) -> tuple[float, float]:
-        mu = sum(state[p].mu for p in members)
-        var = sum(state[p].sigma ** 2 for p in members)
-        return float(mu), float(var)
-
-    def _distribute(
-        self,
-        state: RatingState,
-        members: tuple[str, ...],
-        team_id: str,
-        team_var: float,
-        delta_mu: float,
-        shrink: float,
-    ) -> None:
-        if self.params.member_share == "mu":
-            shares = _weights_or_uniform([state[p].mu for p in members], team_id)
-        else:
-            shares = [state[p].sigma ** 2 / team_var for p in members]
-        for player, share in zip(members, shares):
-            r = state[player]
-            state[player] = replace(
-                r, mu=r.mu + share * delta_mu, sigma=r.sigma * shrink
-            )
-
-    def _apply(self, state: RatingState, match: MatchRecord) -> None:
+    def _apply(
+        self, rosters: list[list[PlayerRating]], match: MatchRecord
+    ) -> list[list[Posterior]]:
+        mus = [[r.mu for r in roster] for roster in rosters]
         tau_sq = self.params.tau_dynamics**2
         if tau_sq > 0:
-            for player in match.players():
-                r = state[player]
-                state[player] = replace(r, sigma=math.sqrt(r.sigma**2 + tau_sq))
+            sigmas = [
+                [math.sqrt(r.sigma**2 + tau_sq) for r in roster] for roster in rosters
+            ]
+        else:
+            sigmas = [[r.sigma for r in roster] for roster in rosters]
 
-        by_rank = sorted(match.teams, key=lambda t: t.observed_rank)
-        for upper, lower in zip(by_rank, by_rank[1:]):
-            mu_w, var_w = self._team_belief(state, upper.members)
-            mu_l, var_l = self._team_belief(state, lower.members)
-            sigma_w, sigma_l = math.sqrt(var_w), math.sqrt(var_l)
-            (new_mu_w, new_sigma_w), (new_mu_l, new_sigma_l) = update_pair(
-                (mu_w, sigma_w), (mu_l, sigma_l), self.params
-            )
-            self._distribute(
-                state,
-                upper.members,
-                upper.team_id,
-                var_w,
-                new_mu_w - mu_w,
-                new_sigma_w / sigma_w,
-            )
-            self._distribute(
-                state,
-                lower.members,
-                lower.team_id,
-                var_l,
-                new_mu_l - mu_l,
-                new_sigma_l / sigma_l,
-            )
+        by_rank = sorted(
+            range(len(rosters)), key=lambda i: match.teams[i].observed_rank
+        )
+        for pair in zip(by_rank, by_rank[1:]):
+            team_mu = [float(sum(mus[i])) for i in pair]
+            team_var = [float(sum(s**2 for s in sigmas[i])) for i in pair]
+            team_sigma = [math.sqrt(var) for var in team_var]
+            posts = update_pair(*zip(team_mu, team_sigma), self.params)
+            for i, mu_t, var_t, sigma_t, (new_mu, new_sigma) in zip(
+                pair, team_mu, team_var, team_sigma, posts
+            ):
+                delta_mu = new_mu - mu_t
+                shrink = new_sigma / sigma_t
+                if self.params.member_share == "mu":
+                    shares = member_weights(mus[i], match.teams[i].team_id)
+                else:
+                    shares = [s**2 / var_t for s in sigmas[i]]
+                mus[i] = [m + share * delta_mu for m, share in zip(mus[i], shares)]
+                sigmas[i] = [s * shrink for s in sigmas[i]]
+        return [list(zip(m, s)) for m, s in zip(mus, sigmas)]

@@ -8,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from royale_ratings.core import DomainError, MissingStateError, PlayerRating
-from royale_ratings.elo import (
-    EloParams,
-    EloSystem,
-    contribution_weights,
-    team_rating,
-    win_probabilities,
-    win_probability,
-)
+from royale_ratings.elo import EloParams, EloSystem, win_probabilities
+from royale_ratings.systems import member_weights
 
 from conftest import quick_match
 
@@ -40,31 +34,39 @@ def fresh_state(match, system):
 
 class TestTeamRating:
     def test_sums_members(self):
-        assert team_rating([1500.0, 1500.0]) == 3000.0
-        assert team_rating([-10.0, 25.0]) == 15.0
-
-    def test_empty_roster_rejected(self):
-        with pytest.raises(DomainError):
-            team_rating([])
+        state = {
+            "a": PlayerRating(mu=1500.0),
+            "b": PlayerRating(mu=1500.0),
+            "c": PlayerRating(mu=-10.0),
+            "d": PlayerRating(mu=25.0),
+        }
+        system = EloSystem()
+        assert system.team_score(state, ("a", "b"), 2) == 3000.0
+        assert system.team_score(state, ("c", "d"), 2) == 15.0
 
 
 class TestContributionWeights:
     def test_proportional_split(self):
-        assert contribution_weights([1200.0, 1800.0]) == [0.4, 0.6]
+        assert member_weights([1200.0, 1800.0], "t1") == [0.4, 0.6]
 
-    def test_zero_total_rejected(self):
-        with pytest.raises(DomainError):
-            contribution_weights([100.0, -100.0])
+    @pytest.mark.parametrize(
+        "mus", [[100.0, -100.0], [3900.0, -1900.0], [0.0, 50.0], [-5.0]]
+    )
+    def test_any_non_positive_member_gets_uniform_weights(self, mus, caplog):
+        with caplog.at_level(logging.WARNING):
+            weights = member_weights(mus, "t1")
+        assert weights == [1.0 / len(mus)] * len(mus)
+        assert any("uniform member weights" in r.message for r in caplog.records)
 
     @given(
         st.lists(
             st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
             min_size=1,
             max_size=6,
-        ).filter(lambda mus: abs(sum(mus)) > 1e-6)
+        )
     )
     def test_weights_sum_to_one(self, mus):
-        assert sum(contribution_weights(mus)) == pytest.approx(1.0, abs=1e-9)
+        assert sum(member_weights(mus, "t1")) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestWinProbability:
@@ -89,11 +91,6 @@ class TestWinProbability:
         probs = win_probabilities([1500.0] * 7, EloParams())
         for p in probs:
             assert p == pytest.approx(1 / 7, abs=1e-12)
-
-    def test_single_team_index(self):
-        assert win_probability(0, [1500.0, 1500.0], EloParams()) == pytest.approx(0.5)
-        with pytest.raises(DomainError):
-            win_probability(2, [1500.0, 1500.0], EloParams())
 
     @given(
         st.lists(

@@ -14,7 +14,6 @@ from royale_ratings.glicko import (
     g_weight,
     team_mu_sigma,
     win_probabilities,
-    win_probability,
 )
 
 from conftest import quick_match
@@ -101,7 +100,6 @@ class TestWinProbability:
         params = GlickoParams()
         probs = win_probabilities([3200.0, 3000.0], [500.0, 500.0], params)
         assert probs[0] > 0.5 > probs[1]
-        assert win_probability(0, [3200.0, 3000.0], [500.0, 500.0], params) == probs[0]
 
     @given(
         st.integers(min_value=2, max_value=30),

@@ -151,6 +151,23 @@ class TestIngest:
         assert ingest(write_log(tmp_path, rows), stats=stats) == []
         assert "inconsistent placements" in stats.rejected[0][1]
 
+    def test_disagreeing_timestamps_rejected_with_diagnostic(self, tmp_path, caplog):
+        rows = [
+            "m1,2020-05-01T12:00:00Z,t1,a,1",
+            "m1,2020-05-01T12:05:00Z,t2,b,2",
+            "m2,2020-05-01T13:00:00Z,t1,c,1",
+            "m2,2020-05-01T13:00:00+00:00,t2,d,2",
+        ]
+        stats = IngestStats()
+        with caplog.at_level(logging.WARNING):
+            matches = ingest(write_log(tmp_path, rows), stats=stats)
+        # m2 spells one instant two ways, which is the same timestamp
+        assert [m.match_id for m in matches] == ["m2"]
+        assert len(stats.rejected) == 1
+        assert stats.rejected[0][0] == "m1"
+        assert "timestamp" in stats.rejected[0][1]
+        assert any("rejected match m1" in r.message for r in caplog.records)
+
     def test_duplicate_player_across_teams_rejected(self, tmp_path):
         rows = [
             "m1,2020-05-01T12:00:00Z,t1,a,1",
