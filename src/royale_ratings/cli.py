@@ -12,14 +12,20 @@ parameter the run actually used, defaulted or not; the same JSON is
 written next to the other outputs.  Outputs carry no wall-clock state,
 so identical flags and seed reproduce identical bytes.
 
+``replay`` and ``experiment`` share one path.  A set-up's defaults live
+only in its ``setup_*`` function: the CLI passes on just the set-up flags
+given, and ``setup_params`` records every value the set-up used.
+
 Exit codes: 0 success, 1 unusable data, 2 usage errors (unknown or
-missing flags, and a non-positive --window, --top-k or --horizon).
+missing flags, a non-positive --window, --top-k or --horizon, and a
+non-finite --conservative-k).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -46,9 +52,11 @@ from .systems import SYSTEM_NAMES, make_system
 
 __all__ = ["main", "build_parser"]
 
-_SETUP_DEFAULTS = {
-    "best": {"min_games": 10, "horizon": 10},
-    "frequent": {"min_games": 100, "horizon": 100},
+# the experiment flags each set-up reads; the others are ignored
+_SETUP_FLAGS = {
+    "all": ("window",),
+    "best": ("top_k", "min_games", "horizon", "conservative_k"),
+    "frequent": ("min_games", "horizon"),
 }
 
 
@@ -59,6 +67,16 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -124,30 +142,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_exp)
     p_exp.add_argument("--setup", required=True, choices=SETUP_NAMES)
     p_exp.add_argument(
-        "--window",
-        type=_positive_int,
-        default=500,
-        help="moving-average window (setup all)",
+        "--window", type=_positive_int, help="moving-average window (setup all)"
     )
-    p_exp.add_argument(
-        "--top-k", type=_positive_int, default=1000, help="cohort size (setup best)"
-    )
+    p_exp.add_argument("--top-k", type=_positive_int, help="cohort size (setup best)")
     p_exp.add_argument(
         "--min-games",
         type=int,
-        default=None,
-        help="cohort needs more than this many games (default 10 best / 100 frequent)",
+        help="cohort needs more than this many games (setups best, frequent)",
     )
     p_exp.add_argument(
         "--horizon",
         type=_positive_int,
-        default=None,
-        help="game indices to trend (default 10 best / 100 frequent)",
+        help="game indices to trend (setups best, frequent)",
     )
     p_exp.add_argument(
         "--conservative-k",
-        type=float,
-        default=0.0,
+        type=_finite_float,
         help="rank the best cohort by mu - k*sigma instead of mu",
     )
 
@@ -196,20 +206,46 @@ def _system_overrides(args: argparse.Namespace) -> dict[str, Any]:
 def _emit_summary(summary: dict[str, Any], output_dir: Path | None) -> None:
     text = json.dumps(summary, sort_keys=True, indent=2)
     if output_dir is not None:
-        (output_dir / "run_summary.json").write_text(text + "\n")
+        (output_dir / "run_summary.json").write_text(text + "\n", encoding="utf-8")
     print(text)
 
 
-def _load_matches(args: argparse.Namespace) -> tuple[list, IngestStats]:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``replay`` and ``experiment``: one replay, its artifacts, one summary."""
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    system = make_system(args.system, **_system_overrides(args))
     stats = IngestStats()
     matches = ingest(args.input, team_size=args.team_size, stats=stats)
-    return matches, stats
-
-
-def _base_summary(
-    args: argparse.Namespace, system, stats: IngestStats, result
-) -> dict[str, Any]:
-    return {
+    shared = {"seed": args.seed, "position_index": args.position_index}
+    if args.command == "replay":
+        result = replay(matches, system, **shared)
+        write_match_metrics_csv(out / "per_match_metrics.csv", result.reports)
+        outputs = {"per_match_metrics": "per_match_metrics.csv"}
+        setup_summary: dict[str, Any] = {}
+    else:
+        # looked up when the command runs, so a rebound cli.setup_* is called
+        setups = {
+            "all": setup_all_players,
+            "best": setup_best_players,
+            "frequent": setup_frequent_players,
+        }
+        given = {
+            flag: getattr(args, flag)
+            for flag in _SETUP_FLAGS[args.setup]
+            if getattr(args, flag) is not None
+        }
+        trend, result = setups[args.setup](matches, system, **given, **shared)
+        write_trend_csv(out / "trend.csv", trend)
+        outputs = {"trend": "trend.csv"}
+        setup_summary = {
+            "setup": args.setup,
+            "setup_params": trend.params,
+            "trend_points": len(trend.points),
+        }
+    result.store.save(out / "rating_store.txt")
+    other_index = "predicted" if args.position_index == "observed" else "observed"
+    summary = {
         "command": args.command,
         "input": args.input,
         "output_dir": args.output_dir,
@@ -228,79 +264,15 @@ def _base_summary(
         },
         "mean_metrics": mean_metrics(result.reports),
         "mean_metrics_alt_position_index": {
-            "position_index": _other_index(args.position_index),
-            **mean_metrics_alt_index(
-                result.reports, position_index=_other_index(args.position_index)
-            ),
+            "position_index": other_index,
+            **mean_metrics_alt_index(result.reports, position_index=other_index),
         },
-    }
-
-
-def _other_index(position_index: str) -> str:
-    return "predicted" if position_index == "observed" else "observed"
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    system = make_system(args.system, **_system_overrides(args))
-    matches, stats = _load_matches(args)
-    result = replay(
-        matches, system, seed=args.seed, position_index=args.position_index
-    )
-    write_match_metrics_csv(out / "per_match_metrics.csv", result.reports)
-    result.store.save(out / "rating_store.txt")
-    summary = _base_summary(args, system, stats, result)
-    summary["outputs"] = {
-        "per_match_metrics": "per_match_metrics.csv",
-        "rating_store": "rating_store.txt",
-        "run_summary": "run_summary.json",
-    }
-    _emit_summary(summary, out)
-    return 0
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    system = make_system(args.system, **_system_overrides(args))
-    matches, stats = _load_matches(args)
-    shared = {"seed": args.seed, "position_index": args.position_index}
-    if args.setup == "all":
-        setup_params: dict[str, Any] = {"window": args.window}
-        trend, result = setup_all_players(
-            matches, system, window=args.window, **shared
-        )
-    elif args.setup == "best":
-        defaults = _SETUP_DEFAULTS["best"]
-        setup_params = {
-            "top_k": args.top_k,
-            "min_games": args.min_games if args.min_games is not None else defaults["min_games"],
-            "horizon": args.horizon if args.horizon is not None else defaults["horizon"],
-            "conservative_k": args.conservative_k,
-        }
-        trend, result = setup_best_players(
-            matches, system, **setup_params, **shared
-        )
-    else:
-        defaults = _SETUP_DEFAULTS["frequent"]
-        setup_params = {
-            "min_games": args.min_games if args.min_games is not None else defaults["min_games"],
-            "horizon": args.horizon if args.horizon is not None else defaults["horizon"],
-        }
-        trend, result = setup_frequent_players(
-            matches, system, **setup_params, **shared
-        )
-    write_trend_csv(out / "trend.csv", trend)
-    result.store.save(out / "rating_store.txt")
-    summary = _base_summary(args, system, stats, result)
-    summary["setup"] = args.setup
-    summary["setup_params"] = setup_params
-    summary["trend_points"] = len(trend.points)
-    summary["outputs"] = {
-        "trend": "trend.csv",
-        "rating_store": "rating_store.txt",
-        "run_summary": "run_summary.json",
+        **setup_summary,
+        "outputs": {
+            **outputs,
+            "rating_store": "rating_store.txt",
+            "run_summary": "run_summary.json",
+        },
     }
     _emit_summary(summary, out)
     return 0
@@ -339,9 +311,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    with open(path) as handle:
-        first = handle.readline().rstrip("\n")
-    if first.startswith("#royale-ratings-store"):
+    with open(path, "rb") as handle:
+        first = handle.readline()
+    if first.startswith(b"#royale-ratings-store"):
         store = RatingStore.load(path)
         with_sigma = sum(1 for r in store.ratings.values() if r.sigma is not None)
         summary: dict[str, Any] = {
@@ -398,8 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "replay": _cmd_replay,
-        "experiment": _cmd_experiment,
+        "replay": _cmd_run,
+        "experiment": _cmd_run,
         "synth": _cmd_synth,
         "inspect": _cmd_inspect,
     }

@@ -142,15 +142,15 @@ class GlickoSystem(RatingSystem):
         team_mus = [b[0] for b in beliefs]
         team_sigmas = [b[1] for b in beliefs]
         pooled = win_probabilities(team_mus, team_sigmas, self.params)
+        squares = [s**2 for s in team_sigmas]
 
         posteriors = []
         for i, (team, roster) in enumerate(zip(match.teams, rosters)):
             mu_t, sigma_t = beliefs[i]
             expected = float(pooled[i])
             residual = normalized_result(team.observed_rank, n) - expected
-            opp_rms = math.sqrt(
-                sum(team_sigmas[j] ** 2 for j in range(n) if j != i) / (n - 1)
-            )
+            # the other teams in index order; total minus own rounds differently
+            opp_rms = math.sqrt(sum(squares[:i] + squares[i + 1 :]) / (n - 1))
             g_opp = g_weight(opp_rms, q)
             information = q * q * g_opp * g_opp * expected * (1.0 - expected)
             if not information > 0:

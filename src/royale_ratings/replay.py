@@ -7,12 +7,15 @@ rank metrics, and only then do the ratings update.  Three set-ups view
 the resulting per-match reports:
 
 all       every match in sequence, metrics smoothed by a trailing
-          moving-average window (default 500)
-best      top-rated cohort after the full replay (default: top 1000 by
-          final rating among players with more than 10 games), raw
-          metrics indexed by each player's own 1st..10th game
-frequent  all players with more than 100 games, indexed by each
-          player's own 1st..100th game
+          moving-average window
+best      top-rated cohort after the full replay (the top_k best final
+          ratings among players with more than min_games games), raw
+          metrics indexed by each player's own 1st..horizon-th game
+frequent  all players with more than min_games games, indexed by each
+          player's own 1st..horizon-th game
+
+Each set-up's defaults are the keyword defaults of its ``setup_*``
+function, and the trend it returns records every value it used.
 
 Cohort set-ups never re-simulate: they index the single chronological
 pass, so a cohort player's 3rd game is scored with whatever ratings the
@@ -113,36 +116,39 @@ def ingest(
     stats = stats if stats is not None else IngestStats()
     grouped: dict[str, list[tuple[datetime, str, str, int]]] = {}
     order: list[str] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file, expected a header row")
-        missing = [c for c in MATCH_LOG_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path}: header is missing column(s) {missing}")
-        for row in reader:
-            line = reader.line_num
-            values = [row.get(c) for c in MATCH_LOG_COLUMNS]
-            if any(v is None or v == "" for v in values):
-                raise DataError(f"{path}:{line}: row is missing a required field")
-            match_id, ts_text, team_id, player_id, placement_text = values
-            try:
-                stamp = parse_timestamp(ts_text)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{line}: bad timestamp {ts_text!r}"
-                ) from None
-            try:
-                placement = int(placement_text)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{line}: bad team_placement {placement_text!r}"
-                ) from None
-            stats.rows += 1
-            if match_id not in grouped:
-                grouped[match_id] = []
-                order.append(match_id)
-            grouped[match_id].append((stamp, team_id, player_id, placement))
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            missing = [c for c in MATCH_LOG_COLUMNS if c not in reader.fieldnames]
+            if missing:
+                raise DataError(f"{path}: header is missing column(s) {missing}")
+            for row in reader:
+                line = reader.line_num
+                values = [row.get(c) for c in MATCH_LOG_COLUMNS]
+                if any(v is None or v == "" for v in values):
+                    raise DataError(f"{path}:{line}: row is missing a required field")
+                match_id, ts_text, team_id, player_id, placement_text = values
+                try:
+                    stamp = parse_timestamp(ts_text)
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{line}: bad timestamp {ts_text!r}"
+                    ) from None
+                try:
+                    placement = int(placement_text)
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{line}: bad team_placement {placement_text!r}"
+                    ) from None
+                stats.rows += 1
+                if match_id not in grouped:
+                    grouped[match_id] = []
+                    order.append(match_id)
+                grouped[match_id].append((stamp, team_id, player_id, placement))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     matches: list[MatchRecord] = []
     for match_id in order:
@@ -224,13 +230,15 @@ class RatingStore:
             lines.append(
                 f"{player_id}\t{r.mu!r}\t{sigma}\t{r.games_played}\t{last}"
             )
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "RatingStore":
         path = Path(path)
-        text = path.read_text()
-        lines = text.splitlines()
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if not lines or lines[0] != _STORE_MAGIC:
             raise DataError(f"{path}: not a rating-store snapshot")
         # header key -> (line number, value)
@@ -370,7 +378,8 @@ class TrendPoint:
 @dataclass(slots=True)
 class ExperimentTrend:
     setup: str
-    window: int | None
+    # every parameter the set-up used, defaulted or not
+    params: dict[str, Any]
     points: list[TrendPoint]
 
 
@@ -450,7 +459,7 @@ def setup_all_players(
                 **means,
             )
         )
-    return ExperimentTrend(setup="all", window=window, points=points), result
+    return ExperimentTrend("all", {"window": window}, points), result
 
 
 def _team_error_of(report: MatchReport, player_id: str) -> int:
@@ -463,14 +472,15 @@ def _team_error_of(report: MatchReport, player_id: str) -> int:
 
 
 def _game_indexed_trend(
-    result: ReplayResult, cohort: Sequence[str], horizon: int, setup: str
+    result: ReplayResult, cohort: Sequence[str], setup: str, params: dict[str, Any]
 ) -> ExperimentTrend:
-    """Raw per-game-index means over a player cohort."""
+    """Raw per-game-index means over a player cohort, for games
+    1..params["horizon"]."""
     points: list[TrendPoint] = []
     if not cohort:
         log.warning("set-up %s: empty cohort, trend is empty", setup)
-        return ExperimentTrend(setup=setup, window=None, points=points)
-    for game in range(1, horizon + 1):
+        return ExperimentTrend(setup, params, points)
+    for game in range(1, params["horizon"] + 1):
         contributions = [
             (pid, result.player_match_index[pid][game - 1])
             for pid in cohort
@@ -500,7 +510,7 @@ def _game_indexed_trend(
                 **{name: sums[name] / count for name in sums},
             )
         )
-    return ExperimentTrend(setup=setup, window=None, points=points)
+    return ExperimentTrend(setup, params, points)
 
 
 def _cohort_by_final_rating(
@@ -551,11 +561,17 @@ def setup_best_players(
     position_index: str = "observed",
 ) -> tuple[ExperimentTrend, ReplayResult]:
     """Early games of the players who ended up rated best."""
+    params = {
+        "top_k": top_k,
+        "min_games": min_games,
+        "horizon": horizon,
+        "conservative_k": conservative_k,
+    }
     result = replay(matches, system, seed=seed, position_index=position_index)
     cohort = _cohort_by_final_rating(
         result, min_games=min_games, top_k=top_k, conservative_k=conservative_k
     )
-    return _game_indexed_trend(result, cohort, horizon, "best"), result
+    return _game_indexed_trend(result, cohort, "best", params), result
 
 
 def setup_frequent_players(
@@ -574,11 +590,12 @@ def setup_frequent_players(
         for pid, rating in result.store.ratings.items()
         if rating.games_played > min_games
     )
-    return _game_indexed_trend(result, cohort, horizon, "frequent"), result
+    params = {"min_games": min_games, "horizon": horizon}
+    return _game_indexed_trend(result, cohort, "frequent", params), result
 
 
 def write_match_metrics_csv(path: str | Path, reports: Sequence[MatchReport]) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["match_id", "timestamp", "team_count", "new_player_fraction"]
@@ -597,7 +614,7 @@ def write_match_metrics_csv(path: str | Path, reports: Sequence[MatchReport]) ->
 
 
 def write_trend_csv(path: str | Path, trend: ExperimentTrend) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["position_index"]

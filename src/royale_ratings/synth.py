@@ -107,7 +107,7 @@ def generate(config: SynthConfig) -> tuple[list[MatchRecord], dict[str, float]]:
 
 def write_match_log(path: str | Path, matches: list[MatchRecord]) -> None:
     """Write matches in the flat match-log layout, one row per player."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["match_id", "timestamp", "team_id", "player_id", "team_placement"]
@@ -122,7 +122,7 @@ def write_match_log(path: str | Path, matches: list[MatchRecord]) -> None:
 
 
 def write_latent_skills(path: str | Path, skills: dict[str, float]) -> None:
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["player_id", "latent_skill"])
         for player_id in sorted(skills):

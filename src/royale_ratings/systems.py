@@ -17,6 +17,8 @@ in roster order; the result has the same shape and holds each member's
 posterior ``(mu, sigma)``.  Every new rating is built before the first
 one is stored, so an update that raises (a certain Glicko outcome, a
 posterior that is not a valid rating) leaves state exactly as it was.
+An ``ArithmeticError`` from ``_apply`` (overflow or division by zero at
+extreme finite parameters) becomes a ``RatingsError`` naming the match.
 
 Elo, Glicko and TrueSkill with ``member_share="mu"`` split a team's mu
 delta by ``member_weights``: each member takes the share mu_j / sum(mu),
@@ -36,6 +38,7 @@ from .core import (
     MissingStateError,
     PlayerRating,
     PredictedRanking,
+    RatingsError,
     rank_teams_by_score,
 )
 
@@ -125,7 +128,12 @@ class RatingSystem(ABC):
         """
         ranking = self.predict(state, match, rng_seed)
         rosters = [[state[p] for p in team.members] for team in match.teams]
-        posteriors = self._apply(rosters, match)
+        try:
+            posteriors = self._apply(rosters, match)
+        except ArithmeticError as exc:
+            raise RatingsError(
+                f"match {match.match_id!r}: {self.name} update failed ({exc})"
+            ) from exc
         updated = {
             player: PlayerRating(mu, sigma, old.games_played + 1, team.observed_rank)
             for team, roster, beliefs in zip(match.teams, rosters, posteriors)

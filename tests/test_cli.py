@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import inspect
 import json
 
 import pytest
 
 from royale_ratings.cli import main
+from royale_ratings.replay import (
+    setup_all_players,
+    setup_best_players,
+    setup_frequent_players,
+)
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +241,44 @@ class TestReplayCommand:
         assert code == 1
         assert "bad timestamp" in captured.err
 
+    @pytest.mark.parametrize(
+        "system, flag, value",
+        [("trueskill", "--beta", "1e300"), ("glicko", "--glicko-sigma", "1e-300")],
+    )
+    def test_arithmetic_failure_is_exit_one(self, capsys, tmp_path, system, flag, value):
+        log = make_log(capsys, tmp_path, matches="2")
+        code, captured = run_cli(
+            capsys,
+            "replay",
+            "--input",
+            str(log),
+            "--output-dir",
+            str(tmp_path / "run"),
+            "--system",
+            system,
+            flag,
+            value,
+        )
+        assert code == 1
+        assert "error: match " in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_non_utf8_input_is_exit_one(self, capsys, tmp_path):
+        log = make_log(capsys, tmp_path, matches="2")
+        log.write_bytes(log.read_bytes().replace(b"p", b"\xff", 1))
+        code, captured = run_cli(
+            capsys,
+            "replay",
+            "--input",
+            str(log),
+            "--output-dir",
+            str(tmp_path / "run"),
+            "--system",
+            "elo",
+        )
+        assert code == 1
+        assert f"error: {log}: not UTF-8 text" in captured.err
+
     def test_unknown_flag_is_exit_two(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["replay", "--frobnicate", "yes"])
@@ -322,6 +366,70 @@ class TestExperimentCommand:
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_conservative_k_is_exit_two(self, capsys, tmp_path, value):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "experiment",
+                    "--input",
+                    str(tmp_path / "unread.csv"),
+                    "--output-dir",
+                    str(tmp_path / "exp"),
+                    "--system",
+                    "elo",
+                    "--setup",
+                    "best",
+                    f"--conservative-k={value}",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setup, function, foreign_flags",
+        [
+            (
+                "all",
+                setup_all_players,
+                ["--top-k", "3", "--min-games", "5", "--horizon", "5", "--conservative-k", "2"],
+            ),
+            ("best", setup_best_players, ["--window", "7"]),
+            (
+                "frequent",
+                setup_frequent_players,
+                ["--window", "7", "--top-k", "3", "--conservative-k", "2"],
+            ),
+        ],
+    )
+    def test_setup_params_default_to_the_setup_signature(
+        self, capsys, tmp_path, setup, function, foreign_flags
+    ):
+        # the set-up function is the one place its defaults live; flags
+        # that belong to other set-ups must not leak into this one
+        defaults = {
+            name: parameter.default
+            for name, parameter in inspect.signature(function).parameters.items()
+            if parameter.kind is parameter.KEYWORD_ONLY
+            and name not in ("seed", "position_index")
+        }
+        log = make_log(capsys, tmp_path)
+        for name, extra in (("plain", []), ("foreign", foreign_flags)):
+            summary = run_json(
+                capsys,
+                "experiment",
+                "--input",
+                str(log),
+                "--output-dir",
+                str(tmp_path / name),
+                "--system",
+                "elo",
+                "--setup",
+                setup,
+                *extra,
+            )
+            assert summary["setup_params"] == defaults, name
+
     def test_frequent_setup(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path)
         summary = run_json(
@@ -389,6 +497,23 @@ class TestInspectCommand:
         code, captured = run_cli(capsys, "inspect", "--input", str(store))
         assert code == 1
         assert f"{store}:3:" in captured.err
+
+    @pytest.mark.parametrize("kind", ["log", "store"])
+    def test_non_utf8_input_is_exit_one(self, capsys, tmp_path, kind):
+        path = make_log(capsys, tmp_path, matches="2")
+        if kind == "store":
+            out = tmp_path / "run"
+            run_json(
+                capsys, "replay", "--input", str(path), "--output-dir", str(out), "--system", "elo"
+            )
+            # the magic line stays intact, so the store reader sees the byte
+            path = out / "rating_store.txt"
+            path.write_bytes(path.read_bytes() + b"\xff\t1.0\t-\t1\t1\n")
+        else:
+            path.write_bytes(b"\xff" + path.read_bytes())
+        code, captured = run_cli(capsys, "inspect", "--input", str(path))
+        assert code == 1
+        assert f"error: {path}: not UTF-8 text" in captured.err
 
     def test_inspect_writes_no_files(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path, matches="2")

@@ -207,6 +207,15 @@ class TestIngest:
         with pytest.raises(DataError, match="empty file"):
             ingest(path)
 
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, where):
+        path = write_log(tmp_path, ["m1,2020-05-01T12:00:00Z,t1,a,1"])
+        data = path.read_bytes()
+        data = b"\xff" + data if where == "header" else data.replace(b",a,", b",\xff,")
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=r"log\.csv: not UTF-8 text"):
+            ingest(path)
+
 
 def synth_matches(match_count=20, **overrides):
     config = dict(
@@ -392,6 +401,14 @@ class TestRatingStore:
         ]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=where):
+            RatingStore.load(path)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path):
+        store = replay(synth_matches(match_count=2), EloSystem()).store
+        path = tmp_path / "store.txt"
+        store.save(path)
+        path.write_bytes(path.read_bytes() + b"\xff\t1.0\t-\t1\t1\n")
+        with pytest.raises(DataError, match=r"store\.txt: not UTF-8 text"):
             RatingStore.load(path)
 
     @pytest.mark.parametrize("field", [1, 2, 3, 4])

@@ -16,6 +16,7 @@ from royale_ratings.core import (
 )
 from royale_ratings.elo import EloSystem
 from royale_ratings.glicko import GlickoSystem
+from royale_ratings.systems import make_system
 from royale_ratings.trueskill import TrueSkillParams, TrueSkillSystem
 
 from conftest import BASE_TIME, quick_match
@@ -82,5 +83,24 @@ def test_invalid_posterior_leaves_state_untouched():
     state = {p: system.initial_rating() for p in match.players()}
     before = dict(state)
     with pytest.raises(DomainError, match="finite"):
+        system.update_match(state, match, 0)
+    assert state == before
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        # params.beta**2 overflows in the pair update
+        ("trueskill", {"beta": 1e300}),
+        # a team deviation of 1e-300 squares to 0.0 in 1 / sigma_t**2
+        ("glicko", {"default_sigma": 1e-300}),
+    ],
+)
+def test_arithmetic_failure_is_a_ratings_error(name, overrides):
+    system = make_system(name, **overrides)
+    match = quick_match([2, 1], match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    before = dict(state)
+    with pytest.raises(RatingsError, match=f"match 'm7': {name} update failed"):
         system.update_match(state, match, 0)
     assert state == before
