@@ -17,8 +17,8 @@ only in its ``setup_*`` function: the CLI passes on just the set-up flags
 given, and ``setup_params`` records every value the set-up used.
 
 Exit codes: 0 success, 1 unusable data, 2 usage errors (unknown or
-missing flags, a non-positive --window, --top-k or --horizon, and a
-non-finite --conservative-k).
+missing flags, a non-positive --team-size, --window, --top-k or
+--horizon, and a non-finite --conservative-k).
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="tie-break seed (default 0)")
         p.add_argument(
             "--team-size",
-            type=int,
+            type=_positive_int,
             default=None,
             help="keep only matches whose teams all have this size (e.g. 2 for duos)",
         )

@@ -82,7 +82,7 @@ class TeamEntry:
             raise DomainError("team_id must be a non-empty token")
         if not self.members:
             raise DomainError(f"team {self.team_id!r} has an empty roster")
-        if any(not m for m in self.members):
+        if not all(self.members):
             raise DomainError(f"team {self.team_id!r} has an empty player id")
         if len(set(self.members)) != len(self.members):
             raise DomainError(f"team {self.team_id!r} lists a player twice")
@@ -111,14 +111,16 @@ class MatchRecord:
             raise DomainError(
                 f"match {self.match_id!r} placements are not a permutation of 1..{n}"
             )
+        players = self.players()
+        if len(set(players)) == len(players):
+            return
         seen: set[str] = set()
-        for team in self.teams:
-            for player in team.members:
-                if player in seen:
-                    raise DomainError(
-                        f"match {self.match_id!r}: player {player!r} appears in two teams"
-                    )
-                seen.add(player)
+        for player in players:
+            if player in seen:
+                raise DomainError(
+                    f"match {self.match_id!r}: player {player!r} appears in two teams"
+                )
+            seen.add(player)
 
     @property
     def team_count(self) -> int:

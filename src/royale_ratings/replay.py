@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 import random
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
@@ -96,6 +97,68 @@ class IngestStats:
     rejected: list[tuple[str, str]] = field(default_factory=list)
 
 
+def _read_grouped(
+    path: Path, stats: IngestStats
+) -> dict[str, list[tuple[datetime, str, str, int]]]:
+    """The streaming pass of ``ingest``: each row, checked and parsed, is
+    appended to its match's list; matches keep first-appearance order."""
+    grouped: dict[str, list[tuple[datetime, str, str, int]]] = {}
+    stamps: dict[str, datetime] = {}
+    placements: dict[str, int] = {}
+    rows = 0
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file, expected a header row")
+            # a repeated column counts at its last position, as in DictReader
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in MATCH_LOG_COLUMNS if c not in position]
+            if missing:
+                raise DataError(f"{path}: header is missing column(s) {missing}")
+            columns = [position[c] for c in MATCH_LOG_COLUMNS]
+            pick = operator.itemgetter(*columns)
+            width = max(columns) + 1
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width or not all(values := pick(row)):
+                    raise DataError(
+                        f"{path}:{reader.line_num}: row is missing a required field"
+                    )
+                match_id, ts_text, team_id, player_id, placement_text = values
+                stamp = stamps.get(ts_text)
+                if stamp is None:
+                    try:
+                        stamp = stamps[ts_text] = parse_timestamp(ts_text)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{reader.line_num}: bad timestamp {ts_text!r}"
+                        ) from None
+                placement = placements.get(placement_text)
+                if placement is None:
+                    try:
+                        placement = placements[placement_text] = int(placement_text)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}:{reader.line_num}: bad team_placement "
+                            f"{placement_text!r}"
+                        ) from None
+                rows += 1
+                match_rows = grouped.get(match_id)
+                if match_rows is None:
+                    match_rows = grouped[match_id] = []
+                match_rows.append((stamp, team_id, player_id, placement))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
+    finally:
+        stats.rows += rows
+    return grouped
+
+
 def ingest(
     path: str | Path,
     *,
@@ -104,58 +167,32 @@ def ingest(
 ) -> list[MatchRecord]:
     """Read a match-log CSV into time-sorted MatchRecords.
 
-    Structurally malformed rows (missing fields, bad timestamp,
-    non-integer placement) raise a DataError naming file and line.
+    One streaming pass reads the rows with ``csv.reader``, picks the five
+    columns at the positions the header gives them (a repeated column
+    counts at its last position; extra columns are ignored; blank lines
+    are skipped) and appends each row to its match's list.  Each distinct
+    timestamp and placement string is parsed once per call.  Structurally
+    malformed rows (missing fields, bad timestamp, non-integer placement)
+    and csv-level errors (a field over the csv module's size limit, ...)
+    raise a DataError naming file and line, at the first bad line in file
+    order; bytes that are not UTF-8 raise a DataError naming the file.
     Semantically invalid matches (rows that disagree on the timestamp,
     placements not a permutation, duplicated players, placement < 1) are
     rejected with a logged diagnostic and the rest of the file is still
-    used.  ``team_size`` keeps only matches whose teams all have exactly
-    that many players.
+    used.  ``team_size``, which must be positive, keeps only matches whose
+    teams all have exactly that many players.
     """
+    if team_size is not None and team_size < 1:
+        raise DomainError(f"team_size must be positive, got {team_size}")
     path = Path(path)
     stats = stats if stats is not None else IngestStats()
-    grouped: dict[str, list[tuple[datetime, str, str, int]]] = {}
-    order: list[str] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file, expected a header row")
-            missing = [c for c in MATCH_LOG_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise DataError(f"{path}: header is missing column(s) {missing}")
-            for row in reader:
-                line = reader.line_num
-                values = [row.get(c) for c in MATCH_LOG_COLUMNS]
-                if any(v is None or v == "" for v in values):
-                    raise DataError(f"{path}:{line}: row is missing a required field")
-                match_id, ts_text, team_id, player_id, placement_text = values
-                try:
-                    stamp = parse_timestamp(ts_text)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{line}: bad timestamp {ts_text!r}"
-                    ) from None
-                try:
-                    placement = int(placement_text)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{line}: bad team_placement {placement_text!r}"
-                    ) from None
-                stats.rows += 1
-                if match_id not in grouped:
-                    grouped[match_id] = []
-                    order.append(match_id)
-                grouped[match_id].append((stamp, team_id, player_id, placement))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    grouped = _read_grouped(path, stats)
 
     matches: list[MatchRecord] = []
-    for match_id in order:
-        rows = grouped[match_id]
+    for match_id, rows in grouped.items():
         stats.matches_read += 1
-        teams: dict[str, list[str]] = {}
-        placements: dict[str, int] = {}
+        # team_id -> (placement, members), in first-appearance order
+        teams: dict[str, tuple[int, list[str]]] = {}
         bad_reason: str | None = None
         stamp = rows[0][0]
         for row_stamp, team_id, player_id, placement in rows:
@@ -165,13 +202,16 @@ def ingest(
                     f"and {row_stamp.isoformat()})"
                 )
                 break
-            teams.setdefault(team_id, []).append(player_id)
-            if team_id in placements and placements[team_id] != placement:
+            team = teams.get(team_id)
+            if team is None:
+                teams[team_id] = (placement, [player_id])
+            elif team[0] != placement:
                 bad_reason = f"team {team_id!r} has inconsistent placements"
                 break
-            placements[team_id] = placement
+            else:
+                team[1].append(player_id)
         if bad_reason is None and team_size is not None:
-            if any(len(members) != team_size for members in teams.values()):
+            if any(len(members) != team_size for _, members in teams.values()):
                 stats.filtered += 1
                 continue
         if bad_reason is None:
@@ -181,11 +221,9 @@ def ingest(
                     timestamp=stamp,
                     teams=tuple(
                         TeamEntry(
-                            team_id=tid,
-                            members=tuple(members),
-                            observed_rank=placements[tid],
+                            team_id=tid, members=tuple(members), observed_rank=placement
                         )
-                        for tid, members in teams.items()
+                        for tid, (placement, members) in teams.items()
                     ),
                 )
             except DomainError as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import inspect
 import json
 
@@ -279,6 +280,29 @@ class TestReplayCommand:
         assert code == 1
         assert f"error: {log}: not UTF-8 text" in captured.err
 
+    @pytest.mark.parametrize("command", ["replay", "experiment"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_team_size_is_exit_two(self, capsys, tmp_path, command, value):
+        log = make_log(capsys, tmp_path, matches="2")
+        setup = ["--setup", "all"] if command == "experiment" else []
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    command,
+                    *setup,
+                    "--input",
+                    str(log),
+                    "--output-dir",
+                    str(tmp_path / "run"),
+                    "--system",
+                    "elo",
+                    f"--team-size={value}",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_flag_is_exit_two(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["replay", "--frobnicate", "yes"])
@@ -514,6 +538,17 @@ class TestInspectCommand:
         code, captured = run_cli(capsys, "inspect", "--input", str(path))
         assert code == 1
         assert f"error: {path}: not UTF-8 text" in captured.err
+
+    def test_csv_field_over_the_size_limit_is_exit_one(self, capsys, tmp_path):
+        path = make_log(capsys, tmp_path, matches="2")
+        big = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(f"m9,2020-05-01T12:00:00Z,t1,{big},1\n")
+        code, captured = run_cli(capsys, "inspect", "--input", str(path))
+        assert code == 1
+        assert f"error: {path}:" in captured.err
+        assert "unreadable CSV (field larger than field limit" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_inspect_writes_no_files(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path, matches="2")

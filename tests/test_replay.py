@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import logging
 from datetime import datetime, timedelta, timezone
 
@@ -206,6 +207,26 @@ class TestIngest:
         path.write_text("")
         with pytest.raises(DataError, match="empty file"):
             ingest(path)
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_csv_field_over_the_size_limit_is_positional_error(self, tmp_path, where):
+        big = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        row = "m1,2020-05-01T12:00:00Z,t1,a,1"
+        if where == "header":
+            path = tmp_path / "log.csv"
+            path.write_text(f"{HEADER},{big}\n{row}\n")
+            line = 1
+        else:
+            path = write_log(tmp_path, [row, f"m1,2020-05-01T12:00:00Z,t2,{big},2"])
+            line = 3
+        with pytest.raises(DataError, match=rf"log\.csv:{line}: unreadable CSV \(field larger"):
+            ingest(path)
+
+    @pytest.mark.parametrize("team_size", [0, -2])
+    def test_non_positive_team_size_rejected(self, tmp_path, team_size):
+        rows = ["m1,2020-05-01T12:00:00Z,t1,a,1", "m1,2020-05-01T12:00:00Z,t2,b,2"]
+        with pytest.raises(DomainError, match="team_size must be positive"):
+            ingest(write_log(tmp_path, rows), team_size=team_size)
 
     @pytest.mark.parametrize("where", ["header", "body"])
     def test_non_utf8_bytes_name_the_file(self, tmp_path, where):
