@@ -39,7 +39,7 @@ from .replay import (
     setup_frequent_players,
 )
 from .synth import SynthConfig, generate
-from .systems import SYSTEM_NAMES, RatingSystem, make_system
+from .systems import SYSTEM_NAMES, RatingSystem, RatingTable, make_system
 from .trueskill import TrueSkillParams, TrueSkillSystem, update_pair, v_exceeds, w_exceeds
 
 __version__ = "0.1.0"
@@ -80,6 +80,7 @@ __all__ = [
     "generate",
     "SYSTEM_NAMES",
     "RatingSystem",
+    "RatingTable",
     "make_system",
     "TrueSkillParams",
     "TrueSkillSystem",

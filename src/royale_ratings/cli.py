@@ -18,7 +18,8 @@ given, and ``setup_params`` records every value the set-up used.
 
 Exit codes: 0 success, 1 unusable data, 2 usage errors (unknown or
 missing flags, a non-positive --team-size, --window, --top-k or
---horizon, and a non-finite --conservative-k).
+--horizon, a negative synth --seed, and a non-finite value of any
+float flag).
 """
 
 from __future__ import annotations
@@ -70,6 +71,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def _finite_float(text: str) -> float:
     try:
         value = float(text)
@@ -107,27 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
             help="leaderboard position convention for AP and NDCG",
         )
         group = p.add_argument_group("system parameters (defaults used when omitted)")
-        group.add_argument("--k-factor", type=float, default=None, help="elo K")
-        group.add_argument("--d-scale", type=float, default=None, help="elo curve scale")
-        group.add_argument(
-            "--default-rating", type=float, default=None, help="elo starting rating"
-        )
-        group.add_argument(
-            "--glicko-mu", type=float, default=None, help="glicko starting rating"
-        )
-        group.add_argument(
-            "--glicko-sigma", type=float, default=None, help="glicko starting deviation"
-        )
-        group.add_argument(
-            "--ts-mu", type=float, default=None, help="trueskill starting mean"
-        )
-        group.add_argument(
-            "--ts-sigma", type=float, default=None, help="trueskill starting deviation"
-        )
-        group.add_argument("--beta", type=float, default=None, help="trueskill beta")
-        group.add_argument(
-            "--tau", type=float, default=None, help="trueskill dynamics noise"
-        )
+        for flag, help_text in (
+            ("--k-factor", "elo K"),
+            ("--d-scale", "elo curve scale"),
+            ("--default-rating", "elo starting rating"),
+            ("--glicko-mu", "glicko starting rating"),
+            ("--glicko-sigma", "glicko starting deviation"),
+            ("--ts-mu", "trueskill starting mean"),
+            ("--ts-sigma", "trueskill starting deviation"),
+            ("--beta", "trueskill beta"),
+            ("--tau", "trueskill dynamics noise"),
+        ):
+            group.add_argument(flag, type=_finite_float, default=None, help=help_text)
         group.add_argument(
             "--member-share",
             choices=("sigma_sq", "mu"),
@@ -166,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--team-size", type=int, default=2)
     p_synth.add_argument("--teams", type=int, default=10)
     p_synth.add_argument("--matches", type=int, default=1000)
-    p_synth.add_argument("--skill-mean", type=float, default=0.0)
-    p_synth.add_argument("--skill-spread", type=float, default=1.0)
-    p_synth.add_argument("--noise-spread", type=float, default=0.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--skill-mean", type=_finite_float, default=0.0)
+    p_synth.add_argument("--skill-spread", type=_finite_float, default=1.0)
+    p_synth.add_argument("--noise-spread", type=_finite_float, default=0.0)
+    p_synth.add_argument("--seed", type=_non_negative_int, default=0)
     p_synth.add_argument("--output-dir", required=True)
 
     p_inspect = sub.add_parser(
@@ -204,7 +208,7 @@ def _system_overrides(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _emit_summary(summary: dict[str, Any], output_dir: Path | None) -> None:
-    text = json.dumps(summary, sort_keys=True, indent=2)
+    text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     if output_dir is not None:
         (output_dir / "run_summary.json").write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -265,7 +269,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "mean_metrics": mean_metrics(result.reports),
         "mean_metrics_alt_position_index": {
             "position_index": other_index,
-            **mean_metrics_alt_index(result.reports, position_index=other_index),
+            **mean_metrics_alt_index(result.reports),
         },
         **setup_summary,
         "outputs": {

@@ -67,6 +67,10 @@ class PlayerRating:
             raise DomainError(f"player sigma must be positive, got {self.sigma!r}")
         if self.games_played < 0:
             raise DomainError("games_played cannot be negative")
+        if self.last_observed_rank is not None and self.last_observed_rank < 1:
+            raise DomainError(
+                f"last_observed_rank must be >= 1, got {self.last_observed_rank}"
+            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,8 +9,9 @@ and the pooled probability that team i "wins the match" divides the sum
 of its pairwise wins by the number of pairs C(N, 2).  The observed
 placement is normalized onto the same scale, so one K-scaled surprise
 term updates the whole team and members absorb it by the shared rule
-``systems.member_weights``: in proportion to their share of the team
-rating, or evenly when any member is rated <= 0.
+``systems.member_shares``: in proportion to their share of the team
+rating, or evenly when any member is rated <= 0.  The update is array
+code over the match's ``MatchBlock``, all teams at once.
 
 Note the kernel is base e, not the classical base-10 curve; with
 d_scale = 400 the two differ by a factor ln(10)/1 in the exponent.
@@ -25,8 +26,16 @@ from typing import Any, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import DomainError, MatchRecord, PlayerRating, normalized_result
-from .systems import Posterior, RatingSystem, member_weights
+from .core import DomainError, PlayerRating
+from .systems import (
+    MatchBlock,
+    Posterior,
+    RatingSystem,
+    member_shares,
+    normalized_results,
+    row_sums,
+    warn_uniform_weights,
+)
 
 __all__ = ["EloParams", "EloSystem", "win_probabilities"]
 
@@ -38,10 +47,10 @@ class EloParams:
     default_rating: float = 1500.0
 
     def __post_init__(self) -> None:
-        if not self.k_factor > 0:
-            raise DomainError(f"k_factor must be > 0, got {self.k_factor}")
-        if not self.d_scale > 0:
-            raise DomainError(f"d_scale must be > 0, got {self.d_scale}")
+        if not (math.isfinite(self.k_factor) and self.k_factor > 0):
+            raise DomainError(f"k_factor must be finite and > 0, got {self.k_factor}")
+        if not (math.isfinite(self.d_scale) and self.d_scale > 0):
+            raise DomainError(f"d_scale must be finite and > 0, got {self.d_scale}")
         if not math.isfinite(self.default_rating):
             raise DomainError("default_rating must be finite")
 
@@ -78,19 +87,12 @@ class EloSystem(RatingSystem):
     def initial_rating(self) -> PlayerRating:
         return PlayerRating(mu=self.params.default_rating, sigma=None)
 
-    def _apply(
-        self, rosters: list[list[PlayerRating]], match: MatchRecord
-    ) -> list[list[Posterior]]:
-        n = match.team_count
-        pooled = win_probabilities(
-            [float(sum(r.mu for r in roster)) for roster in rosters], self.params
-        )
-        posteriors = []
-        for team, roster, prob in zip(match.teams, rosters, pooled):
-            surprise = normalized_result(team.observed_rank, n) - float(prob)
-            delta_team = self.params.k_factor * surprise
-            weights = member_weights([r.mu for r in roster], team.team_id)
-            posteriors.append(
-                [(r.mu + w * delta_team, r.sigma) for r, w in zip(roster, weights)]
-            )
-        return posteriors
+    def _apply(self, block: MatchBlock) -> Posterior:
+        team_mu = row_sums(block.mu)
+        pooled = win_probabilities(team_mu, self.params)
+        surprise = normalized_results(block) - pooled
+        delta_team = self.params.k_factor * surprise
+        shares, lowest = member_shares(block, team_mu)
+        for i in np.flatnonzero(lowest <= 0).tolist():
+            warn_uniform_weights(block.match.teams[i].team_id, float(lowest[i]))
+        return block.mu + shares * delta_team[:, None], None

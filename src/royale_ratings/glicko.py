@@ -17,14 +17,21 @@ opposing team deviations:
 
 with q = ln(10)/400.  Team deltas flow to members separately for mu and
 for sigma.  The mu delta is split by the shared rule
-``systems.member_weights`` (share of the team mu, or evenly when any
+``systems.member_shares`` (share of the team mu, or evenly when any
 member is rated <= 0); the sigma delta in proportion to each member's
 share of the team sigma, so a member's sigma scales by sigma_t'/sigma_t
 and stays positive.
 
+The update is array code over the match's ``MatchBlock``, all teams at
+once.  Each team's opponent RMS sums the other teams' squared deviations
+in index order: a cumulative sum over the squares with the team's own
+entry zeroed, which rounds like the scalar loop (total minus own would
+not).  The squares themselves stay Python ``**``.
+
 When E rounds to exactly 0 or 1 the information term q^2 g^2 E (1 - E)
 is 0 and d^2 is undefined: the update raises a RatingsError naming the
-match instead of dividing by zero.
+first such team instead of dividing by zero, after logging the warnings
+of the teams before it.
 """
 
 from __future__ import annotations
@@ -37,8 +44,16 @@ from typing import Any, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import DomainError, MatchRecord, PlayerRating, RatingsError, normalized_result
-from .systems import Posterior, RatingSystem, member_weights
+from .core import DomainError, PlayerRating, RatingsError
+from .systems import (
+    MatchBlock,
+    Posterior,
+    RatingSystem,
+    member_shares,
+    normalized_results,
+    row_sums,
+    warn_uniform_weights,
+)
 
 __all__ = [
     "GlickoParams",
@@ -62,10 +77,14 @@ class GlickoParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.default_mu):
             raise DomainError("default_mu must be finite")
-        if not self.default_sigma > 0:
-            raise DomainError(f"default_sigma must be > 0, got {self.default_sigma}")
-        if not self.q_constant > 0:
-            raise DomainError(f"q_constant must be > 0, got {self.q_constant}")
+        if not (math.isfinite(self.default_sigma) and self.default_sigma > 0):
+            raise DomainError(
+                f"default_sigma must be finite and > 0, got {self.default_sigma}"
+            )
+        if not (math.isfinite(self.q_constant) and self.q_constant > 0):
+            raise DomainError(
+                f"q_constant must be finite and > 0, got {self.q_constant}"
+            )
 
 
 def team_mu_sigma(
@@ -130,55 +149,50 @@ class GlickoSystem(RatingSystem):
     def initial_rating(self) -> PlayerRating:
         return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
 
-    def _apply(
-        self, rosters: list[list[PlayerRating]], match: MatchRecord
-    ) -> list[list[Posterior]]:
+    def _apply(self, block: MatchBlock) -> Posterior:
         q = self.params.q_constant
-        n = match.team_count
-        beliefs = [
-            team_mu_sigma([r.mu for r in roster], [r.sigma for r in roster])
-            for roster in rosters
-        ]
-        team_mus = [b[0] for b in beliefs]
-        team_sigmas = [b[1] for b in beliefs]
-        pooled = win_probabilities(team_mus, team_sigmas, self.params)
-        squares = [s**2 for s in team_sigmas]
-
-        posteriors = []
-        for i, (team, roster) in enumerate(zip(match.teams, rosters)):
-            mu_t, sigma_t = beliefs[i]
-            expected = float(pooled[i])
-            residual = normalized_result(team.observed_rank, n) - expected
-            # the other teams in index order; total minus own rounds differently
-            opp_rms = math.sqrt(sum(squares[:i] + squares[i + 1 :]) / (n - 1))
-            g_opp = g_weight(opp_rms, q)
-            information = q * q * g_opp * g_opp * expected * (1.0 - expected)
-            if not information > 0:
-                raise RatingsError(
-                    f"match {match.match_id!r}: team {team.team_id!r} has a "
-                    f"certain outcome (E = {expected!r}), so d^2 is undefined"
-                )
-            d_squared = 1.0 / information
-            precision = 1.0 / sigma_t**2 + 1.0 / d_squared
-            delta_mu_team = (q / precision) * g_opp * residual
-            sigma_t_new = math.sqrt(1.0 / precision)
-            if sigma_t_new < 1.0:
+        teams = block.match.teams
+        n = len(teams)
+        team_mu = row_sums(block.mu)
+        team_sigma = row_sums(block.sigma)
+        pooled = win_probabilities(team_mu, team_sigma, self.params)
+        residual = normalized_results(block) - pooled
+        # Python's ** rounds some squares differently from numpy's x*x
+        squares = np.array([s**2 for s in team_sigma.tolist()])
+        # row i holds the other teams' squares in index order, 0 at i
+        others = np.tile(squares, (n, 1))
+        np.fill_diagonal(others, 0.0)
+        opp_rms = np.sqrt(row_sums(others) / (n - 1))
+        # g_weight(opp_rms, q) of every team
+        g_opp = 1.0 / np.sqrt(1.0 + 3.0 * q * q * opp_rms * opp_rms / math.pi**2)
+        information = q * q * g_opp * g_opp * pooled * (1.0 - pooled)
+        certain = np.flatnonzero(~(information > 0))
+        # the teams before the first certain outcome, whose warnings are logged
+        stop = int(certain[0]) if certain.size else n
+        precision = 1.0 / squares[:stop] + 1.0 / (1.0 / information[:stop])
+        sigma_t_new = np.sqrt(1.0 / precision)
+        shares, lowest = member_shares(block, team_mu)
+        collapsed = sigma_t_new < 1.0
+        uniform = lowest[:stop] <= 0
+        for i in np.flatnonzero(collapsed | uniform).tolist():
+            if collapsed[i]:
                 log.warning(
                     "match %s: team %s sigma collapsed to %.4g",
-                    match.match_id,
-                    team.team_id,
-                    sigma_t_new,
+                    block.match.match_id,
+                    teams[i].team_id,
+                    float(sigma_t_new[i]),
                 )
-            delta_sigma_team = sigma_t_new - sigma_t
-
-            mu_weights = member_weights([r.mu for r in roster], team.team_id)
-            posteriors.append(
-                [
-                    (
-                        r.mu + w_mu * delta_mu_team,
-                        r.sigma + (r.sigma / sigma_t) * delta_sigma_team,
-                    )
-                    for r, w_mu in zip(roster, mu_weights)
-                ]
+            if uniform[i]:
+                warn_uniform_weights(teams[i].team_id, float(lowest[i]))
+        if stop < n:
+            raise RatingsError(
+                f"match {block.match.match_id!r}: team {teams[stop].team_id!r} has a "
+                f"certain outcome (E = {float(pooled[stop])!r}), so d^2 is undefined"
             )
-        return posteriors
+        delta_mu_team = (q / precision) * g_opp * residual
+        delta_sigma_team = sigma_t_new - team_sigma
+        sigma_shares = block.sigma / team_sigma[:, None]
+        return (
+            block.mu + shares * delta_mu_team[:, None],
+            block.sigma + sigma_shares * delta_sigma_team[:, None],
+        )

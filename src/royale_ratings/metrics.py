@@ -19,7 +19,9 @@ reported by the harness summaries since the two conventions disagree on
 imperfect predictions.
 
 ``score_match`` computes all six in one pass over the teams and one walk
-over the positions; each single-metric function reads its field.
+over the positions; each single-metric function reads its field.  The
+same walk scores AP and NDCG under the other convention too, kept in
+``alt_ap`` and ``alt_ndcg`` (not in ``as_dict``).
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ class MetricReport:
     ap: float
     ndcg: float
     team_count: int
+    # AP and NDCG under the position convention score_match was not asked for
+    alt_ap: float
+    alt_ndcg: float
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
@@ -142,9 +147,9 @@ def score_match(
             f"position_index must be one of {_POSITION_INDICES}, got {position_index!r}"
         )
     n = _validate(pairs)
-    by_observed = position_index == "observed"
     observed_in_predicted_order = [0] * n
-    errors_by_position = [0] * n
+    errors_by_observed = [0] * n
+    errors_by_predicted = [0] * n
     error_sum = 0
     reciprocal_sum = 0.0
     for _, p, o in pairs:
@@ -152,30 +157,45 @@ def score_match(
         error_sum += err
         reciprocal_sum += 1.0 / (1 + err)
         observed_in_predicted_order[p - 1] = o
-        errors_by_position[(o if by_observed else p) - 1] = err
+        errors_by_observed[o - 1] = err
+        errors_by_predicted[p - 1] = err
 
-    hits = 0
-    ap_total = dcg = ideal = 0.0
-    for i, err in enumerate(errors_by_position, start=1):
-        relevance = 1.0 / (1 + err)
-        if err == 0:
-            hits += 1
-        ap_total += (hits / i) * relevance
+    # one walk over the positions scores both conventions
+    hits_o = hits_p = 0
+    ap_o = ap_p = dcg_o = dcg_p = ideal = 0.0
+    for i, (err_o, err_p) in enumerate(
+        zip(errors_by_observed, errors_by_predicted), start=1
+    ):
         # not math.log2: it differs in the last bit at some i, which
         # would change the written metric bytes
         weight = 1.0 / math.log(i + 1, 2.0)
-        dcg += weight * relevance
         ideal += weight
+        relevance = 1.0 / (1 + err_o)
+        if err_o == 0:
+            hits_o += 1
+        ap_o += (hits_o / i) * relevance
+        dcg_o += weight * relevance
+        relevance = 1.0 / (1 + err_p)
+        if err_p == 0:
+            hits_p += 1
+        ap_p += (hits_p / i) * relevance
+        dcg_p += weight * relevance
 
     ranks = np.array(observed_in_predicted_order)
     inversions = int(np.count_nonzero(np.triu(ranks[:, None] > ranks, 1)))
     total = n * (n - 1) // 2
+    if position_index == "observed":
+        ap, dcg, alt_ap, alt_dcg = ap_o, dcg_o, ap_p, dcg_p
+    else:
+        ap, dcg, alt_ap, alt_dcg = ap_p, dcg_p, ap_o, dcg_o
     return MetricReport(
-        accuracy=hits / n,
+        accuracy=hits_o / n,
         mae=error_sum / n,
         kendall_tau=(total - 2 * inversions) / total,
         mrr=reciprocal_sum / n,
-        ap=ap_total / n,
+        ap=ap / n,
         ndcg=dcg / ideal,
         team_count=n,
+        alt_ap=alt_ap / n,
+        alt_ndcg=alt_dcg / ideal,
     )

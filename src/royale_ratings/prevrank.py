@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .core import DomainError, MatchRecord, PlayerRating
-from .systems import Posterior, RatingState, RatingSystem
+import numpy as np
+
+from .core import DomainError, PlayerRating
+from .systems import MatchBlock, Posterior, RatingState, RatingSystem, row_sums
 
 __all__ = ["PreviousRankSystem", "player_prev_rank"]
 
@@ -42,15 +44,14 @@ class PreviousRankSystem(RatingSystem):
         # mu is unused by this baseline; kept at 0 so stores stay uniform
         return PlayerRating(mu=0.0, sigma=None)
 
-    def team_score(
-        self, state: RatingState, members: tuple[str, ...], team_count: int
-    ) -> float:
-        # lowest previous-placement sum should rank first, so negate
-        return -sum(player_prev_rank(state, p, team_count) for p in members)
+    def team_scores(self, block: MatchBlock) -> np.ndarray:
+        # player_prev_rank of every member; the lowest sum should rank
+        # first, so negate
+        newcomer = len(block.ranks) / 2.0
+        carried = np.where(block.last_rank > 0, block.last_rank, newcomer)
+        return -row_sums(np.where(block.mask, carried, 0.0))
 
-    def _apply(
-        self, rosters: list[list[PlayerRating]], match: MatchRecord
-    ) -> list[list[Posterior]]:
+    def _apply(self, block: MatchBlock) -> Posterior:
         # beliefs never change: the placement this baseline predicts from is
         # the last_observed_rank that update_match stores for every member
-        return [[(r.mu, r.sigma) for r in roster] for roster in rosters]
+        return block.mu, None

@@ -43,9 +43,8 @@ from .core import (
     PredictedRanking,
     TeamEntry,
 )
-from . import metrics
 from .metrics import METRIC_NAMES, MetricReport, rank_pairs, score_match
-from .systems import RatingState, RatingSystem
+from .systems import RatingState, RatingSystem, RatingTable
 
 __all__ = [
     "MATCH_LOG_COLUMNS",
@@ -256,7 +255,7 @@ class RatingStore:
             f"#system={self.system}",
             f"#seed={self.seed}",
             f"#matches={self.matches_processed}",
-            f"#params={json.dumps(self.params, sort_keys=True)}",
+            f"#params={json.dumps(self.params, sort_keys=True, allow_nan=False)}",
             "#fields=player_id mu sigma games_played last_observed_rank",
         ]
         for player_id in sorted(self.ratings):
@@ -357,15 +356,14 @@ def replay(
     the whole replay is reproducible from (matches, system, seed).
     """
     rng = random.Random(seed)
-    state: RatingState = {}
+    state = RatingTable()
     reports: list[MatchReport] = []
     player_matches: dict[str, list[int]] = defaultdict(list)
     for index, match in enumerate(matches):
         players = match.players()
-        unseen = sum(1 for p in players if p not in state)
-        for player in players:
-            if player not in state:
-                state[player] = system.initial_rating()
+        unseen = state.missing(players)
+        for player in unseen:
+            state[player] = system.initial_rating()
         match_seed = rng.randrange(2**63)
         ranking = system.update_match(state, match, match_seed)
         pairs = rank_pairs(ranking, match)
@@ -374,7 +372,7 @@ def replay(
                 match=match,
                 ranking=ranking,
                 metrics=score_match(pairs, position_index=position_index),
-                new_player_fraction=unseen / len(players),
+                new_player_fraction=len(unseen) / len(players),
             )
         )
         for player in players:
@@ -434,20 +432,14 @@ def mean_metrics(reports: Iterable[MatchReport]) -> dict[str, float]:
     return {name: totals[name] / count for name in METRIC_NAMES}
 
 
-def mean_metrics_alt_index(
-    reports: Iterable[MatchReport], *, position_index: str
-) -> dict[str, float]:
-    """Mean AP and NDCG recomputed under the other position convention."""
+def mean_metrics_alt_index(reports: Iterable[MatchReport]) -> dict[str, float]:
+    """Mean AP and NDCG under the other position convention, from the
+    ``alt_ap`` and ``alt_ndcg`` that ``score_match`` stored."""
     total_ap = total_ndcg = 0.0
     count = 0
     for report in reports:
-        # looked up on the module: profilers that wrap this module's
-        # score_match name then time only the replay loop's scoring
-        rescored = metrics.score_match(
-            rank_pairs(report.ranking, report.match), position_index=position_index
-        )
-        total_ap += rescored.ap
-        total_ndcg += rescored.ndcg
+        total_ap += report.metrics.alt_ap
+        total_ndcg += report.metrics.alt_ndcg
         count += 1
     if count == 0:
         return {}
@@ -564,18 +556,12 @@ def _cohort_by_final_rating(
     the system carries none); ties break on player id so the cohort is
     stable.
     """
-    qualifiers = [
-        pid
+    scores = {
+        pid: rating.mu - conservative_k * (rating.sigma or 0.0)
         for pid, rating in result.store.ratings.items()
         if rating.games_played > min_games
-    ]
-
-    def score(pid: str) -> float:
-        rating = result.store.ratings[pid]
-        sigma = rating.sigma if rating.sigma is not None else 0.0
-        return rating.mu - conservative_k * sigma
-
-    qualifiers.sort(key=lambda pid: (-score(pid), pid))
+    }
+    qualifiers = sorted(scores, key=lambda pid: (-scores[pid], pid))
     if top_k is not None:
         if len(qualifiers) < top_k:
             log.warning(

@@ -55,12 +55,18 @@ class SynthConfig:
                 f"player_count {self.player_count} cannot fill "
                 f"{self.teams_per_match} teams of {self.team_size}"
             )
-        if not self.skill_spread > 0:
-            raise DomainError(f"skill_spread must be > 0, got {self.skill_spread}")
-        if self.noise_spread < 0:
-            raise DomainError(f"noise_spread must be >= 0, got {self.noise_spread}")
-        if not (math.isfinite(self.skill_mean) and math.isfinite(self.skill_spread)):
-            raise DomainError("skill parameters must be finite")
+        if not math.isfinite(self.skill_mean):
+            raise DomainError(f"skill_mean must be finite, got {self.skill_mean}")
+        if not (math.isfinite(self.skill_spread) and self.skill_spread > 0):
+            raise DomainError(
+                f"skill_spread must be finite and > 0, got {self.skill_spread}"
+            )
+        if not (math.isfinite(self.noise_spread) and self.noise_spread >= 0):
+            raise DomainError(
+                f"noise_spread must be finite and >= 0, got {self.noise_spread}"
+            )
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate(config: SynthConfig) -> tuple[list[MatchRecord], dict[str, float]]:

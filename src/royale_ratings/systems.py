@@ -5,35 +5,69 @@ score, and a belief update.  ``update_match`` glues them together in the
 order the replay harness relies on: predict strictly from pre-match
 state, then update.
 
-State is an explicit ``dict[player_id, PlayerRating]`` owned by the
-caller, and ``update_match`` is the only code that writes it.  After the
-prediction it reads every member's pre-match rating once, and it writes
-every member once: a new ``PlayerRating`` carrying the posterior belief,
-``games_played + 1`` and the team's placement as ``last_observed_rank``.
+State layout
+------------
+State is owned by the caller and ``update_match`` is the only code that
+writes it.  The replay keeps it in a ``RatingTable``: an id -> row map
+plus four numpy columns, ``mu``, ``sigma`` (NaN for a player without
+one), ``games`` and ``last_rank`` (0 for a player without one), grown in
+amortized steps.  The table is also a ``MutableMapping[str,
+PlayerRating]``: ``table[p]`` builds a validated view and ``table[p] =
+rating`` writes one row, so stores, cohort selection and library callers
+see the familiar mapping.  The per-match path never builds a view.
 
-Each system's ``_apply(rosters, match)`` is a pure function.
-``rosters[i]`` holds the pre-match ratings of ``match.teams[i].members``
-in roster order; the result has the same shape and holds each member's
-posterior ``(mu, sigma)``.  Every new rating is built before the first
-one is stored, so an update that raises (a certain Glicko outcome, a
-posterior that is not a valid rating) leaves state exactly as it was.
-An ``ArithmeticError`` from ``_apply`` (overflow or division by zero at
-extreme finite parameters) becomes a ``RatingsError`` naming the match.
+Per match, ``RatingTable.gather`` copies the members' rows once into a
+``MatchBlock``: (teams x width) matrices in record order, a member's
+roster position as its column, zero where a team is narrower than the
+widest.  ``predict`` ranks ``team_scores(block)``; ``_apply(block)`` is a
+pure function returning the posterior ``(mu, sigma)`` matrices of the
+same shape, ``sigma`` None for systems that carry none.  Then
+``RatingTable.scatter`` checks every posterior at once (mu finite, sigma
+> 0, with ``PlayerRating``'s error text) and only then writes mu, sigma,
+``games + 1`` and the team placement as the last rank in one scatter, so
+an update that raises (a certain Glicko outcome, an invalid posterior)
+leaves state exactly as it was.  The table keeps the last block until
+its next write, so ``predict`` and ``_apply`` share one gather.
 
+A plain dict of ``PlayerRating`` is accepted too: the update runs on a
+table of the match's members and is written back to the dict only after
+it succeeds.
+
+Floating point
+--------------
+The array code must give the bits the scalar code gave.  Row sums use
+``row_sums`` (a cumulative sum, adding left to right like ``sum``), never
+``ndarray.sum``, which adds pairwise.  A square that the scalar code took
+with Python's ``**`` stays a Python ``**``: CPython's ``x**2`` calls C
+``pow``, which rounds some squares differently from numpy's ``x*x``.
+numpy divides by zero silently, so ``update_match`` runs ``_apply``
+under ``np.errstate(divide="raise")``; the ``FloatingPointError``, like
+any ``ArithmeticError`` (overflow, a Python division by zero at extreme
+finite parameters), becomes a ``RatingsError`` naming the match.
+
+Member shares
+-------------
 Elo, Glicko and TrueSkill with ``member_share="mu"`` split a team's mu
-delta by ``member_weights``: each member takes the share mu_j / sum(mu),
-so the shares sum to 1.  When any member's mu is <= 0 every member takes
-the same share 1/n instead, because a proportional share is negative for
-a negative member and would move that member against the match result.
+delta by ``member_weights`` (``member_shares`` for a whole block): each
+member takes the share mu_j / sum(mu), so the shares sum to 1.  When any
+member's mu is <= 0 every member takes the same share 1/n instead,
+because a proportional share is negative for a negative member and would
+move that member against the match result.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Iterator, Mapping, MutableMapping
+from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from .core import (
+    DomainError,
     MatchRecord,
     MissingStateError,
     PlayerRating,
@@ -45,20 +79,211 @@ from .core import (
 __all__ = [
     "RatingSystem",
     "RatingState",
+    "RatingTable",
+    "MatchBlock",
     "Posterior",
     "make_system",
     "member_weights",
+    "member_shares",
+    "normalized_results",
+    "row_sums",
     "SYSTEM_NAMES",
 ]
 
 log = logging.getLogger(__name__)
 
-RatingState = dict[str, PlayerRating]
+# what predict and update_match accept: a RatingTable or a plain dict
+RatingState = MutableMapping[str, PlayerRating]
 
-# one member's post-match (mu, sigma); sigma stays None for systems without one
-Posterior = tuple[float, float | None]
+# posterior (mu, sigma) matrices of a block; sigma is None for systems without one
+Posterior = tuple[np.ndarray, "np.ndarray | None"]
 
 SYSTEM_NAMES = ("elo", "glicko", "trueskill", "prevrank")
+
+_COLUMNS = ("_mu", "_sigma", "_games", "_last_rank")
+
+
+def row_sums(matrix: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right like Python's ``sum``."""
+    return np.cumsum(matrix, axis=1)[:, -1]
+
+
+@dataclass(frozen=True, slots=True)
+class MatchBlock:
+    """One match's members, gathered from a ``RatingTable``.
+
+    Matrices are (teams x width) in record and roster order, zero where
+    ``mask`` is False (a team narrower than the widest).
+    """
+
+    match: MatchRecord
+    rows: np.ndarray  # table row of every member, in match.players() order
+    mask: np.ndarray
+    sizes: np.ndarray  # members per team
+    ranks: np.ndarray  # observed placement per team
+    mu: np.ndarray
+    sigma: np.ndarray  # NaN for a member without one
+    last_rank: np.ndarray  # 0 for a member without one
+
+    def pad(self, teams: list[list[float]]) -> np.ndarray:
+        """Per-team member lists as a zero-padded matrix of the block's shape."""
+        out = np.zeros(self.mask.shape)
+        out[self.mask] = [value for team in teams for value in team]
+        return out
+
+
+class RatingTable(MutableMapping[str, PlayerRating]):
+    """Every player's rating as numpy columns, one row per player."""
+
+    def __init__(self, ratings: Mapping[str, PlayerRating] | None = None) -> None:
+        self._rows: dict[str, int] = {}
+        self._mu = np.zeros(0)
+        self._sigma = np.zeros(0)
+        self._games = np.zeros(0, dtype=np.int64)
+        self._last_rank = np.zeros(0, dtype=np.int64)
+        self._block: MatchBlock | None = None
+        if ratings:
+            self.update(ratings)
+
+    def __repr__(self) -> str:
+        return f"RatingTable({dict(self)!r})"
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._rows)
+
+    def __contains__(self, player_id: object) -> bool:
+        return player_id in self._rows
+
+    def missing(self, players: Iterable[str]) -> list[str]:
+        """The given player ids that have no row, in the order given."""
+        rows = self._rows
+        return [p for p in players if p not in rows]
+
+    def __getitem__(self, player_id: str) -> PlayerRating:
+        row = self._rows[player_id]
+        sigma = self._sigma.item(row)
+        return PlayerRating(
+            self._mu.item(row),
+            None if math.isnan(sigma) else sigma,
+            self._games.item(row),
+            self._last_rank.item(row) or None,
+        )
+
+    def __setitem__(self, player_id: str, rating: PlayerRating) -> None:
+        row = self._rows.get(player_id)
+        if row is None:
+            row = len(self._rows)
+            if row == len(self._mu):
+                grow = max(64, row)
+                for name in _COLUMNS:
+                    column = getattr(self, name)
+                    grown = np.append(column, np.zeros(grow, column.dtype))
+                    setattr(self, name, grown)
+            self._rows[player_id] = row
+        self._mu[row] = rating.mu
+        self._sigma[row] = math.nan if rating.sigma is None else rating.sigma
+        self._games[row] = rating.games_played
+        self._last_rank[row] = rating.last_observed_rank or 0
+        self._block = None
+
+    def __delitem__(self, player_id: str) -> None:
+        row = self._rows.pop(player_id)
+        end = len(self._rows)
+        for name in _COLUMNS:
+            column = getattr(self, name)
+            column[row:end] = column[row + 1 : end + 1]
+        for later, index in self._rows.items():
+            if index > row:
+                self._rows[later] = index - 1
+        self._block = None
+
+    def gather(self, match: MatchRecord) -> MatchBlock:
+        """The match's member rows as a ``MatchBlock``; raises
+        ``MissingStateError`` when a member has no row."""
+        if self._block is not None and self._block.match is match:
+            return self._block
+        rows_of = self._rows
+        try:
+            rows = np.array(
+                [rows_of[p] for team in match.teams for p in team.members],
+                dtype=np.intp,
+            )
+        except KeyError:
+            missing = self.missing(match.players())
+            raise MissingStateError(
+                f"match {match.match_id!r}: no rating entry for "
+                f"{len(missing)} player(s), first {missing[0]!r}"
+            ) from None
+        sizes = np.array([len(team.members) for team in match.teams])
+        mask = np.arange(sizes.max()) < sizes[:, None]
+
+        def matrix(column: np.ndarray) -> np.ndarray:
+            out = np.zeros(mask.shape, column.dtype)
+            out[mask] = column[rows]
+            # the block is kept for reuse, so no caller may change it
+            out.flags.writeable = False
+            return out
+
+        self._block = MatchBlock(
+            match=match,
+            rows=rows,
+            mask=mask,
+            sizes=sizes,
+            ranks=np.array([team.observed_rank for team in match.teams]),
+            mu=matrix(self._mu),
+            sigma=matrix(self._sigma),
+            last_rank=matrix(self._last_rank),
+        )
+        return self._block
+
+    def scatter(
+        self, block: MatchBlock, mu: np.ndarray, sigma: np.ndarray | None
+    ) -> None:
+        """Write one match's posteriors, games + 1 and the placements.
+
+        Every posterior is checked before the first write, so a failed
+        check leaves the table untouched.
+        """
+        new_mu = mu[block.mask]
+        bad = ~np.isfinite(new_mu)
+        new_sigma = None
+        if sigma is not None:
+            new_sigma = sigma[block.mask]
+            bad |= ~(new_sigma > 0)
+        if bad.any():
+            first = int(bad.argmax())
+            value = float(new_mu[first])
+            if not math.isfinite(value):
+                raise DomainError(f"player mu must be finite, got {value!r}")
+            raise DomainError(
+                f"player sigma must be positive, got {float(new_sigma[first])!r}"
+            )
+        rows = block.rows
+        self._mu[rows] = new_mu
+        if new_sigma is not None:
+            self._sigma[rows] = new_sigma
+        self._games[rows] += 1
+        self._last_rank[rows] = np.repeat(block.ranks, block.sizes)
+        self._block = None
+
+
+def _as_table(state: RatingState, match: MatchRecord) -> RatingTable:
+    """The table itself, or a table of the match's members from a dict."""
+    if isinstance(state, RatingTable):
+        return state
+    return RatingTable({p: state[p] for p in match.players() if p in state})
+
+
+def warn_uniform_weights(team_id: str, lowest: float) -> None:
+    """Log a team that fell back to uniform member weights."""
+    log.warning(
+        "team %s has a member rated %.6g, using uniform member weights",
+        team_id,
+        lowest,
+    )
 
 
 def member_weights(member_mus: Sequence[float], team_id: str) -> list[float]:
@@ -66,14 +291,32 @@ def member_weights(member_mus: Sequence[float], team_id: str) -> list[float]:
     1/n when any member's mu is <= 0 (logged as a warning)."""
     lowest = min(member_mus)
     if lowest <= 0:
-        log.warning(
-            "team %s has a member rated %.6g, using uniform member weights",
-            team_id,
-            lowest,
-        )
+        warn_uniform_weights(team_id, lowest)
         return [1.0 / len(member_mus)] * len(member_mus)
     total = float(sum(member_mus))
     return [m / total for m in member_mus]
+
+
+def member_shares(
+    block: MatchBlock, team_mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``member_weights`` of every team in a block, as a matrix zero at
+    padding, and each team's lowest member mu; ``team_mu`` is
+    ``row_sums(block.mu)``.  The caller logs each team whose lowest mu is
+    <= 0 with ``warn_uniform_weights``, in team order."""
+    lowest = np.where(block.mask, block.mu, np.inf).min(axis=1)
+    uniform = lowest <= 0
+    total = np.where(uniform, 1.0, team_mu)[:, None]
+    shares = np.where(
+        uniform[:, None], block.mask / block.sizes[:, None], block.mu / total
+    )
+    return shares, lowest
+
+
+def normalized_results(block: MatchBlock) -> np.ndarray:
+    """``core.normalized_result`` of every team in a block."""
+    n = len(block.ranks)
+    return (n - block.ranks) / math.comb(n, 2)
 
 
 class RatingSystem(ABC):
@@ -85,21 +328,17 @@ class RatingSystem(ABC):
     def initial_rating(self) -> PlayerRating:
         """Belief assigned to a player never seen before."""
 
-    def team_score(
-        self, state: RatingState, members: tuple[str, ...], team_count: int
-    ) -> float:
-        """Pre-match strength score for one roster; higher predicts better.
+    def team_scores(self, block: MatchBlock) -> np.ndarray:
+        """Pre-match strength score of every team; higher predicts better.
 
         The default is the sum of the members' mu.
         """
-        return float(sum(state[p].mu for p in members))
+        return row_sums(block.mu)
 
     @abstractmethod
-    def _apply(
-        self, rosters: list[list[PlayerRating]], match: MatchRecord
-    ) -> list[list[Posterior]]:
-        """Posterior (mu, sigma) of every member, from pre-match ratings
-        aligned with ``match.teams``; reads and writes no state."""
+    def _apply(self, block: MatchBlock) -> Posterior:
+        """Posterior (mu, sigma) matrices of every member, from the
+        pre-match block; reads and writes no state."""
 
     @abstractmethod
     def params_dict(self) -> dict[str, Any]:
@@ -109,12 +348,11 @@ class RatingSystem(ABC):
         self, state: RatingState, match: MatchRecord, rng_seed: int
     ) -> PredictedRanking:
         """Rank the match's teams from pre-match state only."""
-        self._require_states(state, match)
-        scores = [
-            (t.team_id, self.team_score(state, t.members, match.team_count))
-            for t in match.teams
-        ]
-        return rank_teams_by_score(scores, rng_seed)
+        scores = self.team_scores(_as_table(state, match).gather(match)).tolist()
+        return rank_teams_by_score(
+            [(team.team_id, score) for team, score in zip(match.teams, scores)],
+            rng_seed,
+        )
 
     def update_match(
         self, state: RatingState, match: MatchRecord, rng_seed: int
@@ -126,29 +364,21 @@ class RatingSystem(ABC):
         set to their team's placement.  If the update raises, ``state``
         is unchanged.
         """
-        ranking = self.predict(state, match, rng_seed)
-        rosters = [[state[p] for p in team.members] for team in match.teams]
+        table = _as_table(state, match)
+        block = table.gather(match)
+        ranking = self.predict(table, match, rng_seed)
         try:
-            posteriors = self._apply(rosters, match)
+            with np.errstate(divide="raise"):
+                mu, sigma = self._apply(block)
         except ArithmeticError as exc:
             raise RatingsError(
                 f"match {match.match_id!r}: {self.name} update failed ({exc})"
             ) from exc
-        updated = {
-            player: PlayerRating(mu, sigma, old.games_played + 1, team.observed_rank)
-            for team, roster, beliefs in zip(match.teams, rosters, posteriors)
-            for player, old, (mu, sigma) in zip(team.members, roster, beliefs)
-        }
-        state.update(updated)
+        table.scatter(block, mu, sigma)
+        if table is not state:
+            for player in match.players():
+                state[player] = table[player]
         return ranking
-
-    def _require_states(self, state: RatingState, match: MatchRecord) -> None:
-        missing = [p for p in match.players() if p not in state]
-        if missing:
-            raise MissingStateError(
-                f"match {match.match_id!r}: no rating entry for "
-                f"{len(missing)} player(s), first {missing[0]!r}"
-            )
 
 
 def make_system(name: str, **overrides: Any) -> RatingSystem:

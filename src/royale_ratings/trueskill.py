@@ -21,10 +21,11 @@ slower.  Draws are not modelled: placements are strict.
 A match of N ranked teams is processed as a chain of these pairwise
 updates over adjacent observed ranks (1 vs 2, 2 vs 3, ...), each pair
 reading the beliefs already updated by the previous pair.  The chain
-runs on local per-member (mu, sigma) lists, so a team in the middle of
-the order is updated twice but the rating state is written once, after
-the whole chain.  After each pair update the team's mu delta is split
-across its members in proportion to member variance, or with
+is sequential, so it runs on per-member (mu, sigma) lists taken from
+the match's ``MatchBlock``: a team in the middle of the order is updated
+twice but the rating state is written once, after the whole chain.
+After each pair update the team's mu delta is split across its members
+in proportion to member variance, or with
 ``member_share="mu"`` by the shared rule ``systems.member_weights``
 (share of the team mu, or evenly when any member is rated <= 0); every
 member's sigma scales by the team's shrink factor sigma_t'/sigma_t, so
@@ -46,8 +47,8 @@ from typing import Any
 
 from scipy.special import log_ndtr
 
-from .core import DomainError, MatchRecord, PlayerRating
-from .systems import Posterior, RatingSystem, member_weights
+from .core import DomainError, PlayerRating
+from .systems import MatchBlock, Posterior, RatingSystem, member_weights
 
 __all__ = [
     "TrueSkillParams",
@@ -73,12 +74,18 @@ class TrueSkillParams:
     member_share: str = "sigma_sq"
 
     def __post_init__(self) -> None:
-        if not self.default_sigma > 0:
-            raise DomainError(f"default_sigma must be > 0, got {self.default_sigma}")
-        if not self.beta > 0:
-            raise DomainError(f"beta must be > 0, got {self.beta}")
-        if self.tau_dynamics < 0:
-            raise DomainError(f"tau_dynamics must be >= 0, got {self.tau_dynamics}")
+        if not math.isfinite(self.default_mu):
+            raise DomainError("default_mu must be finite")
+        if not (math.isfinite(self.default_sigma) and self.default_sigma > 0):
+            raise DomainError(
+                f"default_sigma must be finite and > 0, got {self.default_sigma}"
+            )
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise DomainError(f"beta must be finite and > 0, got {self.beta}")
+        if not (math.isfinite(self.tau_dynamics) and self.tau_dynamics >= 0):
+            raise DomainError(
+                f"tau_dynamics must be finite and >= 0, got {self.tau_dynamics}"
+            )
         if self.member_share not in _MEMBER_SHARES:
             raise DomainError(
                 f"member_share must be one of {_MEMBER_SHARES}, got {self.member_share!r}"
@@ -101,7 +108,10 @@ def v_exceeds(x: float) -> float:
 
 def w_exceeds(x: float) -> float:
     """Variance shrink fraction w(x) = v(x) (v(x) + x), in (0, 1)."""
-    v = v_exceeds(x)
+    return _w_from_v(v_exceeds(x), x)
+
+
+def _w_from_v(v: float, x: float) -> float:
     return max(v * (v + x), _TINY)
 
 
@@ -125,7 +135,7 @@ def update_pair(
     c = math.sqrt(c_sq)
     x = (mu_w - mu_l) / c
     v = v_exceeds(x)
-    w = w_exceeds(x)
+    w = _w_from_v(v, x)
     new_mu_w = mu_w + (sigma_w**2 / c) * v
     new_mu_l = mu_l - (sigma_l**2 / c) * v
     new_sigma_w = sigma_w * (1.0 - (sigma_w**2 / c_sq) * w)
@@ -145,21 +155,16 @@ class TrueSkillSystem(RatingSystem):
     def initial_rating(self) -> PlayerRating:
         return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
 
-    def _apply(
-        self, rosters: list[list[PlayerRating]], match: MatchRecord
-    ) -> list[list[Posterior]]:
-        mus = [[r.mu for r in roster] for roster in rosters]
+    def _apply(self, block: MatchBlock) -> Posterior:
+        teams = block.match.teams
+        sizes = block.sizes.tolist()
+        mus = [row[:size] for row, size in zip(block.mu.tolist(), sizes)]
+        sigmas = [row[:size] for row, size in zip(block.sigma.tolist(), sizes)]
         tau_sq = self.params.tau_dynamics**2
         if tau_sq > 0:
-            sigmas = [
-                [math.sqrt(r.sigma**2 + tau_sq) for r in roster] for roster in rosters
-            ]
-        else:
-            sigmas = [[r.sigma for r in roster] for roster in rosters]
+            sigmas = [[math.sqrt(s**2 + tau_sq) for s in row] for row in sigmas]
 
-        by_rank = sorted(
-            range(len(rosters)), key=lambda i: match.teams[i].observed_rank
-        )
+        by_rank = sorted(range(len(teams)), key=lambda i: teams[i].observed_rank)
         for pair in zip(by_rank, by_rank[1:]):
             team_mu = [float(sum(mus[i])) for i in pair]
             team_var = [float(sum(s**2 for s in sigmas[i])) for i in pair]
@@ -171,9 +176,9 @@ class TrueSkillSystem(RatingSystem):
                 delta_mu = new_mu - mu_t
                 shrink = new_sigma / sigma_t
                 if self.params.member_share == "mu":
-                    shares = member_weights(mus[i], match.teams[i].team_id)
+                    shares = member_weights(mus[i], teams[i].team_id)
                 else:
                     shares = [s**2 / var_t for s in sigmas[i]]
                 mus[i] = [m + share * delta_mu for m, share in zip(mus[i], shares)]
                 sigmas[i] = [s * shrink for s in sigmas[i]]
-        return [list(zip(m, s)) for m, s in zip(mus, sigmas)]
+        return block.pad(mus), block.pad(sigmas)

@@ -6,12 +6,13 @@ import json
 
 import pytest
 
-from royale_ratings.cli import main
+from royale_ratings.cli import _finite_float, build_parser, main
 from royale_ratings.replay import (
     setup_all_players,
     setup_best_players,
     setup_frequent_players,
 )
+from royale_ratings.systems import SYSTEM_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +114,22 @@ class TestSynthCommand:
         )
         assert code == 1
         assert "error:" in captured.err
+
+    def test_negative_seed_is_exit_two(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "synth",
+                    "--players",
+                    "24",
+                    "--seed",
+                    "-1",
+                    "--output-dir",
+                    str(tmp_path / "gen"),
+                ]
+            )
+        assert exc.value.code == 2
+        assert "expected a non-negative integer" in capsys.readouterr().err
 
 
 class TestReplayCommand:
@@ -555,3 +572,67 @@ class TestInspectCommand:
         before = set(tmp_path.rglob("*"))
         run_json(capsys, "inspect", "--input", str(log))
         assert set(tmp_path.rglob("*")) == before
+
+
+def _float_flags():
+    """(command, flag) for every float-valued flag; a flag that replay and
+    experiment share is listed under replay only."""
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    seen = set()
+    flags = []
+    for command in ("replay", "experiment", "synth"):
+        for action in commands[command]._actions:
+            if action.type in (float, _finite_float):
+                flag = action.option_strings[0]
+                if flag not in seen:
+                    seen.add(flag)
+                    flags.append((command, flag))
+    return flags
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestNonFiniteFlags:
+    def test_every_float_flag_is_checked_for_finiteness(self):
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        untyped = [
+            action.option_strings[0]
+            for sub in commands.values()
+            for action in sub._actions
+            if action.type is float
+        ]
+        assert untyped == []
+        assert len(_float_flags()) == 13
+
+    @pytest.mark.parametrize("command, flag", _float_flags())
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_cleanly(
+        self, capsys, tmp_path, command, flag, value
+    ):
+        log = make_log(capsys, tmp_path, matches="4")
+        if command == "synth":
+            runs = {"synth": ["synth", "--players", "30", "--matches", "4"]}
+        else:
+            setup = ["--setup", "best"] if command == "experiment" else []
+            runs = {
+                system: [command, *setup, "--system", system, "--input", str(log)]
+                for system in SYSTEM_NAMES
+            }
+        for name, argv in runs.items():
+            out = str(tmp_path / f"out-{name}")
+            try:
+                code = main([*argv, "--output-dir", out, f"{flag}={value}"])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert code in (1, 2), argv
+            assert "Traceback" not in captured.err
+        for path in tmp_path.rglob("*.json"):
+            _strict_json(path.read_text(encoding="utf-8"))

@@ -142,6 +142,11 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             PlayerRating(mu=0.0, games_played=-1)
 
+    def test_last_observed_rank_is_a_placement(self):
+        with pytest.raises(DomainError, match="last_observed_rank"):
+            PlayerRating(mu=0.0, last_observed_rank=0)
+        PlayerRating(mu=0.0, last_observed_rank=1)
+
     def test_team_entry_validation(self):
         with pytest.raises(DomainError):
             TeamEntry(team_id="t", members=(), observed_rank=1)

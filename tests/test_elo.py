@@ -7,11 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from royale_ratings.core import DomainError, MissingStateError, PlayerRating
+from royale_ratings.core import (
+    DomainError,
+    MatchRecord,
+    MissingStateError,
+    PlayerRating,
+    TeamEntry,
+)
 from royale_ratings.elo import EloParams, EloSystem, win_probabilities
-from royale_ratings.systems import member_weights
+from royale_ratings.systems import RatingTable, member_weights
 
-from conftest import quick_match
+from conftest import BASE_TIME, quick_match
 
 
 def kernel_reference(ratings: list[float], d: float) -> list[float]:
@@ -40,9 +46,17 @@ class TestTeamRating:
             "c": PlayerRating(mu=-10.0),
             "d": PlayerRating(mu=25.0),
         }
+        match = MatchRecord(
+            match_id="m1",
+            timestamp=BASE_TIME,
+            teams=(
+                TeamEntry(team_id="t1", members=("a", "b"), observed_rank=1),
+                TeamEntry(team_id="t2", members=("c", "d"), observed_rank=2),
+            ),
+        )
         system = EloSystem()
-        assert system.team_score(state, ("a", "b"), 2) == 3000.0
-        assert system.team_score(state, ("c", "d"), 2) == 15.0
+        scores = system.team_scores(RatingTable(state).gather(match))
+        assert scores.tolist() == [3000.0, 15.0]
 
 
 class TestContributionWeights:

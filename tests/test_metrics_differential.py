@@ -30,6 +30,7 @@ from royale_ratings.metrics import (
 RankPair = tuple[str, int, int]
 
 _POSITION_INDICES = ("observed", "predicted")
+_OTHER_INDEX = {"observed": "predicted", "predicted": "observed"}
 
 
 def _validate(pairs: Sequence[RankPair]) -> int:
@@ -155,6 +156,8 @@ def test_score_match_equals_the_oracle_exactly(pairs, position_index):
     assert report.ap == oracle_average_precision(pairs, position_index)
     assert report.ndcg == oracle_ndcg(pairs, 2.0, position_index)
     assert report.team_count == len(pairs)
+    other = score_match(pairs, position_index=_OTHER_INDEX[position_index])
+    assert (report.alt_ap, report.alt_ndcg) == (other.ap, other.ndcg)
 
 
 @pytest.mark.parametrize("position_index", _POSITION_INDICES)

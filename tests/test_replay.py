@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -330,7 +331,7 @@ class TestReplay:
 class TestMeanMetrics:
     def test_empty_is_empty(self):
         assert mean_metrics([]) == {}
-        assert mean_metrics_alt_index([], position_index="predicted") == {}
+        assert mean_metrics_alt_index([]) == {}
 
     def test_means_are_per_metric(self):
         matches = synth_matches(match_count=6)
@@ -344,11 +345,19 @@ class TestMeanMetrics:
     def test_alt_index_reports_ap_and_ndcg(self):
         matches = synth_matches(match_count=6)
         result = replay(matches, EloSystem())
-        alt = mean_metrics_alt_index(result.reports, position_index="predicted")
+        alt = mean_metrics_alt_index(result.reports)
         assert set(alt) == {"ap", "ndcg"}
 
 
 class TestRatingStore:
+    def test_non_finite_params_are_not_written(self, tmp_path):
+        store = replay(synth_matches(match_count=2), EloSystem()).store
+        store.params = {**store.params, "k_factor": math.nan}
+        path = tmp_path / "store.txt"
+        with pytest.raises(ValueError, match="JSON"):
+            store.save(path)
+        assert not path.exists()
+
     def test_save_load_round_trip(self, tmp_path):
         matches = synth_matches()
         store = replay(matches, EloSystem(), seed=4).store

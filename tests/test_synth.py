@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from royale_ratings.core import DomainError
@@ -40,6 +42,17 @@ class TestConfigValidation:
         with pytest.raises(DomainError):
             small_config(noise_spread=-1.0)
         small_config(noise_spread=0.0)  # boundary is allowed
+
+    @pytest.mark.parametrize("field", ["skill_mean", "skill_spread", "noise_spread"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_are_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            small_config(**{field: value})
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            small_config(seed=-1)
+        small_config(seed=0)  # boundary is allowed
 
 
 class TestGeneration:

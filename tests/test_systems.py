@@ -1,22 +1,25 @@
-"""The shared update path: member weights and the one state write per match."""
+"""The shared update path: member weights, the rating table and the one
+state write per match."""
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from royale_ratings.core import (
     DomainError,
     MatchRecord,
+    MissingStateError,
     PlayerRating,
     RatingsError,
     TeamEntry,
 )
-from royale_ratings.elo import EloSystem
-from royale_ratings.glicko import GlickoSystem
-from royale_ratings.systems import make_system
+from royale_ratings.elo import EloParams, EloSystem
+from royale_ratings.glicko import GlickoParams, GlickoSystem
+from royale_ratings.systems import RatingTable, make_system
 from royale_ratings.trueskill import TrueSkillParams, TrueSkillSystem
 
 from conftest import BASE_TIME, quick_match
@@ -71,10 +74,10 @@ def test_failed_update_leaves_state_untouched():
 class InvalidLastTeamElo(EloSystem):
     """Elo whose last team gets a posterior that is not a valid rating."""
 
-    def _apply(self, rosters, match):
-        posteriors = super()._apply(rosters, match)
-        posteriors[-1] = [(math.inf, None) for _ in posteriors[-1]]
-        return posteriors
+    def _apply(self, block):
+        mu, sigma = super()._apply(block)
+        mu[-1] = math.inf
+        return mu, sigma
 
 
 def test_invalid_posterior_leaves_state_untouched():
@@ -104,3 +107,117 @@ def test_arithmetic_failure_is_a_ratings_error(name, overrides):
     with pytest.raises(RatingsError, match=f"match 'm7': {name} update failed"):
         system.update_match(state, match, 0)
     assert state == before
+
+
+FLOAT_PARAMS = [
+    (name, field.name)
+    for name, params in (
+        ("elo", EloParams),
+        ("glicko", GlickoParams),
+        ("trueskill", TrueSkillParams),
+    )
+    for field in fields(params)
+    if field.type == "float"
+]
+
+
+@pytest.mark.parametrize("name, field", FLOAT_PARAMS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_system_parameters_are_rejected(name, field, value):
+    with pytest.raises(DomainError, match=field):
+        make_system(name, **{field: value})
+
+
+def test_invalid_posterior_leaves_the_table_untouched():
+    system = InvalidLastTeamElo()
+    match = quick_match([1, 2, 3], team_size=2)
+    state = RatingTable({p: system.initial_rating() for p in match.players()})
+    before = dict(state)
+    with pytest.raises(DomainError, match="player mu must be finite, got inf"):
+        system.update_match(state, match, 0)
+    assert state == before
+
+
+def test_certain_outcome_logs_the_earlier_teams_only(caplog):
+    # t0 both collapses and falls back to uniform weights, t1 is certain to
+    # lose, and t2 (which would fall back too) is never reached
+    system = GlickoSystem()
+    match = MatchRecord(
+        match_id="m3",
+        timestamp=BASE_TIME,
+        teams=tuple(
+            TeamEntry(team_id=f"t{i}", members=(f"a{i}", f"b{i}"), observed_rank=i + 1)
+            for i in range(3)
+        ),
+    )
+    state = RatingTable(
+        {
+            "a0": PlayerRating(mu=-10.0, sigma=0.4),
+            "b0": PlayerRating(mu=1500.0, sigma=0.4),
+            "a1": PlayerRating(mu=-1e6, sigma=350.0),
+            "b1": PlayerRating(mu=1.0, sigma=350.0),
+            "a2": PlayerRating(mu=-5.0, sigma=350.0),
+            "b2": PlayerRating(mu=1500.0, sigma=350.0),
+        }
+    )
+    before = dict(state)
+    with caplog.at_level(logging.WARNING):
+        with pytest.raises(RatingsError, match="team 't1' has a certain outcome"):
+            system.update_match(state, match, 0)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    assert messages[0].startswith("match m3: team t0 sigma collapsed to ")
+    assert messages[1] == "team t0 has a member rated -10, using uniform member weights"
+    assert state == before
+
+
+class TestRatingTable:
+    def test_is_a_mapping_of_player_ratings(self):
+        ratings = {
+            f"p{i}": PlayerRating(
+                mu=float(i),
+                sigma=None if i % 2 else 1.0 + i,
+                games_played=i,
+                last_observed_rank=None if i % 3 else i + 1,
+            )
+            for i in range(150)  # past the first growth step
+        }
+        table = RatingTable(ratings)
+        assert len(table) == 150
+        assert list(table) == list(ratings)
+        assert "p7" in table and "q" not in table
+        assert table == ratings
+        assert table["p3"] == ratings["p3"]
+
+    def test_delete_keeps_the_other_rows(self):
+        ratings = {f"p{i}": PlayerRating(mu=float(i)) for i in range(5)}
+        table = RatingTable(ratings)
+        del table["p1"]
+        del ratings["p1"]
+        assert list(table) == list(ratings)
+        assert table == ratings
+        table["p9"] = PlayerRating(mu=9.0, sigma=2.0)
+        assert table["p9"] == PlayerRating(mu=9.0, sigma=2.0)
+        assert table["p4"] == PlayerRating(mu=4.0)
+        with pytest.raises(KeyError):
+            table["p1"]
+
+    def test_missing_member_is_a_missing_state_error(self):
+        table = RatingTable({"t1_p1": PlayerRating(mu=1500.0)})
+        with pytest.raises(MissingStateError, match="1 player\\(s\\), first 't2_p1'"):
+            table.gather(quick_match([1, 2]))
+
+    def test_update_matches_the_dict_update(self):
+        system = GlickoSystem()
+        matches = [
+            quick_match([2, 1, 3], team_size=2, match_id=f"m{k}") for k in range(3)
+        ]
+        as_dict = {p: system.initial_rating() for p in matches[0].players()}
+        table = RatingTable(as_dict)
+        for match in matches:
+            assert system.update_match(table, match, 1) == system.update_match(
+                as_dict, match, 1
+            )
+        assert table == as_dict
+        assert table["t2_p1"].games_played == 3
+        assert table["t2_p1"].last_observed_rank == 1

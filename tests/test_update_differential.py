@@ -7,7 +7,10 @@ inflation and once per chain pair), and a bookkeeping pass then rewrote
 every member again with ``games_played + 1`` and the placement.  It
 calls the production weight rule and the production kernels, so the
 test checks only the restructuring: every ``PlayerRating`` and every
-prediction must be exactly equal, match after match.
+prediction must be exactly equal, match after match.  Production runs
+on a plain dict and on a ``RatingTable``; the array code behind both must
+round exactly like the scalar reference, so teams go up to 10 members,
+where numpy's pairwise ``sum`` would already differ from Python's.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from royale_ratings.elo import win_probabilities as elo_win_probabilities
 from royale_ratings.glicko import GlickoSystem, g_weight, team_mu_sigma
 from royale_ratings.glicko import win_probabilities as glicko_win_probabilities
 from royale_ratings.prevrank import PreviousRankSystem
-from royale_ratings.systems import member_weights
+from royale_ratings.systems import RatingTable, member_weights
 from royale_ratings.trueskill import TrueSkillParams, TrueSkillSystem, update_pair
 
 from conftest import BASE_TIME
 
-POOL = 140  # more players than the largest match (32 teams of 4)
+POOL = 330  # more players than the largest match (32 teams of 10)
 
 
 def elo_reference(system, state, match):
@@ -175,7 +178,7 @@ def match_sequences(draw):
     # pool, so a failure shrinks in seconds
     matches = []
     for index in range(draw(st.integers(min_value=1, max_value=4))):
-        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=32))
+        sizes = draw(st.lists(st.integers(1, 10), min_size=2, max_size=32))
         ranks = draw(st.permutations(range(1, len(sizes) + 1)))
         roster_rng = random.Random(draw(st.integers(0, 2**32)))
         players = iter(roster_rng.sample(range(POOL), sum(sizes)))
@@ -208,17 +211,10 @@ def start_state(system, seed):
     return state
 
 
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
-@given(
-    matches=match_sequences(),
-    start_seed=st.integers(0, 2**32),
-    seed=st.integers(min_value=0, max_value=2**63 - 1),
-)
-@settings(max_examples=40, deadline=None)
-def test_update_matches_the_in_place_reference(name, matches, start_seed, seed):
-    system = SYSTEMS[name]
-    state = start_state(system, start_seed)
-    expected = dict(state)
+LAYOUTS = {"dict": dict, "table": RatingTable}
+
+
+def check_against_reference(system, state, expected, matches, seed):
     for match in matches:
         try:
             want = reference_update_match(system, expected, match, seed)
@@ -230,3 +226,78 @@ def test_update_matches_the_in_place_reference(name, matches, start_seed, seed):
             return
         assert system.update_match(state, match, seed) == want
         assert state == expected
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@given(
+    matches=match_sequences(),
+    start_seed=st.integers(0, 2**32),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_update_matches_the_in_place_reference(name, matches, start_seed, seed):
+    system = SYSTEMS[name]
+    state = start_state(system, start_seed)
+    expected = dict(state)
+    check_against_reference(system, state, expected, matches, seed)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@given(
+    matches=match_sequences(),
+    start_seed=st.integers(0, 2**32),
+    seed=st.integers(min_value=0, max_value=2**63 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_table_update_matches_the_in_place_reference(name, matches, start_seed, seed):
+    system = SYSTEMS[name]
+    expected = start_state(system, start_seed)
+    state = RatingTable(expected)
+    check_against_reference(system, state, expected, matches, seed)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize(
+    "system, team_size, beliefs",
+    [
+        (GlickoSystem(), 1, [(1500.0, 95.97), (1093.9, 39.1), (1835.8, 168.5)]),
+        (
+            TrueSkillSystem(TrueSkillParams(tau_dynamics=0.0)),
+            2,
+            [
+                (25.0, 95.97),
+                (6.7, 84.9),
+                (38.2, 26.3),
+                (24.8, 45.5),
+                (32.6, 79.1),
+                (4.7, 3.8),
+            ],
+        ),
+    ],
+    ids=["glicko", "trueskill-tau0"],
+)
+def test_team_sigma_squared_as_python_squares_it(layout, system, team_size, beliefs):
+    # a sigma of 95.97: CPython's 95.97**2 (C pow) can give 9210.2409 where
+    # 95.97*95.97 (numpy's x**2) gives 9210.240899999999, and on such a
+    # platform these ratings update differently under the two squares
+    players = iter(f"p{i}" for i in range(len(beliefs)))
+    match = MatchRecord(
+        match_id="m1",
+        timestamp=BASE_TIME,
+        teams=tuple(
+            TeamEntry(
+                team_id=f"t{i}",
+                members=tuple(next(players) for _ in range(team_size)),
+                observed_rank=rank,
+            )
+            for i, rank in enumerate([2, 1, 3])
+        ),
+    )
+    expected = {
+        f"p{i}": PlayerRating(mu=mu, sigma=sigma)
+        for i, (mu, sigma) in enumerate(beliefs)
+    }
+    state = LAYOUTS[layout](expected)
+    want = reference_update_match(system, expected, match, 5)
+    assert system.update_match(state, match, 5) == want
+    assert state == expected
