@@ -12,9 +12,11 @@ parameter the run actually used, defaulted or not; the same JSON is
 written next to the other outputs.  Outputs carry no wall-clock state,
 so identical flags and seed reproduce identical bytes.
 
-``replay`` and ``experiment`` share one path.  A set-up's defaults live
-only in its ``setup_*`` function: the CLI passes on just the set-up flags
-given, and ``setup_params`` records every value the set-up used.
+``replay`` and ``experiment`` share one path.  Each parameter flag's
+default is the library's: an omitted flag passes nothing, so the
+``*Params`` field, ``setup_*`` keyword or ``SynthConfig`` field it sets
+keeps its default.  Only ``--seed`` and ``--position-index`` have parser
+defaults, because the summary echoes them.
 
 Exit codes: 0 success, 1 unusable data, 2 usage errors (unknown or
 missing flags, a non-positive --team-size, --window, --top-k or
@@ -25,17 +27,21 @@ float flag).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 # the replay module is imported by name because the package re-exports
 # its replay() function under the same name, shadowing the module attribute
 from . import synth
+from .metrics import POSITION_INDICES
 from .replay import (
     SETUP_NAMES,
+    STORE_MAGIC,
     IngestStats,
     RatingStore,
     ingest,
@@ -50,47 +56,48 @@ from .replay import (
 )
 from .core import RatingsError
 from .systems import SYSTEM_NAMES, make_system
+from .trueskill import MEMBER_SHARES
 
 __all__ = ["main", "build_parser"]
 
-# the experiment flags each set-up reads; the others are ignored
-_SETUP_FLAGS = {
-    "all": ("window",),
-    "best": ("top_k", "min_games", "horizon", "conservative_k"),
-    "frequent": ("min_games", "horizon"),
+# system parameter flags: flag -> (system, field of its params, help)
+_SYSTEM_FLAGS = {
+    "--k-factor": ("elo", "k_factor", "elo K"),
+    "--d-scale": ("elo", "d_scale", "elo curve scale"),
+    "--default-rating": ("elo", "default_rating", "elo starting rating"),
+    "--glicko-mu": ("glicko", "default_mu", "glicko starting rating"),
+    "--glicko-sigma": ("glicko", "default_sigma", "glicko starting deviation"),
+    "--ts-mu": ("trueskill", "default_mu", "trueskill starting mean"),
+    "--ts-sigma": ("trueskill", "default_sigma", "trueskill starting deviation"),
+    "--beta": ("trueskill", "beta", "trueskill beta"),
+    "--tau": ("trueskill", "tau_dynamics", "trueskill dynamics noise"),
+    "--member-share": (
+        "trueskill",
+        "member_share",
+        "how trueskill splits team deltas across members",
+    ),
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], expected: str):
+    """An argparse type: ``parse`` the text, then require ``ok`` of the value."""
+
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}"
-        )
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda value: value >= 0, "a non-negative integer")
+_finite_float = _checked(float, math.isfinite, "a finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--team-size",
             type=_positive_int,
-            default=None,
             help="keep only matches whose teams all have this size (e.g. 2 for duos)",
         )
         p.add_argument(
@@ -115,29 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--position-index",
-            choices=("observed", "predicted"),
+            choices=POSITION_INDICES,
             default="observed",
             help="leaderboard position convention for AP and NDCG",
         )
         group = p.add_argument_group("system parameters (defaults used when omitted)")
-        for flag, help_text in (
-            ("--k-factor", "elo K"),
-            ("--d-scale", "elo curve scale"),
-            ("--default-rating", "elo starting rating"),
-            ("--glicko-mu", "glicko starting rating"),
-            ("--glicko-sigma", "glicko starting deviation"),
-            ("--ts-mu", "trueskill starting mean"),
-            ("--ts-sigma", "trueskill starting deviation"),
-            ("--beta", "trueskill beta"),
-            ("--tau", "trueskill dynamics noise"),
-        ):
-            group.add_argument(flag, type=_finite_float, default=None, help=help_text)
-        group.add_argument(
-            "--member-share",
-            choices=("sigma_sq", "mu"),
-            default=None,
-            help="how trueskill splits team deltas across members",
-        )
+        for flag, (_, field, help_text) in _SYSTEM_FLAGS.items():
+            if field == "member_share":
+                group.add_argument(flag, choices=MEMBER_SHARES, help=help_text)
+            else:
+                group.add_argument(flag, type=_finite_float, help=help_text)
 
     p_replay = sub.add_parser("replay", help="replay a match log, score every match")
     add_common(p_replay)
@@ -166,15 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_synth = sub.add_parser("synth", help="generate a synthetic match log")
-    p_synth.add_argument("--players", type=int, required=True)
-    p_synth.add_argument("--team-size", type=int, default=2)
-    p_synth.add_argument("--teams", type=int, default=10)
-    p_synth.add_argument("--matches", type=int, default=1000)
-    p_synth.add_argument("--skill-mean", type=_finite_float, default=0.0)
-    p_synth.add_argument("--skill-spread", type=_finite_float, default=1.0)
-    p_synth.add_argument("--noise-spread", type=_finite_float, default=0.0)
-    p_synth.add_argument("--seed", type=_non_negative_int, default=0)
-    p_synth.add_argument("--output-dir", required=True)
+    # each generator flag's dest is the SynthConfig field it sets
+    add = p_synth.add_argument
+    add("--players", dest="player_count", metavar="PLAYERS", type=int, required=True)
+    add("--team-size", type=int)
+    add("--teams", dest="teams_per_match", metavar="TEAMS", type=int)
+    add("--matches", dest="match_count", metavar="MATCHES", type=int)
+    add("--skill-mean", type=_finite_float)
+    add("--skill-spread", type=_finite_float)
+    add("--noise-spread", type=_finite_float)
+    add("--seed", type=_non_negative_int)
+    add("--output-dir", required=True)
 
     p_inspect = sub.add_parser(
         "inspect", help="summarize a match log or a rating-store snapshot"
@@ -184,27 +179,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(args: argparse.Namespace, names: Iterable[str]) -> dict[str, Any]:
+    """The flags among ``names`` that were given, by name."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
+def _keywords(function: Callable[..., Any], args: argparse.Namespace) -> dict[str, Any]:
+    """The given flags named by ``function``'s keyword-only parameters."""
+    parameters = inspect.signature(function).parameters.values()
+    return _given(args, (p.name for p in parameters if p.kind is p.KEYWORD_ONLY))
+
+
 def _system_overrides(args: argparse.Namespace) -> dict[str, Any]:
-    by_system = {
-        "elo": {
-            "k_factor": args.k_factor,
-            "d_scale": args.d_scale,
-            "default_rating": args.default_rating,
-        },
-        "glicko": {
-            "default_mu": args.glicko_mu,
-            "default_sigma": args.glicko_sigma,
-        },
-        "trueskill": {
-            "default_mu": args.ts_mu,
-            "default_sigma": args.ts_sigma,
-            "beta": args.beta,
-            "tau_dynamics": args.tau,
-            "member_share": args.member_share,
-        },
-        "prevrank": {},
+    """The given parameter flags of ``args.system``, by params field."""
+    return {
+        field: value
+        for flag, (system, field, _) in _SYSTEM_FLAGS.items()
+        if system == args.system
+        and (value := getattr(args, flag[2:].replace("-", "_"))) is not None
     }
-    return {k: v for k, v in by_system[args.system].items() if v is not None}
 
 
 def _emit_summary(summary: dict[str, Any], output_dir: Path | None) -> None:
@@ -221,25 +214,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     system = make_system(args.system, **_system_overrides(args))
     stats = IngestStats()
     matches = ingest(args.input, team_size=args.team_size, stats=stats)
-    shared = {"seed": args.seed, "position_index": args.position_index}
     if args.command == "replay":
-        result = replay(matches, system, **shared)
+        result = replay(matches, system, **_keywords(replay, args))
         write_match_metrics_csv(out / "per_match_metrics.csv", result.reports)
         outputs = {"per_match_metrics": "per_match_metrics.csv"}
         setup_summary: dict[str, Any] = {}
     else:
         # looked up when the command runs, so a rebound cli.setup_* is called
-        setups = {
+        setup = {
             "all": setup_all_players,
             "best": setup_best_players,
             "frequent": setup_frequent_players,
-        }
-        given = {
-            flag: getattr(args, flag)
-            for flag in _SETUP_FLAGS[args.setup]
-            if getattr(args, flag) is not None
-        }
-        trend, result = setups[args.setup](matches, system, **given, **shared)
+        }[args.setup]
+        trend, result = setup(matches, system, **_keywords(setup, args))
         write_trend_csv(out / "trend.csv", trend)
         outputs = {"trend": "trend.csv"}
         setup_summary = {
@@ -248,7 +235,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "trend_points": len(trend.points),
         }
     result.store.save(out / "rating_store.txt")
-    other_index = "predicted" if args.position_index == "observed" else "observed"
+    (other_index,) = set(POSITION_INDICES) - {args.position_index}
     summary = {
         "command": args.command,
         "input": args.input,
@@ -285,16 +272,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = synth.SynthConfig(
-        player_count=args.players,
-        team_size=args.team_size,
-        teams_per_match=args.teams,
-        match_count=args.matches,
-        skill_mean=args.skill_mean,
-        skill_spread=args.skill_spread,
-        noise_spread=args.noise_spread,
-        seed=args.seed,
-    )
+    fields = (field.name for field in dataclasses.fields(synth.SynthConfig))
+    config = synth.SynthConfig(**_given(args, fields))
     matches, skills = synth.generate(config)
     synth.write_match_log(out / "matches.csv", matches)
     synth.write_latent_skills(out / "latent_skills.csv", skills)
@@ -317,7 +296,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.input)
     with open(path, "rb") as handle:
         first = handle.readline()
-    if first.startswith(b"#royale-ratings-store"):
+    if first.startswith(STORE_MAGIC.encode()):
         store = RatingStore.load(path)
         with_sigma = sum(1 for r in store.ratings.values() if r.sigma is not None)
         summary: dict[str, Any] = {

@@ -46,6 +46,7 @@ __all__ = [
     "ndcg",
     "score_match",
     "METRIC_NAMES",
+    "POSITION_INDICES",
 ]
 
 # (team_id, predicted_rank, observed_rank)
@@ -53,7 +54,7 @@ RankPair = tuple[str, int, int]
 
 METRIC_NAMES = ("accuracy", "mae", "kendall_tau", "mrr", "ap", "ndcg")
 
-_POSITION_INDICES = ("observed", "predicted")
+POSITION_INDICES = ("observed", "predicted")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,9 +143,9 @@ def score_match(
     quotient is formed from that exact integer so it rounds once.  MRR
     sums over the teams in the order given, AP and NDCG over positions.
     """
-    if position_index not in _POSITION_INDICES:
+    if position_index not in POSITION_INDICES:
         raise DomainError(
-            f"position_index must be one of {_POSITION_INDICES}, got {position_index!r}"
+            f"position_index must be one of {POSITION_INDICES}, got {position_index!r}"
         )
     n = _validate(pairs)
     observed_in_predicted_order = [0] * n

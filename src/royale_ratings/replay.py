@@ -51,6 +51,8 @@ __all__ = [
     "IngestStats",
     "ingest",
     "parse_timestamp",
+    "format_timestamp",
+    "STORE_MAGIC",
     "RatingStore",
     "MatchReport",
     "ReplayResult",
@@ -72,7 +74,8 @@ MATCH_LOG_COLUMNS = ("match_id", "timestamp", "team_id", "player_id", "team_plac
 
 SETUP_NAMES = ("all", "best", "frequent")
 
-_STORE_MAGIC = "#royale-ratings-store v1"
+STORE_MAGIC = "#royale-ratings-store v1"
+_STORE_FIELDS = "#fields=player_id mu sigma games_played last_observed_rank"
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -84,6 +87,14 @@ def parse_timestamp(text: str) -> datetime:
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp
+
+
+def format_timestamp(stamp: datetime) -> str:
+    """The UTC instant as ISO-8601 with a trailing Z and microseconds only
+    when non-zero; a naive stamp is taken as UTC, as ``parse_timestamp`` does."""
+    if stamp.tzinfo is not None:
+        stamp = stamp.astimezone(timezone.utc).replace(tzinfo=None)
+    return stamp.isoformat() + "Z"
 
 
 @dataclass(slots=True)
@@ -251,12 +262,12 @@ class RatingStore:
         """Versioned text snapshot, one player per line, sorted for
         reproducible bytes."""
         lines = [
-            _STORE_MAGIC,
+            STORE_MAGIC,
             f"#system={self.system}",
             f"#seed={self.seed}",
             f"#matches={self.matches_processed}",
             f"#params={json.dumps(self.params, sort_keys=True, allow_nan=False)}",
-            "#fields=player_id mu sigma games_played last_observed_rank",
+            _STORE_FIELDS,
         ]
         for player_id in sorted(self.ratings):
             if "\t" in player_id or "\n" in player_id:
@@ -267,26 +278,24 @@ class RatingStore:
             lines.append(
                 f"{player_id}\t{r.mu!r}\t{sigma}\t{r.games_played}\t{last}"
             )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "RatingStore":
         path = Path(path)
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            lines = path.read_bytes().decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        if not lines or lines[0] != _STORE_MAGIC:
+        if lines[0] != STORE_MAGIC or _STORE_FIELDS not in lines:
             raise DataError(f"{path}: not a rating-store snapshot")
+        # the header ends at the #fields line, so an id may start with "#"
+        body_start = lines.index(_STORE_FIELDS) + 1
         # header key -> (line number, value)
         header: dict[str, tuple[int, str]] = {}
-        body_start = 1
-        for line in lines[1:]:
-            if not line.startswith("#"):
-                break
+        for number, line in enumerate(lines[1 : body_start - 1], start=2):
             key, _, value = line[1:].partition("=")
-            body_start += 1
-            header[key] = (body_start, value)
+            header[key] = (number, value)
         for key in ("system", "seed", "matches", "params"):
             if key not in header:
                 raise DataError(f"{path}: snapshot header lacks {key!r}")
@@ -294,7 +303,9 @@ class RatingStore:
         def header_value(key: str, parse: Callable[[str], Any]) -> Any:
             number, value = header[key]
             try:
-                return parse(value)
+                parsed = parse(value)
+                json.dumps(parsed, allow_nan=False)  # NaN or an infinity raises
+                return parsed
             except ValueError:
                 raise DataError(f"{path}:{number}: bad #{key} value {value!r}") from None
 
@@ -446,6 +457,12 @@ def mean_metrics_alt_index(reports: Iterable[MatchReport]) -> dict[str, float]:
     return {"ap": total_ap / count, "ndcg": total_ndcg / count}
 
 
+def _require_positive(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 def setup_all_players(
     matches: Sequence[MatchRecord],
     system: RatingSystem,
@@ -456,8 +473,7 @@ def setup_all_players(
 ) -> tuple[ExperimentTrend, ReplayResult]:
     """Whole-population trend: trailing moving average over the match
     sequence."""
-    if window < 1:
-        raise DomainError(f"window must be >= 1, got {window}")
+    _require_positive(window=window)
     result = replay(matches, system, seed=seed, position_index=position_index)
     names = METRIC_NAMES + ("new_player_fraction",)
     sums = dict.fromkeys(names, 0.0)
@@ -547,7 +563,7 @@ def _cohort_by_final_rating(
     result: ReplayResult,
     *,
     min_games: int,
-    top_k: int | None,
+    top_k: int,
     conservative_k: float,
 ) -> list[str]:
     """Players with more than min_games games, best final rating first.
@@ -562,15 +578,13 @@ def _cohort_by_final_rating(
         if rating.games_played > min_games
     }
     qualifiers = sorted(scores, key=lambda pid: (-scores[pid], pid))
-    if top_k is not None:
-        if len(qualifiers) < top_k:
-            log.warning(
-                "only %d players qualify for a top-%d cohort, using all of them",
-                len(qualifiers),
-                top_k,
-            )
-        qualifiers = qualifiers[:top_k]
-    return qualifiers
+    if len(qualifiers) < top_k:
+        log.warning(
+            "only %d players qualify for a top-%d cohort, using all of them",
+            len(qualifiers),
+            top_k,
+        )
+    return qualifiers[:top_k]
 
 
 def setup_best_players(
@@ -585,6 +599,7 @@ def setup_best_players(
     position_index: str = "observed",
 ) -> tuple[ExperimentTrend, ReplayResult]:
     """Early games of the players who ended up rated best."""
+    _require_positive(top_k=top_k, horizon=horizon)
     params = {
         "top_k": top_k,
         "min_games": min_games,
@@ -608,6 +623,7 @@ def setup_frequent_players(
     position_index: str = "observed",
 ) -> tuple[ExperimentTrend, ReplayResult]:
     """Early games of everyone who went on to play a lot."""
+    _require_positive(horizon=horizon)
     result = replay(matches, system, seed=seed, position_index=position_index)
     cohort = sorted(
         pid

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DomainError, MatchRecord, TeamEntry
+from .replay import MATCH_LOG_COLUMNS, format_timestamp
 
 __all__ = ["SynthConfig", "generate", "write_match_log", "write_latent_skills"]
 
@@ -115,11 +116,9 @@ def write_match_log(path: str | Path, matches: list[MatchRecord]) -> None:
     """Write matches in the flat match-log layout, one row per player."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["match_id", "timestamp", "team_id", "player_id", "team_placement"]
-        )
+        writer.writerow(MATCH_LOG_COLUMNS)
         for match in matches:
-            stamp = match.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+            stamp = format_timestamp(match.timestamp)
             for team in match.teams:
                 for player in team.members:
                     writer.writerow(

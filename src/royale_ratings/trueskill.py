@@ -56,13 +56,14 @@ __all__ = [
     "v_exceeds",
     "w_exceeds",
     "update_pair",
+    "MEMBER_SHARES",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # smallest positive normal double; keeps v > 0 when pdf(x) underflows (x ~ 40)
 _TINY = sys.float_info.min
 
-_MEMBER_SHARES = ("sigma_sq", "mu")
+MEMBER_SHARES = ("sigma_sq", "mu")
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,9 +87,9 @@ class TrueSkillParams:
             raise DomainError(
                 f"tau_dynamics must be finite and >= 0, got {self.tau_dynamics}"
             )
-        if self.member_share not in _MEMBER_SHARES:
+        if self.member_share not in MEMBER_SHARES:
             raise DomainError(
-                f"member_share must be one of {_MEMBER_SHARES}, got {self.member_share!r}"
+                f"member_share must be one of {MEMBER_SHARES}, got {self.member_share!r}"
             )
 
 

@@ -7,12 +7,16 @@ import json
 import pytest
 
 from royale_ratings.cli import _finite_float, build_parser, main
+from royale_ratings.metrics import POSITION_INDICES
 from royale_ratings.replay import (
+    MATCH_LOG_COLUMNS,
     setup_all_players,
     setup_best_players,
     setup_frequent_players,
 )
-from royale_ratings.systems import SYSTEM_NAMES
+from royale_ratings.synth import SynthConfig, config_dict
+from royale_ratings.systems import SYSTEM_NAMES, make_system
+from royale_ratings.trueskill import MEMBER_SHARES
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +99,12 @@ class TestSynthCommand:
         assert gen["skill_spread"] == 2.5
         assert gen["noise_spread"] == 0.0
         assert gen["seed"] == 0
+
+    def test_omitted_flags_take_the_config_defaults(self, capsys, tmp_path):
+        summary = run_json(
+            capsys, "synth", "--players", "24", "--output-dir", str(tmp_path / "gen")
+        )
+        assert summary["generator"] == config_dict(SynthConfig(player_count=24))
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         a = make_log(capsys, tmp_path, "one")
@@ -200,6 +210,8 @@ class TestReplayCommand:
                 system,
             )
             assert summary["system"] == system
+            # no parameter flag given, so every parameter is the library's
+            assert summary["system_params"] == make_system(system).params_dict()
 
     def test_deterministic_output_bytes(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path)
@@ -527,6 +539,26 @@ class TestInspectCommand:
         mus = [p["mu"] for p in summary["top_players"]]
         assert mus == sorted(mus, reverse=True)
 
+    @pytest.mark.parametrize(
+        "player_ids", [("#x", "p2", "p3", "p4"), ("a\x0cb", "p2"), ("a\rb", "p2")]
+    )
+    def test_store_keeps_every_player_id(self, capsys, tmp_path, player_ids):
+        log = tmp_path / "log.csv"
+        with log.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(MATCH_LOG_COLUMNS)
+            for i, player_id in enumerate(player_ids):
+                team = i % 2 + 1
+                stamp = "2020-05-01T12:00:00Z"
+                writer.writerow(["m1", stamp, f"t{team}", player_id, team])
+        out = tmp_path / "run"
+        run_json(
+            capsys, "replay", "--input", str(log), "--output-dir", str(out), "--system", "elo"
+        )
+        summary = run_json(capsys, "inspect", "--input", str(out / "rating_store.txt"))
+        assert summary["players"] == len(player_ids)
+        assert {p["player_id"] for p in summary["top_players"]} == set(player_ids)
+
     def test_corrupt_store_is_exit_one(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path, matches="2")
         out = tmp_path / "run"
@@ -596,6 +628,20 @@ def _strict_json(text):
         raise ValueError(f"non-finite JSON constant {constant}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def _choices(command, dest):
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    (action,) = [a for a in commands[command]._actions if a.dest == dest]
+    return action.choices
+
+
+class TestParserReadsTheLibrary:
+    @pytest.mark.parametrize("command", ["replay", "experiment"])
+    def test_choices_are_the_library_constants(self, command):
+        assert _choices(command, "member_share") == MEMBER_SHARES
+        assert _choices(command, "position_index") == POSITION_INDICES
 
 
 class TestNonFiniteFlags:

@@ -6,8 +6,16 @@ import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from royale_ratings.core import DataError, DomainError, MatchRecord, TeamEntry
+from royale_ratings.core import (
+    DataError,
+    DomainError,
+    MatchRecord,
+    PlayerRating,
+    TeamEntry,
+)
 from royale_ratings.elo import EloSystem
 from royale_ratings.metrics import METRIC_NAMES
 from royale_ratings.prevrank import PreviousRankSystem
@@ -419,6 +427,9 @@ class TestRatingStore:
             ("#seed=", "#seed=x", ":3:"),
             ("#matches=", "#matches=2.5", ":4:"),
             ("#params=", "#params={", ":5:"),
+            ("#params=", '#params={"k_factor": NaN}', ":5:"),
+            ("#params=", '#params={"k_factor": -Infinity}', ":5:"),
+            ("#params=", '#params={"k_factor": 1e999}', ":5:"),
         ],
     )
     def test_bad_header_value_names_its_line(self, tmp_path, prefix, replacement, where):
@@ -432,6 +443,52 @@ class TestRatingStore:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match=where):
             RatingStore.load(path)
+
+    def test_id_starting_with_hash_is_not_read_as_header(self, tmp_path):
+        teams = [("t1", ("#x", "p2"), 1), ("t2", ("p3", "p4"), 2)]
+        matches = [match_of("m1", 0, teams)]
+        store = replay(matches, EloSystem()).store
+        path = tmp_path / "store.txt"
+        store.save(path)
+        assert set(RatingStore.load(path).ratings) == {"#x", "p2", "p3", "p4"}
+
+    @pytest.mark.parametrize(
+        "player_id",
+        ["a\x0cb", "a\x1cb", "a\x1db", "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b"]
+        + ["a\rb", "a\r"],
+    )
+    def test_id_with_other_line_breaks_round_trips(self, tmp_path, player_id):
+        matches = [match_of("m1", 0, [("t1", (player_id,), 1), ("t2", ("p2",), 2)])]
+        store = replay(matches, EloSystem()).store
+        path = tmp_path / "store.txt"
+        store.save(path)
+        assert RatingStore.load(path).ratings == store.ratings
+
+    @pytest.mark.parametrize("player_id", ["a\tb", "a\nb"])
+    def test_id_with_tab_or_newline_is_refused(self, tmp_path, player_id):
+        store = RatingStore("elo", {}, 0, 1, {player_id: PlayerRating(mu=1.0)})
+        with pytest.raises(DataError, match="cannot be snapshotted"):
+            store.save(tmp_path / "store.txt")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ratings=st.dictionaries(
+            st.text(alphabet="#=ab \x0c\x1c\x1d\x1e\x85\u2028\u2029\r-", min_size=1),
+            st.builds(
+                PlayerRating,
+                mu=st.floats(allow_nan=False, allow_infinity=False),
+                sigma=st.none() | st.floats(min_value=1e-300, max_value=1e300),
+                games_played=st.integers(0, 10**6),
+                last_observed_rank=st.none() | st.integers(1, 100),
+            ),
+            max_size=8,
+        )
+    )
+    def test_load_of_save_is_identity(self, tmp_path_factory, ratings):
+        store = RatingStore("glicko", {"default_mu": 1500.0}, 3, 7, ratings)
+        path = tmp_path_factory.mktemp("store") / "store.txt"
+        store.save(path)
+        assert RatingStore.load(path) == store
 
     def test_non_utf8_bytes_name_the_file(self, tmp_path):
         store = replay(synth_matches(match_count=2), EloSystem()).store
@@ -494,6 +551,20 @@ class TestAllPlayersSetup:
     def test_bad_window_rejected(self):
         with pytest.raises(DomainError):
             setup_all_players(synth_matches(match_count=2), EloSystem(), window=0)
+
+
+@pytest.mark.parametrize(
+    "setup, keyword",
+    [
+        (setup_best_players, "top_k"),
+        (setup_best_players, "horizon"),
+        (setup_frequent_players, "horizon"),
+    ],
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_non_positive_cohort_size_rejected(setup, keyword, value):
+    with pytest.raises(DomainError, match=f"{keyword} must be >= 1"):
+        setup(synth_matches(match_count=2), EloSystem(), **{keyword: value})
 
 
 def three_player_history():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -128,3 +130,32 @@ class TestRoundTrip:
         lines = path.read_text().splitlines()
         assert lines[0] == "match_id,timestamp,team_id,player_id,team_placement"
         assert len(lines) == 1 + 3 * 20
+
+    def test_stamps_keep_their_instant_and_order(self, tmp_path):
+        # 10:00+05:00 is 05:00Z, so it comes first; the half second must survive
+        stamps = [
+            datetime(2020, 5, 1, 10, tzinfo=timezone(timedelta(hours=5))),
+            datetime(2020, 5, 1, 6, tzinfo=timezone.utc),
+            datetime(2020, 5, 1, 6, 0, 0, 500000, tzinfo=timezone.utc),
+            datetime(2020, 5, 1, 6, 0, 1),
+        ]
+        generated, _ = generate(small_config(match_count=len(stamps)))
+        matches = [
+            dataclasses.replace(match, timestamp=stamp)
+            for match, stamp in zip(generated, stamps)
+        ]
+        path = tmp_path / "matches.csv"
+        write_match_log(path, matches)
+        recovered = ingest(path)
+        assert [m.match_id for m in recovered] == [m.match_id for m in matches]
+        assert [m.timestamp for m in recovered] == [
+            stamp if stamp.tzinfo else stamp.replace(tzinfo=timezone.utc)
+            for stamp in stamps
+        ]
+        written = {row.split(",")[1] for row in path.read_text().splitlines()[1:]}
+        assert written == {
+            "2020-05-01T05:00:00Z",
+            "2020-05-01T06:00:00Z",
+            "2020-05-01T06:00:00.500000Z",
+            "2020-05-01T06:00:01Z",
+        }
