@@ -11,6 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import compress, pairwise
+from operator import ne
 
 __all__ = [
     "RatingsError",
@@ -186,23 +188,28 @@ def rank_teams_by_score(
     ids = [tid for tid, _ in scores]
     if len(set(ids)) != len(ids):
         raise DomainError("duplicate team_id in scores")
-    for tid, value in scores:
-        if not math.isfinite(value):
-            raise DataError(f"team {tid!r} has non-finite score {value!r}")
+    values = [value for _, value in scores]
+    if not all(map(math.isfinite, values)):
+        tid, value = next((t, v) for t, v in scores if not math.isfinite(v))
+        raise DataError(f"team {tid!r} has non-finite score {value!r}")
 
-    groups: dict[float, list[str]] = {}
-    for tid, value in scores:
-        groups.setdefault(value, []).append(tid)
-
-    rng = random.Random(rng_seed)
-    order: list[str] = []
+    # a stable descending sort leaves each set of equal scores (0.0 and
+    # -0.0 alike) as one run in input order; every run of two or more is
+    # shuffled in place, best run first
+    n = len(values)
+    ranked = sorted(range(n), key=values.__getitem__, reverse=True)
+    order = [ids[i] for i in ranked]
+    ordered = [values[i] for i in ranked]
+    bounds = [0, *compress(range(1, n), map(ne, ordered, ordered[1:])), n]
     tie_groups: list[tuple[str, ...]] = []
-    for value in sorted(groups, reverse=True):
-        members = groups[value]
-        if len(members) > 1:
-            tie_groups.append(tuple(sorted(members)))
-            rng.shuffle(members)
-        order.extend(members)
+    if len(bounds) <= n:
+        rng = random.Random(rng_seed)
+        for start, end in pairwise(bounds):
+            if end - start > 1:
+                run = order[start:end]
+                tie_groups.append(tuple(sorted(run)))
+                rng.shuffle(run)
+                order[start:end] = run
     return PredictedRanking(
         order=tuple(order), tie_groups=tuple(tie_groups), seed_used=rng_seed
     )

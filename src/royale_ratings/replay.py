@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import operator
 import random
 from collections import defaultdict, deque
@@ -34,6 +35,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from .core import (
     DataError,
@@ -44,7 +47,7 @@ from .core import (
     TeamEntry,
 )
 from .metrics import METRIC_NAMES, MetricReport, rank_pairs, score_match
-from .systems import RatingState, RatingSystem, RatingTable
+from .systems import RatingState, RatingSystem, RatingTable, rating_columns
 
 __all__ = [
     "MATCH_LOG_COLUMNS",
@@ -269,15 +272,15 @@ class RatingStore:
             f"#params={json.dumps(self.params, sort_keys=True, allow_nan=False)}",
             _STORE_FIELDS,
         ]
-        for player_id in sorted(self.ratings):
+        ids, *columns = rating_columns(self.ratings)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        for player_id, mu, sigma, games, last in zip(
+            [ids[i] for i in order], *(column[order].tolist() for column in columns)
+        ):
             if "\t" in player_id or "\n" in player_id:
                 raise DataError(f"player id {player_id!r} cannot be snapshotted")
-            r = self.ratings[player_id]
-            sigma = "-" if r.sigma is None else repr(r.sigma)
-            last = "-" if r.last_observed_rank is None else str(r.last_observed_rank)
-            lines.append(
-                f"{player_id}\t{r.mu!r}\t{sigma}\t{r.games_played}\t{last}"
-            )
+            sigma = "-" if math.isnan(sigma) else repr(sigma)
+            lines.append(f"{player_id}\t{mu!r}\t{sigma}\t{games}\t{last or '-'}")
         Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
@@ -572,11 +575,12 @@ def _cohort_by_final_rating(
     the system carries none); ties break on player id so the cohort is
     stable.
     """
-    scores = {
-        pid: rating.mu - conservative_k * (rating.sigma or 0.0)
-        for pid, rating in result.store.ratings.items()
-        if rating.games_played > min_games
-    }
+    ids, mu, sigma, games, _ = rating_columns(result.store.ratings)
+    qualify = np.flatnonzero(games > min_games)
+    # Python float arithmetic overflows to inf silently, and so may this
+    with np.errstate(over="ignore"):
+        values = mu[qualify] - conservative_k * np.nan_to_num(sigma[qualify])
+    scores = dict(zip([ids[i] for i in qualify.tolist()], values.tolist()))
     qualifiers = sorted(scores, key=lambda pid: (-scores[pid], pid))
     if len(qualifiers) < top_k:
         log.warning(
@@ -625,11 +629,8 @@ def setup_frequent_players(
     """Early games of everyone who went on to play a lot."""
     _require_positive(horizon=horizon)
     result = replay(matches, system, seed=seed, position_index=position_index)
-    cohort = sorted(
-        pid
-        for pid, rating in result.store.ratings.items()
-        if rating.games_played > min_games
-    )
+    ids, _, _, games, _ = rating_columns(result.store.ratings)
+    cohort = sorted(ids[i] for i in np.flatnonzero(games > min_games).tolist())
     params = {"min_games": min_games, "horizon": horizon}
     return _game_indexed_trend(result, cohort, "frequent", params), result
 

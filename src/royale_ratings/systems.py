@@ -40,10 +40,24 @@ The array code must give the bits the scalar code gave.  Row sums use
 ``ndarray.sum``, which adds pairwise.  A square that the scalar code took
 with Python's ``**`` stays a Python ``**``: CPython's ``x**2`` calls C
 ``pow``, which rounds some squares differently from numpy's ``x*x``.
-numpy divides by zero silently, so ``update_match`` runs ``_apply``
-under ``np.errstate(divide="raise")``; the ``FloatingPointError``, like
-any ``ArithmeticError`` (overflow, a Python division by zero at extreme
-finite parameters), becomes a ``RatingsError`` naming the match.
+TrueSkill's chain is scalar Python on team sums, and only the final
+member split, a divide, a multiply and an add per member, is array code.
+
+numpy reports a float fault by a warning or not at all, where Python
+raises or stays silent, so each numpy step states what it does:
+
+- ``predict`` sums team scores under ``np.errstate(over="raise")``; a
+  sum past the largest double becomes a ``RatingsError`` naming the
+  match and system, with no ``RuntimeWarning``.
+- ``update_match`` runs ``_apply`` under ``np.errstate(divide="raise")``.
+  The ``FloatingPointError``, like any ``ArithmeticError`` (overflow, a
+  Python division by zero at extreme finite parameters), becomes a
+  ``RatingsError`` naming the match.  A ``DomainError`` from ``_apply``
+  or from the posterior check (a sigma that is not positive) keeps its
+  type and text behind the same match-and-system prefix.
+- Array steps that stand in for Python float arithmetic, which
+  overflows to inf silently, ignore that flag (TrueSkill's split, the
+  ``best`` cohort's conservative scores).
 
 Member shares
 -------------
@@ -86,6 +100,7 @@ __all__ = [
     "member_weights",
     "member_shares",
     "normalized_results",
+    "rating_columns",
     "row_sums",
     "SYSTEM_NAMES",
 ]
@@ -270,6 +285,20 @@ class RatingTable(MutableMapping[str, PlayerRating]):
         self._block = None
 
 
+def rating_columns(
+    state: RatingState,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every player id in the state's order, with its ``mu``, ``sigma``
+    (NaN for none), ``games`` and ``last_rank`` (0 for none) columns in
+    that order, read-only; a plain dict is read through a table."""
+    table = state if isinstance(state, RatingTable) else RatingTable(state)
+    n = len(table)
+    columns = [getattr(table, name)[:n] for name in _COLUMNS]
+    for column in columns:
+        column.flags.writeable = False
+    return list(table), *columns
+
+
 def _as_table(state: RatingState, match: MatchRecord) -> RatingTable:
     """The table itself, or a table of the match's members from a dict."""
     if isinstance(state, RatingTable):
@@ -348,7 +377,14 @@ class RatingSystem(ABC):
         self, state: RatingState, match: MatchRecord, rng_seed: int
     ) -> PredictedRanking:
         """Rank the match's teams from pre-match state only."""
-        scores = self.team_scores(_as_table(state, match).gather(match)).tolist()
+        block = _as_table(state, match).gather(match)
+        try:
+            with np.errstate(over="raise"):
+                scores = self.team_scores(block).tolist()
+        except ArithmeticError as exc:
+            raise RatingsError(
+                f"match {match.match_id!r}: {self.name} prediction failed ({exc})"
+            ) from exc
         return rank_teams_by_score(
             [(team.team_id, score) for team, score in zip(match.teams, scores)],
             rng_seed,
@@ -370,11 +406,12 @@ class RatingSystem(ABC):
         try:
             with np.errstate(divide="raise"):
                 mu, sigma = self._apply(block)
-        except ArithmeticError as exc:
-            raise RatingsError(
+            table.scatter(block, mu, sigma)
+        except (ArithmeticError, DomainError) as exc:
+            kind = DomainError if isinstance(exc, DomainError) else RatingsError
+            raise kind(
                 f"match {match.match_id!r}: {self.name} update failed ({exc})"
             ) from exc
-        table.scatter(block, mu, sigma)
         if table is not state:
             for player in match.players():
                 state[player] = table[player]

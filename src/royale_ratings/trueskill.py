@@ -20,17 +20,24 @@ slower.  Draws are not modelled: placements are strict.
 
 A match of N ranked teams is processed as a chain of these pairwise
 updates over adjacent observed ranks (1 vs 2, 2 vs 3, ...), each pair
-reading the beliefs already updated by the previous pair.  The chain
-is sequential, so it runs on per-member (mu, sigma) lists taken from
-the match's ``MatchBlock``: a team in the middle of the order is updated
-twice but the rating state is written once, after the whole chain.
-After each pair update the team's mu delta is split across its members
-in proportion to member variance, or with
-``member_share="mu"`` by the shared rule ``systems.member_weights``
-(share of the team mu, or evenly when any member is rated <= 0); every
-member's sigma scales by the team's shrink factor sigma_t'/sigma_t, so
-the team aggregate follows the pair update.  With two single-player
-teams the chain is exactly one pair update.
+reading the beliefs already updated by the previous pair.  After each
+pair update the team's mu delta is split across its members in
+proportion to member variance, or with ``member_share="mu"`` by the
+shared rule ``systems.member_weights`` (share of the team mu, or evenly
+when any member is rated <= 0); every member's sigma scales by the
+team's shrink factor sigma_t'/sigma_t, so the team aggregate follows the
+pair update.  With two single-player teams the chain is exactly one pair
+update.
+
+The chain runs on team aggregates: a team's (mu, sigma) sums are Python
+scalars, taken from its members once each time it enters a pair.  A
+team in the middle of the order is split twice.  Its split as a loser
+is applied to its member lists at once, because its next pair, as the
+winner, reads the sums of the updated members; every team's last split
+is applied to the ``MatchBlock`` matrices in one array step after the
+chain.  The member sums, squares and splits are the same float
+operations, in the same order, as a per-pair member update, and
+``member_weights`` is called (and warns) in chain order.
 
 The default dynamics noise tau = 0.833 is deliberately large, ten times
 the usual sigma0/100 choice for mu0 = 25; it is kept as a parameter so
@@ -43,8 +50,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 from typing import Any
 
+import numpy as np
 from scipy.special import log_ndtr
 
 from .core import DomainError, PlayerRating
@@ -157,29 +166,68 @@ class TrueSkillSystem(RatingSystem):
         return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
 
     def _apply(self, block: MatchBlock) -> Posterior:
+        params = self.params
+        by_mu = params.member_share == "mu"
         teams = block.match.teams
         sizes = block.sizes.tolist()
-        mus = [row[:size] for row, size in zip(block.mu.tolist(), sizes)]
-        sigmas = [row[:size] for row, size in zip(block.sigma.tolist(), sizes)]
-        tau_sq = self.params.tau_dynamics**2
+        ends = list(accumulate(sizes))
+        member_sigmas = block.sigma[block.mask].tolist()
+        tau_sq = params.tau_dynamics**2
         if tau_sq > 0:
-            sigmas = [[math.sqrt(s**2 + tau_sq) for s in row] for row in sigmas]
-
-        by_rank = sorted(range(len(teams)), key=lambda i: teams[i].observed_rank)
-        for pair in zip(by_rank, by_rank[1:]):
-            team_mu = [float(sum(mus[i])) for i in pair]
-            team_var = [float(sum(s**2 for s in sigmas[i])) for i in pair]
-            team_sigma = [math.sqrt(var) for var in team_var]
-            posts = update_pair(*zip(team_mu, team_sigma), self.params)
-            for i, mu_t, var_t, sigma_t, (new_mu, new_sigma) in zip(
-                pair, team_mu, team_var, team_sigma, posts
-            ):
-                delta_mu = new_mu - mu_t
-                shrink = new_sigma / sigma_t
-                if self.params.member_share == "mu":
-                    shares = member_weights(mus[i], teams[i].team_id)
-                else:
-                    shares = [s**2 / var_t for s in sigmas[i]]
-                mus[i] = [m + share * delta_mu for m, share in zip(mus[i], shares)]
-                sigmas[i] = [s * shrink for s in sigmas[i]]
-        return block.pad(mus), block.pad(sigmas)
+            member_sigmas = [math.sqrt(s**2 + tau_sq) for s in member_sigmas]
+        # per-team member lists, sliced from the members in record order
+        spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
+        member_mus = block.mu[block.mask].tolist()
+        mus = [member_mus[span] for span in spans]
+        sigmas = [member_sigmas[span] for span in spans]
+        # a member's share of its team's mu delta is weight / total: its
+        # member_weights entry over 1.0, or its variance over the team's
+        weights: list[list[float]] = [[]] * len(teams)
+        totals = [1.0] * len(teams)
+        # each team's last split, applied to the matrices after the chain:
+        # the weights above, the team mu delta and the sigma shrink factor
+        deltas = [0.0] * len(teams)
+        shrinks = [0.0] * len(teams)
+        by_rank = np.argsort(block.ranks).tolist()
+        last = by_rank[-1]
+        win = by_rank[0]
+        squares_w = [s**2 for s in sigmas[win]]
+        var_w = sum(squares_w)
+        mu_w, sigma_w = sum(mus[win]), math.sqrt(var_w)
+        for lose in by_rank[1:]:
+            squares_l = [s**2 for s in sigmas[lose]]
+            var_l = sum(squares_l)
+            mu_l, sigma_l = sum(mus[lose]), math.sqrt(var_l)
+            post_w, post_l = update_pair((mu_w, sigma_w), (mu_l, sigma_l), params)
+            deltas[win] = post_w[0] - mu_w
+            shrinks[win] = post_w[1] / sigma_w
+            delta = deltas[lose] = post_l[0] - mu_l
+            shrink = shrinks[lose] = post_l[1] / sigma_l
+            if by_mu:
+                weights[win] = member_weights(mus[win], teams[win].team_id)
+                weights[lose] = member_weights(mus[lose], teams[lose].team_id)
+            else:
+                weights[win], totals[win] = squares_w, var_w
+                weights[lose], totals[lose] = squares_l, var_l
+            if lose == last:
+                break
+            # the loser's updated members enter the next pair as the winner
+            total = totals[lose]
+            mus_w: list[float] = []
+            sigmas_w: list[float] = []
+            squares_w = []
+            for m, s, weight in zip(mus[lose], sigmas[lose], weights[lose]):
+                mus_w.append(m + weight / total * delta)
+                s *= shrink
+                sigmas_w.append(s)
+                squares_w.append(s**2)
+            mus[lose], sigmas[lose], win = mus_w, sigmas_w, lose
+            var_w = sum(squares_w)
+            mu_w, sigma_w = sum(mus_w), math.sqrt(var_w)
+        # Python float arithmetic raises no flag, and neither may this
+        with np.errstate(all="ignore"):
+            shares = block.pad(weights) / np.array(totals)[:, None]
+            return (
+                block.pad(mus) + shares * np.array(deltas)[:, None],
+                block.pad(sigmas) * np.array(shrinks)[:, None],
+            )

@@ -293,6 +293,38 @@ class TestReplayCommand:
         assert "error: match " in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--system", "elo", "--default-rating", "1e308"], "elo prediction failed"),
+            (["--system", "glicko", "--glicko-mu", "1e308"], "glicko prediction failed"),
+            (["--system", "trueskill", "--ts-mu", "1e308"], "trueskill prediction failed"),
+            (
+                ["--system", "trueskill", "--ts-sigma", "1e150"],
+                "trueskill update failed (player sigma must be positive, got -",
+            ),
+            (
+                ["--system", "trueskill", "--ts-sigma", "1e-300", "--tau", "0"],
+                "trueskill update failed (sigmas must be positive)",
+            ),
+        ],
+    )
+    def test_failed_match_is_named(self, capsys, tmp_path, flags, message):
+        log = make_log(capsys, tmp_path, matches="60")
+        code, captured = run_cli(
+            capsys,
+            "replay",
+            "--input",
+            str(log),
+            "--output-dir",
+            str(tmp_path / "run"),
+            *flags,
+        )
+        assert code == 1
+        assert captured.err.startswith("error: match 'm")
+        assert message in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_non_utf8_input_is_exit_one(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path, matches="2")
         log.write_bytes(log.read_bytes().replace(b"p", b"\xff", 1))

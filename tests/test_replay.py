@@ -34,10 +34,23 @@ from royale_ratings.replay import (
     write_trend_csv,
 )
 from royale_ratings.synth import SynthConfig, generate
+from royale_ratings.systems import RatingTable
 
 from conftest import BASE_TIME
 
 HEADER = "match_id,timestamp,team_id,player_id,team_placement"
+
+STORE_RATINGS = st.dictionaries(
+    st.text(alphabet="#=ab \x0c\x1c\x1d\x1e\x85\u2028\u2029\r-", min_size=1),
+    st.builds(
+        PlayerRating,
+        mu=st.floats(allow_nan=False, allow_infinity=False),
+        sigma=st.none() | st.floats(min_value=1e-300, max_value=1e300),
+        games_played=st.integers(0, 10**6),
+        last_observed_rank=st.none() | st.integers(1, 100),
+    ),
+    max_size=8,
+)
 
 
 def write_log(tmp_path, rows, name="log.csv"):
@@ -471,24 +484,30 @@ class TestRatingStore:
             store.save(tmp_path / "store.txt")
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        ratings=st.dictionaries(
-            st.text(alphabet="#=ab \x0c\x1c\x1d\x1e\x85\u2028\u2029\r-", min_size=1),
-            st.builds(
-                PlayerRating,
-                mu=st.floats(allow_nan=False, allow_infinity=False),
-                sigma=st.none() | st.floats(min_value=1e-300, max_value=1e300),
-                games_played=st.integers(0, 10**6),
-                last_observed_rank=st.none() | st.integers(1, 100),
-            ),
-            max_size=8,
-        )
-    )
+    @given(ratings=STORE_RATINGS)
     def test_load_of_save_is_identity(self, tmp_path_factory, ratings):
         store = RatingStore("glicko", {"default_mu": 1500.0}, 3, 7, ratings)
         path = tmp_path_factory.mktemp("store") / "store.txt"
         store.save(path)
         assert RatingStore.load(path) == store
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratings=STORE_RATINGS)
+    def test_table_and_dict_save_the_same_bytes(self, tmp_path_factory, ratings):
+        # the body as it was written from one PlayerRating per player
+        body = [
+            f"{pid}\t{r.mu!r}\t{'-' if r.sigma is None else repr(r.sigma)}\t"
+            f"{r.games_played}\t"
+            f"{'-' if r.last_observed_rank is None else r.last_observed_rank}"
+            for pid, r in sorted(ratings.items())
+        ]
+        saved = []
+        for state in (ratings, RatingTable(ratings)):
+            path = tmp_path_factory.mktemp("store") / "store.txt"
+            RatingStore("glicko", {}, 3, 7, state).save(path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
+        assert saved[0].decode("utf-8").split("\n")[6:-1] == body
 
     def test_non_utf8_bytes_name_the_file(self, tmp_path):
         store = replay(synth_matches(match_count=2), EloSystem()).store

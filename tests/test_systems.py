@@ -109,6 +109,45 @@ def test_arithmetic_failure_is_a_ratings_error(name, overrides):
     assert state == before
 
 
+@pytest.mark.parametrize(
+    "name, field",
+    [("elo", "default_rating"), ("glicko", "default_mu"), ("trueskill", "default_mu")],
+)
+def test_team_score_overflow_is_a_ratings_error(name, field):
+    # two members rated 1e308 sum past the largest double; no RuntimeWarning
+    # may escape (the suite turns one into an error)
+    system = make_system(name, **{field: 1e308})
+    match = quick_match([2, 1], team_size=2, match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    before = dict(state)
+    with pytest.raises(RatingsError, match=f"match 'm7': {name} prediction failed"):
+        system.update_match(state, match, 0)
+    assert state == before
+
+
+@pytest.mark.parametrize(
+    "winner, loser, message",
+    [
+        # every sigma squares to 0.0, so the team sigma is 0
+        ((25.0, 1e-300), (25.0, 1e-300), "sigmas must be positive"),
+        # an upset this deep rounds w above 1: the winner's sigma goes negative
+        ((-5e152, 1e150), (5e152, 1.0), "player sigma must be positive, got -"),
+    ],
+)
+def test_update_domain_error_names_the_match(winner, loser, message):
+    system = TrueSkillSystem(TrueSkillParams(tau_dynamics=0.0))
+    match = quick_match([1, 2], match_id="m7")
+    state = {
+        "t1_p1": PlayerRating(mu=winner[0], sigma=winner[1]),
+        "t2_p1": PlayerRating(mu=loser[0], sigma=loser[1]),
+    }
+    before = dict(state)
+    expected = f"match 'm7': trueskill update failed \\({message}"
+    with pytest.raises(DomainError, match=expected):
+        system.update_match(state, match, 0)
+    assert state == before
+
+
 FLOAT_PARAMS = [
     (name, field.name)
     for name, params in (

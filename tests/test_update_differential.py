@@ -6,15 +6,17 @@ pure function: each system rewrote ``state[player]`` through
 inflation and once per chain pair), and a bookkeeping pass then rewrote
 every member again with ``games_played + 1`` and the placement.  It
 calls the production weight rule and the production kernels, so the
-test checks only the restructuring: every ``PlayerRating`` and every
-prediction must be exactly equal, match after match.  Production runs
-on a plain dict and on a ``RatingTable``; the array code behind both must
-round exactly like the scalar reference, so teams go up to 10 members,
-where numpy's pairwise ``sum`` would already differ from Python's.
+test checks only the restructuring: every ``PlayerRating``, every
+prediction and every WARNING record, in order, must be exactly equal,
+match after match.  Production runs on a plain dict and on a
+``RatingTable``; the array code behind both must round exactly like the
+scalar reference, so teams go up to 10 members, where numpy's pairwise
+``sum`` would already differ from Python's.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 from dataclasses import replace
@@ -214,17 +216,43 @@ def start_state(system, seed):
 LAYOUTS = {"dict": dict, "table": RatingTable}
 
 
+class WarningLog(logging.Handler):
+    """Collects the package's WARNING records as (logger, message) pairs."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.records: list[tuple[str, str]] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append((record.name, record.getMessage()))
+
+    def __enter__(self) -> list[tuple[str, str]]:
+        logging.getLogger("royale_ratings").addHandler(self)
+        return self.records
+
+    def __exit__(self, *exc_info) -> None:
+        logging.getLogger("royale_ratings").removeHandler(self)
+
+
 def check_against_reference(system, state, expected, matches, seed):
     for match in matches:
-        try:
-            want = reference_update_match(system, expected, match, seed)
-        except RatingsError:
-            before = dict(state)
-            with pytest.raises(RatingsError):
-                system.update_match(state, match, seed)
+        with WarningLog() as warned:
+            try:
+                want = reference_update_match(system, expected, match, seed)
+            except RatingsError:
+                want = None
+        with WarningLog() as logged:
+            if want is None:
+                before = dict(state)
+                with pytest.raises(RatingsError):
+                    system.update_match(state, match, seed)
+            else:
+                got = system.update_match(state, match, seed)
+        assert logged == warned
+        if want is None:
             assert state == before
             return
-        assert system.update_match(state, match, seed) == want
+        assert got == want
         assert state == expected
 
 
