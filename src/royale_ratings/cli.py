@@ -32,6 +32,7 @@ import inspect
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -321,12 +322,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     else:
         stats = IngestStats()
         matches = ingest(path, stats=stats)
-        sizes: dict[int, int] = {}
+        sizes: Counter[int] = Counter()
         players: set[str] = set()
         for match in matches:
-            for team in match.teams:
-                sizes[len(team.members)] = sizes.get(len(team.members), 0) + 1
-                players.update(team.members)
+            sizes.update(match.sizes)
+            players.update(match.roster)
         summary = {
             "command": "inspect",
             "input": args.input,

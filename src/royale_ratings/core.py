@@ -3,16 +3,28 @@ and the common score-to-ranking step.
 
 Ranks are team placements: 1 is the winner, N is the last team out of N.
 All rating math is double precision.
+
+A ``TeamEntry`` is a named tuple (team_id, members, observed_rank),
+checked when it is built by name.  A ``MatchRecord`` derives its layout
+from its teams once, when it is built: ``team_ids``, ``ranks`` and
+``sizes`` per team, in record order, and ``roster``, every player id with
+each team's members in a row.  Prediction, the update, the metrics and
+the writers read these tuples and never walk the teams.  The layout
+fields take no part in ``==`` or ``repr``, and ``dataclasses.replace``
+derives them again.  ``build_match`` builds a record from per-team
+columns with one check of the whole match, and falls back to the
+checked constructors, for their error text, only when that check fails.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import compress, pairwise
+from itertools import chain, compress, pairwise, repeat
 from operator import ne
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "RatingsError",
@@ -22,6 +34,7 @@ __all__ = [
     "PlayerRating",
     "TeamEntry",
     "MatchRecord",
+    "build_match",
     "PredictedRanking",
     "normalized_result",
     "rank_teams_by_score",
@@ -75,66 +88,159 @@ class PlayerRating:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class TeamEntry:
-    """One team's roster and observed placement within a single match."""
-
+class _TeamFields(NamedTuple):
     team_id: str
     members: tuple[str, ...]
     observed_rank: int
 
-    def __post_init__(self) -> None:
-        if not self.team_id:
+
+class TeamEntry(_TeamFields):
+    """One team's roster and observed placement within a single match.
+
+    A named tuple, checked when built by name; ``build_match`` makes its
+    teams with ``tuple.__new__`` after checking the whole match at once.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, team_id: str, members: tuple[str, ...], observed_rank: int
+    ) -> "TeamEntry":
+        if not team_id:
             raise DomainError("team_id must be a non-empty token")
-        if not self.members:
-            raise DomainError(f"team {self.team_id!r} has an empty roster")
-        if not all(self.members):
-            raise DomainError(f"team {self.team_id!r} has an empty player id")
-        if len(set(self.members)) != len(self.members):
-            raise DomainError(f"team {self.team_id!r} lists a player twice")
-        if self.observed_rank < 1:
+        if not members:
+            raise DomainError(f"team {team_id!r} has an empty roster")
+        if not all(members):
+            raise DomainError(f"team {team_id!r} has an empty player id")
+        if len(set(members)) != len(members):
+            raise DomainError(f"team {team_id!r} lists a player twice")
+        if observed_rank < 1:
             raise DomainError(
-                f"team {self.team_id!r} has placement {self.observed_rank}, expected >= 1"
+                f"team {team_id!r} has placement {observed_rank}, expected >= 1"
             )
+        return super().__new__(cls, team_id, members, observed_rank)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> "TeamEntry":
+        # the named tuple's _make, and _replace through it, would skip the checks
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)
 class MatchRecord:
     """A completed match: at least two teams whose observed placements form
-    a permutation of 1..N and whose rosters are disjoint."""
+    a permutation of 1..N and whose rosters are disjoint.
+
+    The layout every per-match step reads is derived from ``teams`` once,
+    when the record is built: ``team_ids``, ``ranks`` (observed
+    placements) and ``sizes`` per team in record order, and ``roster``,
+    every player id with each team's members in a row.
+    """
 
     match_id: str
     timestamp: datetime
     teams: tuple[TeamEntry, ...]
+    team_ids: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    ranks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    roster: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = len(self.teams)
         if n < 2:
             raise DomainError(f"match {self.match_id!r} needs >= 2 teams, got {n}")
-        if len({t.team_id for t in self.teams}) != n:
+        team_ids, rosters, ranks = zip(*self.teams)
+        if len(set(team_ids)) != n:
             raise DomainError(f"match {self.match_id!r} repeats a team_id")
-        if sorted(t.observed_rank for t in self.teams) != list(range(1, n + 1)):
+        if sorted(ranks) != list(range(1, n + 1)):
             raise DomainError(
                 f"match {self.match_id!r} placements are not a permutation of 1..{n}"
             )
-        players = self.players()
-        if len(set(players)) == len(players):
-            return
-        seen: set[str] = set()
-        for player in players:
-            if player in seen:
-                raise DomainError(
-                    f"match {self.match_id!r}: player {player!r} appears in two teams"
-                )
-            seen.add(player)
+        roster = tuple(chain.from_iterable(rosters))
+        if len(set(roster)) != len(roster):
+            seen: set[str] = set()
+            for player in roster:
+                if player in seen:
+                    raise DomainError(
+                        f"match {self.match_id!r}: player {player!r} appears in two teams"
+                    )
+                seen.add(player)
+        self._set_layout(team_ids, ranks, tuple(map(len, rosters)), roster)
+
+    def _set_layout(
+        self,
+        team_ids: tuple[str, ...],
+        ranks: tuple[int, ...],
+        sizes: tuple[int, ...],
+        roster: tuple[str, ...],
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "team_ids", team_ids)
+        set_field(self, "ranks", ranks)
+        set_field(self, "sizes", sizes)
+        set_field(self, "roster", roster)
 
     @property
     def team_count(self) -> int:
-        return len(self.teams)
+        return len(self.team_ids)
 
     def players(self) -> list[str]:
         """All player ids in roster order (teams in record order)."""
-        return [p for team in self.teams for p in team.members]
+        return list(self.roster)
+
+
+def build_match(
+    match_id: str,
+    timestamp: datetime,
+    team_ids: Sequence[str],
+    rosters: Sequence[Iterable[str]],
+    ranks: Sequence[int],
+) -> MatchRecord:
+    """The ``MatchRecord`` of teams given as parallel columns: each team's
+    id, members and observed placement.
+
+    The whole match is checked at once: at least two teams, ids and
+    player ids non-empty, rosters non-empty, team ids distinct, no player
+    listed twice, placements a permutation of 1..N.  A match that fails
+    is built again through the checked constructors, which raise the
+    ``DomainError`` that ``MatchRecord(teams=(TeamEntry(...), ...))``
+    raises, with the same text.
+    """
+    team_ids = tuple(team_ids)
+    rosters = tuple(map(tuple, rosters))
+    ranks = tuple(ranks)
+    n = len(team_ids)
+    if not len(rosters) == n == len(ranks):
+        raise DomainError(
+            f"match {match_id!r}: {n} team ids, {len(rosters)} rosters and "
+            f"{len(ranks)} placements"
+        )
+    roster = tuple(chain.from_iterable(rosters))
+    if (
+        n >= 2
+        and all(team_ids)
+        and all(rosters)
+        and all(roster)
+        and len(set(team_ids)) == n
+        and len(set(roster)) == len(roster)
+        and sorted(ranks) == list(range(1, n + 1))
+    ):
+        record = object.__new__(MatchRecord)
+        set_field = object.__setattr__
+        set_field(record, "match_id", match_id)
+        set_field(record, "timestamp", timestamp)
+        set_field(
+            record,
+            "teams",
+            tuple(map(tuple.__new__, repeat(TeamEntry), zip(team_ids, rosters, ranks))),
+        )
+        record._set_layout(team_ids, ranks, tuple(map(len, rosters)), roster)
+        return record
+    return MatchRecord(
+        match_id=match_id,
+        timestamp=timestamp,
+        teams=tuple(map(TeamEntry, team_ids, rosters, ranks)),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +261,7 @@ class PredictedRanking:
 
     @property
     def ranks(self) -> dict[str, int]:
-        return {tid: i + 1 for i, tid in enumerate(self.order)}
+        return dict(zip(self.order, range(1, len(self.order) + 1)))
 
 
 def normalized_result(observed_rank: int, team_count: int) -> float:

@@ -94,5 +94,5 @@ class EloSystem(RatingSystem):
         delta_team = self.params.k_factor * surprise
         shares, lowest = member_shares(block, team_mu)
         for i in np.flatnonzero(lowest <= 0).tolist():
-            warn_uniform_weights(block.match.teams[i].team_id, float(lowest[i]))
+            warn_uniform_weights(block.match.team_ids[i], float(lowest[i]))
         return block.mu + shares * delta_team[:, None], None

@@ -151,8 +151,8 @@ class GlickoSystem(RatingSystem):
 
     def _apply(self, block: MatchBlock) -> Posterior:
         q = self.params.q_constant
-        teams = block.match.teams
-        n = len(teams)
+        team_ids = block.match.team_ids
+        n = len(team_ids)
         team_mu = row_sums(block.mu)
         team_sigma = row_sums(block.sigma)
         pooled = win_probabilities(team_mu, team_sigma, self.params)
@@ -179,14 +179,14 @@ class GlickoSystem(RatingSystem):
                 log.warning(
                     "match %s: team %s sigma collapsed to %.4g",
                     block.match.match_id,
-                    teams[i].team_id,
+                    team_ids[i],
                     float(sigma_t_new[i]),
                 )
             if uniform[i]:
-                warn_uniform_weights(teams[i].team_id, float(lowest[i]))
+                warn_uniform_weights(team_ids[i], float(lowest[i]))
         if stop < n:
             raise RatingsError(
-                f"match {block.match.match_id!r}: team {teams[stop].team_id!r} has a "
+                f"match {block.match.match_id!r}: team {team_ids[stop]!r} has a "
                 f"certain outcome (E = {float(pooled[stop])!r}), so d^2 is undefined"
             )
         delta_mu_team = (q / precision) * g_opp * residual

@@ -21,13 +21,16 @@ imperfect predictions.
 ``score_match`` computes all six in one pass over the teams and one walk
 over the positions; each single-metric function reads its field.  The
 same walk scores AP and NDCG under the other convention too, kept in
-``alt_ap`` and ``alt_ndcg`` (not in ``as_dict``).
+``alt_ap`` and ``alt_ndcg`` (not in ``as_dict``).  The position weights,
+the ideal DCG and the triangle mask Kendall's count reads are built once
+per team count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -77,26 +80,12 @@ class MetricReport:
 def rank_pairs(ranking: PredictedRanking, match: MatchRecord) -> list[RankPair]:
     """Pair up predicted and observed ranks for one match's teams."""
     predicted = ranking.ranks
-    missing = [t.team_id for t in match.teams if t.team_id not in predicted]
-    if missing or len(ranking.order) != match.team_count:
+    team_ids = match.team_ids
+    if len(ranking.order) != len(team_ids) or not predicted.keys() >= set(team_ids):
         raise DomainError(
             f"match {match.match_id!r}: prediction does not cover its teams"
         )
-    return [
-        (t.team_id, predicted[t.team_id], t.observed_rank) for t in match.teams
-    ]
-
-
-def _validate(pairs: Sequence[RankPair]) -> int:
-    n = len(pairs)
-    if n < 2:
-        raise DomainError(f"need >= 2 teams to score, got {n}")
-    full = list(range(1, n + 1))
-    if sorted(p for _, p, _ in pairs) != full:
-        raise DomainError("predicted ranks are not a permutation of 1..N")
-    if sorted(o for _, _, o in pairs) != full:
-        raise DomainError("observed ranks are not a permutation of 1..N")
-    return n
+    return list(zip(team_ids, map(predicted.__getitem__, team_ids), match.ranks))
 
 
 def accuracy(pairs: Sequence[RankPair]) -> float:
@@ -133,6 +122,22 @@ def ndcg(pairs: Sequence[RankPair], position_index: str = "observed") -> float:
     return score_match(pairs, position_index=position_index).ndcg
 
 
+@lru_cache(maxsize=256)
+def _position_tables(n: int) -> tuple[tuple[float, ...], float, np.ndarray]:
+    """For n teams: the NDCG weight 1 / log2(i + 1) of positions 1..n,
+    the ideal DCG (their sum, added left to right) and the strict upper
+    triangle of an n x n matrix, read-only."""
+    # not math.log2: it differs in the last bit at some i, which would
+    # change the written metric bytes
+    weights = tuple(1.0 / math.log(i + 1, 2.0) for i in range(1, n + 1))
+    ideal = 0.0
+    for weight in weights:
+        ideal += weight
+    upper = np.triu(np.ones((n, n), bool), 1)
+    upper.flags.writeable = False
+    return weights, ideal, upper
+
+
 def score_match(
     pairs: Sequence[RankPair], *, position_index: str = "observed"
 ) -> MetricReport:
@@ -147,13 +152,21 @@ def score_match(
         raise DomainError(
             f"position_index must be one of {POSITION_INDICES}, got {position_index!r}"
         )
-    n = _validate(pairs)
+    n = len(pairs)
+    if n < 2:
+        raise DomainError(f"need >= 2 teams to score, got {n}")
+    _, predicted, observed = zip(*pairs)
+    full = list(range(1, n + 1))
+    if sorted(predicted) != full:
+        raise DomainError("predicted ranks are not a permutation of 1..N")
+    if sorted(observed) != full:
+        raise DomainError("observed ranks are not a permutation of 1..N")
     observed_in_predicted_order = [0] * n
     errors_by_observed = [0] * n
     errors_by_predicted = [0] * n
     error_sum = 0
     reciprocal_sum = 0.0
-    for _, p, o in pairs:
+    for p, o in zip(predicted, observed):
         err = abs(p - o)
         error_sum += err
         reciprocal_sum += 1.0 / (1 + err)
@@ -162,15 +175,12 @@ def score_match(
         errors_by_predicted[p - 1] = err
 
     # one walk over the positions scores both conventions
+    weights, ideal, upper = _position_tables(n)
     hits_o = hits_p = 0
-    ap_o = ap_p = dcg_o = dcg_p = ideal = 0.0
-    for i, (err_o, err_p) in enumerate(
-        zip(errors_by_observed, errors_by_predicted), start=1
+    ap_o = ap_p = dcg_o = dcg_p = 0.0
+    for i, weight, err_o, err_p in zip(
+        range(1, n + 1), weights, errors_by_observed, errors_by_predicted
     ):
-        # not math.log2: it differs in the last bit at some i, which
-        # would change the written metric bytes
-        weight = 1.0 / math.log(i + 1, 2.0)
-        ideal += weight
         relevance = 1.0 / (1 + err_o)
         if err_o == 0:
             hits_o += 1
@@ -183,7 +193,7 @@ def score_match(
         dcg_p += weight * relevance
 
     ranks = np.array(observed_in_predicted_order)
-    inversions = int(np.count_nonzero(np.triu(ranks[:, None] > ranks, 1)))
+    inversions = int(np.count_nonzero((ranks[:, None] > ranks) & upper))
     total = n * (n - 1) // 2
     if position_index == "observed":
         ap, dcg, alt_ap, alt_dcg = ap_o, dcg_o, ap_p, dcg_p

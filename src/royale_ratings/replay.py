@@ -30,9 +30,11 @@ import logging
 import math
 import operator
 import random
+from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -44,7 +46,7 @@ from .core import (
     MatchRecord,
     PlayerRating,
     PredictedRanking,
-    TeamEntry,
+    build_match,
 )
 from .metrics import METRIC_NAMES, MetricReport, rank_pairs, score_match
 from .systems import RatingState, RatingSystem, RatingTable, rating_columns
@@ -110,12 +112,18 @@ class IngestStats:
     rejected: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _read_grouped(
-    path: Path, stats: IngestStats
-) -> dict[str, list[tuple[datetime, str, str, int]]]:
-    """The streaming pass of ``ingest``: each row, checked and parsed, is
-    appended to its match's list; matches keep first-appearance order."""
-    grouped: dict[str, list[tuple[datetime, str, str, int]]] = {}
+def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
+    """The streaming pass of ``ingest``: each row, checked and parsed, joins
+    its team in its match; matches keep first-appearance order.
+
+    A match is ``[stamp, teams, reason]``: the timestamp of its first row,
+    team_id -> ``[placement, *members]`` in first-appearance order (one
+    list per team, the fewest objects the collector has to track), and None,
+    or the reason its first bad row rejects it: a timestamp that differs
+    from the first row's or a placement that differs from the team's
+    first row's.  Rows after the first bad one are counted, not grouped.
+    """
+    grouped: dict[str, list[Any]] = {}
     stamps: dict[str, datetime] = {}
     placements: dict[str, int] = {}
     rows = 0
@@ -159,10 +167,27 @@ def _read_grouped(
                             f"{placement_text!r}"
                         ) from None
                 rows += 1
-                match_rows = grouped.get(match_id)
-                if match_rows is None:
-                    match_rows = grouped[match_id] = []
-                match_rows.append((stamp, team_id, player_id, placement))
+                match = grouped.get(match_id)
+                if match is None:
+                    teams = {team_id: [placement, player_id]}
+                    grouped[match_id] = [stamp, teams, None]
+                    continue
+                first, teams, bad_reason = match
+                if bad_reason is not None:
+                    continue
+                if stamp is not first and stamp != first:
+                    match[2] = (
+                        f"rows carry different timestamps ({first.isoformat()} "
+                        f"and {stamp.isoformat()})"
+                    )
+                    continue
+                team = teams.get(team_id)
+                if team is None:
+                    teams[team_id] = [placement, player_id]
+                elif team[0] != placement:
+                    match[2] = f"team {team_id!r} has inconsistent placements"
+                else:
+                    team.append(player_id)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -183,7 +208,7 @@ def ingest(
     One streaming pass reads the rows with ``csv.reader``, picks the five
     columns at the positions the header gives them (a repeated column
     counts at its last position; extra columns are ignored; blank lines
-    are skipped) and appends each row to its match's list.  Each distinct
+    are skipped) and adds each row to its team in its match.  Each distinct
     timestamp and placement string is parsed once per call.  Structurally
     malformed rows (missing fields, bad timestamp, non-integer placement)
     and csv-level errors (a field over the csv module's size limit, ...)
@@ -202,43 +227,17 @@ def ingest(
     grouped = _read_grouped(path, stats)
 
     matches: list[MatchRecord] = []
-    for match_id, rows in grouped.items():
+    for match_id, (stamp, teams, bad_reason) in grouped.items():
         stats.matches_read += 1
-        # team_id -> (placement, members), in first-appearance order
-        teams: dict[str, tuple[int, list[str]]] = {}
-        bad_reason: str | None = None
-        stamp = rows[0][0]
-        for row_stamp, team_id, player_id, placement in rows:
-            if row_stamp != stamp:
-                bad_reason = (
-                    f"rows carry different timestamps ({stamp.isoformat()} "
-                    f"and {row_stamp.isoformat()})"
-                )
-                break
-            team = teams.get(team_id)
-            if team is None:
-                teams[team_id] = (placement, [player_id])
-            elif team[0] != placement:
-                bad_reason = f"team {team_id!r} has inconsistent placements"
-                break
-            else:
-                team[1].append(player_id)
-        if bad_reason is None and team_size is not None:
-            if any(len(members) != team_size for _, members in teams.values()):
+        if bad_reason is None:
+            entries = teams.values()
+            if team_size is not None and any(len(e) - 1 != team_size for e in entries):
                 stats.filtered += 1
                 continue
-        if bad_reason is None:
+            rosters = [entry[1:] for entry in entries]
+            placements = [entry[0] for entry in entries]
             try:
-                record = MatchRecord(
-                    match_id=match_id,
-                    timestamp=stamp,
-                    teams=tuple(
-                        TeamEntry(
-                            team_id=tid, members=tuple(members), observed_rank=placement
-                        )
-                        for tid, (placement, members) in teams.items()
-                    ),
-                )
+                record = build_match(match_id, stamp, tuple(teams), rosters, placements)
             except DomainError as exc:
                 bad_reason = str(exc)
             else:
@@ -320,6 +319,10 @@ class RatingStore:
             if len(parts) != 5:
                 raise DataError(f"{path}:{offset}: expected 5 fields")
             player_id, mu, sigma, games, last = parts
+            if player_id in ratings:
+                raise DataError(
+                    f"{path}:{offset}: player {player_id!r} is listed twice"
+                )
             try:
                 ratings[player_id] = PlayerRating(
                     mu=float(mu),
@@ -374,10 +377,10 @@ def replay(
     reports: list[MatchReport] = []
     player_matches: dict[str, list[int]] = defaultdict(list)
     for index, match in enumerate(matches):
-        players = match.players()
+        players = match.roster
         unseen = state.missing(players)
-        for player in unseen:
-            state[player] = system.initial_rating()
+        if unseen:
+            state.insert(unseen, [system.initial_rating() for _ in unseen])
         match_seed = rng.randrange(2**63)
         ranking = system.update_match(state, match, match_seed)
         pairs = rank_pairs(ranking, match)
@@ -512,12 +515,23 @@ def setup_all_players(
 
 
 def _team_error_of(report: MatchReport, player_id: str) -> int:
-    for team in report.match.teams:
-        if player_id in team.members:
-            return abs(report.ranking.rank_of(team.team_id) - team.observed_rank)
-    raise DomainError(
-        f"player {player_id!r} not in match {report.match.match_id!r}"
-    )
+    """|predicted - observed| rank of the player's team in the match, whose
+    index is read from the match's roster and team sizes."""
+    match = report.match
+    try:
+        position = match.roster.index(player_id)
+    except ValueError:
+        raise DomainError(
+            f"player {player_id!r} not in match {match.match_id!r}"
+        ) from None
+    sizes = match.sizes
+    if sizes.count(sizes[0]) == len(sizes):
+        # equal teams: the roster is in blocks of one size
+        team = position // sizes[0]
+    else:
+        team = bisect_right(list(accumulate(sizes)), position)
+    predicted = report.ranking.order.index(match.team_ids[team]) + 1
+    return abs(predicted - match.ranks[team])
 
 
 def _game_indexed_trend(

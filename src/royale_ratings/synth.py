@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DomainError, MatchRecord, TeamEntry
+from .core import DomainError, MatchRecord, build_match
 from .replay import MATCH_LOG_COLUMNS, format_timestamp
 
 __all__ = ["SynthConfig", "generate", "write_match_log", "write_latent_skills"]
@@ -81,31 +81,27 @@ def generate(config: SynthConfig) -> tuple[list[MatchRecord], dict[str, float]]:
 
     n_teams = config.teams_per_match
     size = config.team_size
+    team_ids = [f"t{k + 1:02d}" for k in range(n_teams)]
+    spans = [slice(k * size, (k + 1) * size) for k in range(n_teams)]
     matches: list[MatchRecord] = []
     for m in range(config.match_count):
         chosen = rng.choice(config.player_count, size=n_teams * size, replace=False)
-        rosters = [chosen[k * size : (k + 1) * size] for k in range(n_teams)]
         performance = np.array(
-            [latents[r].sum() for r in rosters]
+            [latents[chosen[span]].sum() for span in spans]
         ) + config.noise_spread * rng.standard_normal(n_teams)
         # placements follow descending performance; stable order breaks the
         # measure-zero exact ties deterministically
         by_perf = np.argsort(-performance, kind="stable")
         placement = np.empty(n_teams, dtype=int)
         placement[by_perf] = np.arange(1, n_teams + 1)
-        teams = tuple(
-            TeamEntry(
-                team_id=f"t{k + 1:02d}",
-                members=tuple(player_ids[p] for p in rosters[k]),
-                observed_rank=int(placement[k]),
-            )
-            for k in range(n_teams)
-        )
+        members = [player_ids[p] for p in chosen.tolist()]
         matches.append(
-            MatchRecord(
-                match_id=f"m{m + 1:06d}",
-                timestamp=_EPOCH + timedelta(minutes=m),
-                teams=teams,
+            build_match(
+                f"m{m + 1:06d}",
+                _EPOCH + timedelta(minutes=m),
+                team_ids,
+                [members[span] for span in spans],
+                placement.tolist(),
             )
         )
     skills = {pid: float(s) for pid, s in zip(player_ids, latents)}

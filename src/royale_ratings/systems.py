@@ -16,17 +16,20 @@ PlayerRating]``: ``table[p]`` builds a validated view and ``table[p] =
 rating`` writes one row, so stores, cohort selection and library callers
 see the familiar mapping.  The per-match path never builds a view.
 
-Per match, ``RatingTable.gather`` copies the members' rows once into a
-``MatchBlock``: (teams x width) matrices in record order, a member's
-roster position as its column, zero where a team is narrower than the
-widest.  ``predict`` ranks ``team_scores(block)``; ``_apply(block)`` is a
-pure function returning the posterior ``(mu, sigma)`` matrices of the
-same shape, ``sigma`` None for systems that carry none.  Then
-``RatingTable.scatter`` checks every posterior at once (mu finite, sigma
-> 0, with ``PlayerRating``'s error text) and only then writes mu, sigma,
-``games + 1`` and the team placement as the last rank in one scatter, so
-an update that raises (a certain Glicko outcome, an invalid posterior)
-leaves state exactly as it was.  The table keeps the last block until
+A match's new players get their rows in one ``RatingTable.insert``,
+which grows the columns in the same steps as one ``table[p] = rating``
+at a time.  Per match, ``RatingTable.gather`` copies the members' rows
+once into a ``MatchBlock``, reading the match's layout (``roster``,
+``sizes``, ``ranks``; see ``core``): (teams x width) matrices in record
+order, a member's position in its team as its column, zero where a team
+is narrower than the widest.  ``predict`` ranks ``team_scores(block)``;
+``_apply(block)`` is a pure function returning the posterior ``(mu,
+sigma)`` matrices of the same shape, ``sigma`` None for systems that
+carry none.  Then ``RatingTable.scatter`` checks every posterior at once
+(mu finite, sigma > 0, with ``PlayerRating``'s error text) and only then
+writes mu, sigma, ``games + 1`` and the team placement as the last rank
+in one scatter, so an update that raises (a certain Glicko outcome, an
+invalid posterior) leaves state exactly as it was.  The table keeps the last block until
 its next write, so ``predict`` and ``_apply`` share one gather.
 
 A plain dict of ``PlayerRating`` is accepted too: the update runs on a
@@ -76,6 +79,7 @@ import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Any, Sequence
 
 import numpy as np
@@ -132,7 +136,7 @@ class MatchBlock:
     """
 
     match: MatchRecord
-    rows: np.ndarray  # table row of every member, in match.players() order
+    rows: np.ndarray  # table row of every member, in match.roster order
     mask: np.ndarray
     sizes: np.ndarray  # members per team
     ranks: np.ndarray  # observed placement per team
@@ -158,7 +162,7 @@ class RatingTable(MutableMapping[str, PlayerRating]):
         self._last_rank = np.zeros(0, dtype=np.int64)
         self._block: MatchBlock | None = None
         if ratings:
-            self.update(ratings)
+            self.insert(list(ratings), list(ratings.values()))
 
     def __repr__(self) -> str:
         return f"RatingTable({dict(self)!r})"
@@ -174,8 +178,7 @@ class RatingTable(MutableMapping[str, PlayerRating]):
 
     def missing(self, players: Iterable[str]) -> list[str]:
         """The given player ids that have no row, in the order given."""
-        rows = self._rows
-        return [p for p in players if p not in rows]
+        return list(filterfalse(self._rows.__contains__, players))
 
     def __getitem__(self, player_id: str) -> PlayerRating:
         row = self._rows[player_id]
@@ -187,21 +190,50 @@ class RatingTable(MutableMapping[str, PlayerRating]):
             self._last_rank.item(row) or None,
         )
 
+    def _reserve(self, size: int) -> None:
+        """Room for ``size`` rows, grown in the steps that adding one row
+        at a time takes: by max(64, capacity) whenever it is full."""
+        capacity = grown = len(self._mu)
+        while grown < size:
+            grown += max(64, grown)
+        if grown > capacity:
+            for name in _COLUMNS:
+                column = getattr(self, name)
+                extra = np.zeros(grown - capacity, column.dtype)
+                setattr(self, name, np.append(column, extra))
+
     def __setitem__(self, player_id: str, rating: PlayerRating) -> None:
         row = self._rows.get(player_id)
         if row is None:
             row = len(self._rows)
-            if row == len(self._mu):
-                grow = max(64, row)
-                for name in _COLUMNS:
-                    column = getattr(self, name)
-                    grown = np.append(column, np.zeros(grow, column.dtype))
-                    setattr(self, name, grown)
+            self._reserve(row + 1)
             self._rows[player_id] = row
         self._mu[row] = rating.mu
         self._sigma[row] = math.nan if rating.sigma is None else rating.sigma
         self._games[row] = rating.games_played
         self._last_rank[row] = rating.last_observed_rank or 0
+        self._block = None
+
+    def insert(self, players: Sequence[str], ratings: Sequence[PlayerRating]) -> None:
+        """Rows for players the table does not hold yet, in the order
+        given: the table that ``table[p] = rating`` for each in turn gives."""
+        rows = self._rows
+        start = len(rows)
+        end = start + len(players)
+        if (
+            len(ratings) != len(players)
+            or len(set(players)) != len(players)
+            or not rows.keys().isdisjoint(players)
+        ):
+            raise DomainError("insert takes one rating per new, distinct player id")
+        self._reserve(end)
+        rows.update(zip(players, range(start, end)))
+        self._mu[start:end] = [r.mu for r in ratings]
+        self._sigma[start:end] = [
+            math.nan if r.sigma is None else r.sigma for r in ratings
+        ]
+        self._games[start:end] = [r.games_played for r in ratings]
+        self._last_rank[start:end] = [r.last_observed_rank or 0 for r in ratings]
         self._block = None
 
     def __delitem__(self, player_id: str) -> None:
@@ -220,20 +252,19 @@ class RatingTable(MutableMapping[str, PlayerRating]):
         ``MissingStateError`` when a member has no row."""
         if self._block is not None and self._block.match is match:
             return self._block
-        rows_of = self._rows
+        roster = match.roster
         try:
-            rows = np.array(
-                [rows_of[p] for team in match.teams for p in team.members],
-                dtype=np.intp,
+            rows = np.fromiter(
+                map(self._rows.__getitem__, roster), np.intp, len(roster)
             )
         except KeyError:
-            missing = self.missing(match.players())
+            missing = self.missing(roster)
             raise MissingStateError(
                 f"match {match.match_id!r}: no rating entry for "
                 f"{len(missing)} player(s), first {missing[0]!r}"
             ) from None
-        sizes = np.array([len(team.members) for team in match.teams])
-        mask = np.arange(sizes.max()) < sizes[:, None]
+        sizes = np.array(match.sizes)
+        mask = np.arange(max(match.sizes)) < sizes[:, None]
 
         def matrix(column: np.ndarray) -> np.ndarray:
             out = np.zeros(mask.shape, column.dtype)
@@ -247,7 +278,7 @@ class RatingTable(MutableMapping[str, PlayerRating]):
             rows=rows,
             mask=mask,
             sizes=sizes,
-            ranks=np.array([team.observed_rank for team in match.teams]),
+            ranks=np.array(match.ranks),
             mu=matrix(self._mu),
             sigma=matrix(self._sigma),
             last_rank=matrix(self._last_rank),
@@ -303,7 +334,7 @@ def _as_table(state: RatingState, match: MatchRecord) -> RatingTable:
     """The table itself, or a table of the match's members from a dict."""
     if isinstance(state, RatingTable):
         return state
-    return RatingTable({p: state[p] for p in match.players() if p in state})
+    return RatingTable({p: state[p] for p in match.roster if p in state})
 
 
 def warn_uniform_weights(team_id: str, lowest: float) -> None:
@@ -385,10 +416,7 @@ class RatingSystem(ABC):
             raise RatingsError(
                 f"match {match.match_id!r}: {self.name} prediction failed ({exc})"
             ) from exc
-        return rank_teams_by_score(
-            [(team.team_id, score) for team, score in zip(match.teams, scores)],
-            rng_seed,
-        )
+        return rank_teams_by_score(list(zip(match.team_ids, scores)), rng_seed)
 
     def update_match(
         self, state: RatingState, match: MatchRecord, rng_seed: int
@@ -413,7 +441,7 @@ class RatingSystem(ABC):
                 f"match {match.match_id!r}: {self.name} update failed ({exc})"
             ) from exc
         if table is not state:
-            for player in match.players():
+            for player in match.roster:
                 state[player] = table[player]
         return ranking
 

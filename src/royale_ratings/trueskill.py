@@ -71,6 +71,11 @@ __all__ = [
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # smallest positive normal double; keeps v > 0 when pdf(x) underflows (x ~ 40)
 _TINY = sys.float_info.min
+# below this x, v and w come from a continued fraction; no log reaches it
+_DEEP_TAIL = -40.0
+# at t = -x >= 40 the fraction's truncation error after this many levels
+# is below 1e-25 relative
+_TAIL_LEVELS = 12
 
 MEMBER_SHARES = ("sigma_sq", "mu")
 
@@ -108,21 +113,41 @@ def v_exceeds(x: float) -> float:
     Evaluated in log space so the deep losing tail stays finite:
     v(-10) ~ 10.098 rather than 0/0.  For large positive x the true value
     drops below the double-precision floor and is clamped to the smallest
-    positive normal float, keeping v > 0 on |x| <= 40.
+    positive normal float, keeping v > 0 on |x| <= 40.  Below x = -40
+    it is the inverse Mills ratio's continued fraction (see ``_moments``).
     """
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    value = math.exp(-0.5 * x * x - _LOG_SQRT_2PI - float(log_ndtr(x)))
-    return max(value, _TINY)
+    return _moments(x)[0]
 
 
 def w_exceeds(x: float) -> float:
     """Variance shrink fraction w(x) = v(x) (v(x) + x), in (0, 1)."""
-    return _w_from_v(v_exceeds(x), x)
+    return _moments(x)[1]
 
 
-def _w_from_v(v: float, x: float) -> float:
-    return max(v * (v + x), _TINY)
+def _moments(x: float) -> tuple[float, float, float]:
+    """v(x), w(x) and 1 - w(x).
+
+    Below ``_DEEP_TAIL`` the log-space v carries a relative error of
+    about x^2 ulp, which v + x, near -1/x, magnifies until w passes 1
+    (from about x = -395 on).  There, with t = -x, v = t + r where
+    r = 1/(t + q), q = 2/(t + 3/(t + 4/(t + ...))), is the continued
+    fraction of the inverse Mills ratio; w = v r and 1 - w = r (q - r)
+    need no subtraction of near-equal values.
+    """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    if x < _DEEP_TAIL:
+        t = -x
+        inner = t
+        for k in range(_TAIL_LEVELS, 2, -1):
+            inner = t + k / inner
+        q = 2.0 / inner
+        r = 1.0 / (t + q)
+        v = t + r
+        return v, v * r, r * (q - r)
+    v = max(math.exp(-0.5 * x * x - _LOG_SQRT_2PI - float(log_ndtr(x))), _TINY)
+    w = max(v * (v + x), _TINY)
+    return v, w, 1.0 - w
 
 
 def update_pair(
@@ -135,7 +160,9 @@ def update_pair(
     The beliefs may be single players or whole-team aggregates
     (mu = sum of member mus, sigma = sqrt of summed member variances).
     Dynamics noise is not added here; callers inflate variances first.
-    Returns the posterior (mu, sigma) pairs, winner first.
+    Returns the posterior (mu, sigma) pairs, winner first.  Below
+    x = -40 the sigma factor 1 - (sigma^2/c^2) w is formed without its
+    subtraction, so it stays positive where w rounds to 1.
     """
     mu_w, sigma_w = winner
     mu_l, sigma_l = loser
@@ -144,12 +171,21 @@ def update_pair(
     c_sq = 2.0 * params.beta**2 + sigma_w**2 + sigma_l**2
     c = math.sqrt(c_sq)
     x = (mu_w - mu_l) / c
-    v = v_exceeds(x)
-    w = _w_from_v(v, x)
+    v, w, slack = _moments(x)
     new_mu_w = mu_w + (sigma_w**2 / c) * v
     new_mu_l = mu_l - (sigma_l**2 / c) * v
-    new_sigma_w = sigma_w * (1.0 - (sigma_w**2 / c_sq) * w)
-    new_sigma_l = sigma_l * (1.0 - (sigma_l**2 / c_sq) * w)
+    if x < _DEEP_TAIL:
+        # w is within 1/x^2 of 1, where 1 - (sigma^2/c^2) w cancels to 0
+        # or below once sigma^2 is most of c^2; the same factor is formed
+        # as (c^2 - sigma^2)/c^2 + (sigma^2/c^2)(1 - w), a sum of positives
+        rest = 2.0 * params.beta**2
+        shrink_w = (rest + sigma_l**2) / c_sq + (sigma_w**2 / c_sq) * slack
+        shrink_l = (rest + sigma_w**2) / c_sq + (sigma_l**2 / c_sq) * slack
+    else:
+        shrink_w = 1.0 - (sigma_w**2 / c_sq) * w
+        shrink_l = 1.0 - (sigma_l**2 / c_sq) * w
+    new_sigma_w = sigma_w * shrink_w
+    new_sigma_l = sigma_l * shrink_l
     return (new_mu_w, new_sigma_w), (new_mu_l, new_sigma_l)
 
 
@@ -168,8 +204,9 @@ class TrueSkillSystem(RatingSystem):
     def _apply(self, block: MatchBlock) -> Posterior:
         params = self.params
         by_mu = params.member_share == "mu"
-        teams = block.match.teams
-        sizes = block.sizes.tolist()
+        team_ids = block.match.team_ids
+        n = len(team_ids)
+        sizes = block.match.sizes
         ends = list(accumulate(sizes))
         member_sigmas = block.sigma[block.mask].tolist()
         tau_sq = params.tau_dynamics**2
@@ -182,12 +219,12 @@ class TrueSkillSystem(RatingSystem):
         sigmas = [member_sigmas[span] for span in spans]
         # a member's share of its team's mu delta is weight / total: its
         # member_weights entry over 1.0, or its variance over the team's
-        weights: list[list[float]] = [[]] * len(teams)
-        totals = [1.0] * len(teams)
+        weights: list[list[float]] = [[]] * n
+        totals = [1.0] * n
         # each team's last split, applied to the matrices after the chain:
         # the weights above, the team mu delta and the sigma shrink factor
-        deltas = [0.0] * len(teams)
-        shrinks = [0.0] * len(teams)
+        deltas = [0.0] * n
+        shrinks = [0.0] * n
         by_rank = np.argsort(block.ranks).tolist()
         last = by_rank[-1]
         win = by_rank[0]
@@ -204,8 +241,8 @@ class TrueSkillSystem(RatingSystem):
             delta = deltas[lose] = post_l[0] - mu_l
             shrink = shrinks[lose] = post_l[1] / sigma_l
             if by_mu:
-                weights[win] = member_weights(mus[win], teams[win].team_id)
-                weights[lose] = member_weights(mus[lose], teams[lose].team_id)
+                weights[win] = member_weights(mus[win], team_ids[win])
+                weights[lose] = member_weights(mus[lose], team_ids[lose])
             else:
                 weights[win], totals[win] = squares_w, var_w
                 weights[lose], totals[lose] = squares_l, var_l

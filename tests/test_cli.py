@@ -10,6 +10,7 @@ from royale_ratings.cli import _finite_float, build_parser, main
 from royale_ratings.metrics import POSITION_INDICES
 from royale_ratings.replay import (
     MATCH_LOG_COLUMNS,
+    RatingStore,
     setup_all_players,
     setup_best_players,
     setup_frequent_players,
@@ -300,10 +301,6 @@ class TestReplayCommand:
             (["--system", "glicko", "--glicko-mu", "1e308"], "glicko prediction failed"),
             (["--system", "trueskill", "--ts-mu", "1e308"], "trueskill prediction failed"),
             (
-                ["--system", "trueskill", "--ts-sigma", "1e150"],
-                "trueskill update failed (player sigma must be positive, got -",
-            ),
-            (
                 ["--system", "trueskill", "--ts-sigma", "1e-300", "--tau", "0"],
                 "trueskill update failed (sigmas must be positive)",
             ),
@@ -373,6 +370,28 @@ class TestReplayCommand:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+    def test_trueskill_with_a_huge_starting_sigma(self, capsys, tmp_path):
+        # pairs reach the deep losing tail of v and w, where w must stay < 1
+        # for a sigma to stay positive
+        log = make_log(capsys, tmp_path)
+        out = tmp_path / "run"
+        summary = run_json(
+            capsys,
+            "replay",
+            "--input",
+            str(log),
+            "--output-dir",
+            str(out),
+            "--system",
+            "trueskill",
+            "--ts-sigma",
+            "1e150",
+        )
+        assert summary["counts"]["matches_replayed"] == 30
+        ratings = RatingStore.load(out / "rating_store.txt").ratings
+        assert all(rating.sigma > 0 for rating in ratings.values())
 
 
 class TestExperimentCommand:
@@ -602,6 +621,19 @@ class TestInspectCommand:
         code, captured = run_cli(capsys, "inspect", "--input", str(store))
         assert code == 1
         assert f"{store}:3:" in captured.err
+
+    def test_store_repeating_a_player_is_exit_one(self, capsys, tmp_path):
+        log = make_log(capsys, tmp_path, matches="2")
+        out = tmp_path / "run"
+        run_json(
+            capsys, "replay", "--input", str(log), "--output-dir", str(out), "--system", "elo"
+        )
+        store = out / "rating_store.txt"
+        lines = store.read_text().splitlines()
+        store.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        code, captured = run_cli(capsys, "inspect", "--input", str(store))
+        assert code == 1
+        assert f"{store}:{len(lines) + 1}:" in captured.err
 
     @pytest.mark.parametrize("kind", ["log", "store"])
     def test_non_utf8_input_is_exit_one(self, capsys, tmp_path, kind):

@@ -421,6 +421,16 @@ class TestRatingStore:
         with pytest.raises(DataError, match="expected 5 fields"):
             RatingStore.load(path)
 
+    def test_repeated_player_id_names_the_second_line(self, tmp_path):
+        store = replay(synth_matches(match_count=2), EloSystem()).store
+        path = tmp_path / "store.txt"
+        store.save(path)
+        lines = path.read_text().splitlines()
+        lines.append(lines[-1].split("\t")[0] + "\t1.0\t-\t1\t1")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f":{len(lines)}: player .* twice"):
+            RatingStore.load(path)
+
     def test_missing_header_key_rejected(self, tmp_path):
         store = replay(synth_matches(match_count=2), EloSystem()).store
         path = tmp_path / "store.txt"

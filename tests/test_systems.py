@@ -129,17 +129,23 @@ def test_team_score_overflow_is_a_ratings_error(name, field):
     "winner, loser, message",
     [
         # every sigma squares to 0.0, so the team sigma is 0
-        ((25.0, 1e-300), (25.0, 1e-300), "sigmas must be positive"),
-        # an upset this deep rounds w above 1: the winner's sigma goes negative
-        ((-5e152, 1e150), (5e152, 1.0), "player sigma must be positive, got -"),
+        ([(25.0, 1e-300)], [(25.0, 1e-300)], "sigmas must be positive"),
+        # an upset this deep shrinks the loser's sigma by ~4e-19, which
+        # takes a denormal member sigma to 0.0
+        (
+            [(-0.5e20, 1.0), (-0.5e20, 1.0)],
+            [(0.5e20, 1e10), (0.5e20, 1e-310)],
+            "player sigma must be positive, got 0.0",
+        ),
     ],
 )
 def test_update_domain_error_names_the_match(winner, loser, message):
     system = TrueSkillSystem(TrueSkillParams(tau_dynamics=0.0))
-    match = quick_match([1, 2], match_id="m7")
+    match = quick_match([1, 2], team_size=len(winner), match_id="m7")
     state = {
-        "t1_p1": PlayerRating(mu=winner[0], sigma=winner[1]),
-        "t2_p1": PlayerRating(mu=loser[0], sigma=loser[1]),
+        f"t{team}_p{member}": PlayerRating(mu=mu, sigma=sigma)
+        for team, members in ((1, winner), (2, loser))
+        for member, (mu, sigma) in enumerate(members, start=1)
     }
     before = dict(state)
     expected = f"match 'm7': trueskill update failed \\({message}"

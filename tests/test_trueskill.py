@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,8 +78,43 @@ class TestTruncationMoments:
         with pytest.raises(DomainError):
             v_exceeds(float("nan"))
 
+    @given(st.floats(min_value=-1e6, max_value=-40.0))
+    def test_deep_losing_tail_stays_in_its_bounds(self, x):
+        # v(x) lies in (-x, -x - 1/x) and w(x) in (0, 1); at |x| >~ 1e4 the
+        # exact v and -x - 1/x round to the same double, so the upper
+        # bound is checked as <=, which correct rounding keeps
+        v = v_exceeds(x)
+        assert -x < v <= -x - 1.0 / x
+        assert 0.0 < w_exceeds(x) < 1.0
+
+    @pytest.mark.parametrize("x", [-40.5, -100.0, -395.0, -1e4, -1e5, -1e6])
+    def test_deep_losing_tail_matches_the_continued_fraction(self, x):
+        # v = -x + 1/(-x + 2/(-x + 3/(...))) is the inverse Mills ratio;
+        # 30 levels in exact rationals are far past double precision here
+        t = Fraction(-x)
+        tail = t
+        for k in range(30, 1, -1):
+            tail = t + k / tail
+        exact_v = t + 1 / tail
+        exact_w = exact_v / tail
+        assert v_exceeds(x) == pytest.approx(float(exact_v), rel=1e-15)
+        assert w_exceeds(x) == pytest.approx(float(exact_w), rel=1e-14)
+
 
 class TestUpdatePair:
+    @pytest.mark.parametrize("x", [-40.5, -1e3, -3.3e8])
+    def test_deep_tail_keeps_both_sigmas_positive(self, x):
+        # a loser with nearly all of c^2: 1 - (sigma^2/c^2) w rounds to 0
+        # or below unless it is formed without the subtraction
+        params = TrueSkillParams()
+        sigma_w, sigma_l = 1e132, 1e142
+        c = math.sqrt(2.0 * params.beta**2 + sigma_w**2 + sigma_l**2)
+        (_, new_w), (_, new_l) = update_pair((x * c, sigma_w), (0.0, sigma_l), params)
+        assert 0.0 < new_w <= sigma_w  # (sigma_w/c)^2 = 1e-20 leaves it as it was
+        assert 0.0 < new_l < sigma_l
+        # the loser keeps (c^2 - sigma_l^2)/c^2 + (1 - w) of its sigma
+        assert new_l / sigma_l == pytest.approx(1e-20 + 1.0 / x**2, rel=1e-2)
+
     def test_equal_priors_golden(self):
         params = TrueSkillParams()
         (mu_w, sg_w), (mu_l, sg_l) = update_pair(
