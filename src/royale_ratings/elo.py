@@ -80,12 +80,13 @@ class EloSystem(RatingSystem):
 
     def __init__(self, params: EloParams | None = None) -> None:
         self.params = params or EloParams()
+        self._initial = PlayerRating(mu=self.params.default_rating, sigma=None)
 
     def params_dict(self) -> dict[str, Any]:
         return asdict(self.params)
 
     def initial_rating(self) -> PlayerRating:
-        return PlayerRating(mu=self.params.default_rating, sigma=None)
+        return self._initial
 
     def _apply(self, block: MatchBlock) -> Posterior:
         team_mu = row_sums(block.mu)

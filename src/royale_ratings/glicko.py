@@ -51,7 +51,9 @@ from .systems import (
     RatingSystem,
     member_shares,
     normalized_results,
+    require_finite_variances,
     row_sums,
+    squares,
     warn_uniform_weights,
 )
 
@@ -142,25 +144,32 @@ class GlickoSystem(RatingSystem):
 
     def __init__(self, params: GlickoParams | None = None) -> None:
         self.params = params or GlickoParams()
+        self._initial = PlayerRating(
+            mu=self.params.default_mu, sigma=self.params.default_sigma
+        )
 
     def params_dict(self) -> dict[str, Any]:
         return asdict(self.params)
 
     def initial_rating(self) -> PlayerRating:
-        return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
+        return self._initial
 
     def _apply(self, block: MatchBlock) -> Posterior:
         q = self.params.q_constant
         team_ids = block.match.team_ids
         n = len(team_ids)
         team_mu = row_sums(block.mu)
-        team_sigma = row_sums(block.sigma)
+        # a sum past the largest double is named below, with the squares
+        with np.errstate(over="ignore"):
+            team_sigma = row_sums(block.sigma)
+        # Python's ** rounds some squares differently from numpy's x*x
+        team_squares = squares(team_sigma.tolist())
+        require_finite_variances(team_ids, team_squares)
+        team_squares = np.array(team_squares)
         pooled = win_probabilities(team_mu, team_sigma, self.params)
         residual = normalized_results(block) - pooled
-        # Python's ** rounds some squares differently from numpy's x*x
-        squares = np.array([s**2 for s in team_sigma.tolist()])
         # row i holds the other teams' squares in index order, 0 at i
-        others = np.tile(squares, (n, 1))
+        others = np.tile(team_squares, (n, 1))
         np.fill_diagonal(others, 0.0)
         opp_rms = np.sqrt(row_sums(others) / (n - 1))
         # g_weight(opp_rms, q) of every team
@@ -169,7 +178,7 @@ class GlickoSystem(RatingSystem):
         certain = np.flatnonzero(~(information > 0))
         # the teams before the first certain outcome, whose warnings are logged
         stop = int(certain[0]) if certain.size else n
-        precision = 1.0 / squares[:stop] + 1.0 / (1.0 / information[:stop])
+        precision = 1.0 / team_squares[:stop] + 1.0 / (1.0 / information[:stop])
         sigma_t_new = np.sqrt(1.0 / precision)
         shares, lowest = member_shares(block, team_mu)
         collapsed = sigma_t_new < 1.0

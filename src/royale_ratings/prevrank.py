@@ -19,6 +19,9 @@ from .systems import MatchBlock, Posterior, RatingState, RatingSystem, row_sums
 
 __all__ = ["PreviousRankSystem", "player_prev_rank"]
 
+# mu is unused by this baseline; kept at 0 so stores stay uniform
+_NEWCOMER = PlayerRating(mu=0.0, sigma=None)
+
 
 def player_prev_rank(state: RatingState, player_id: str, team_count: int) -> float:
     """The placement this player carries into an N-team match.
@@ -41,8 +44,7 @@ class PreviousRankSystem(RatingSystem):
         return {}
 
     def initial_rating(self) -> PlayerRating:
-        # mu is unused by this baseline; kept at 0 so stores stay uniform
-        return PlayerRating(mu=0.0, sigma=None)
+        return _NEWCOMER
 
     def team_scores(self, block: MatchBlock) -> np.ndarray:
         # player_prev_rank of every member; the lowest sum should rank

@@ -34,7 +34,7 @@ from bisect import bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate
+from itertools import accumulate, compress, pairwise, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -112,20 +112,269 @@ class IngestStats:
     rejected: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
-    """The streaming pass of ``ingest``: each row, checked and parsed, joins
-    its team in its match; matches keep first-appearance order.
+# the column pass reads lines in chunks of about this many characters
+_CHUNK_CHARS = 1 << 16
+
+
+class _Unchecked(Exception):
+    """The column pass met a log it cannot check; ``ingest`` reads the file
+    again with ``csv.reader``."""
+
+
+class _Parsed(dict):
+    """text -> parse(text), each distinct text parsed once; the parser's
+    ValueError propagates."""
+
+    def __init__(self, parse: Callable[[str], Any]) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str) -> Any:
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _parse_all(parsed: _Parsed, texts: Iterable[str]) -> list[Any]:
+    try:
+        return list(map(parsed.__getitem__, texts))
+    except ValueError:
+        raise _Unchecked from None
+
+
+def _group_row(
+    grouped: dict[str, list[Any]],
+    match_id: str,
+    stamp: datetime,
+    team_id: str,
+    player_id: str,
+    placement: int,
+) -> None:
+    """Add one parsed row to its team in its match.
 
     A match is ``[stamp, teams, reason]``: the timestamp of its first row,
     team_id -> ``[placement, *members]`` in first-appearance order (one
     list per team, the fewest objects the collector has to track), and None,
     or the reason its first bad row rejects it: a timestamp that differs
     from the first row's or a placement that differs from the team's
-    first row's.  Rows after the first bad one are counted, not grouped.
+    first row's.  Rows after the first bad one are not grouped.
+    """
+    match = grouped.get(match_id)
+    if match is None:
+        grouped[match_id] = [stamp, {team_id: [placement, player_id]}, None]
+        return
+    first, teams, bad_reason = match
+    if bad_reason is not None:
+        return
+    if stamp is not first and stamp != first:
+        match[2] = (
+            f"rows carry different timestamps ({first.isoformat()} "
+            f"and {stamp.isoformat()})"
+        )
+        return
+    team = teams.get(team_id)
+    if team is None:
+        teams[team_id] = [placement, player_id]
+    elif team[0] != placement:
+        match[2] = f"team {team_id!r} has inconsistent placements"
+    else:
+        team.append(player_id)
+
+
+class _Kept:
+    """The matches one ingest pass keeps, with the counts of those it
+    reads, filters and rejects; ``commit`` hands them to an
+    ``IngestStats`` and logs each rejection once the pass has finished."""
+
+    def __init__(self, team_size: int | None) -> None:
+        self.team_size = team_size
+        self.matches: list[MatchRecord] = []
+        self.read = 0
+        self.filtered = 0
+        self.rejected: list[tuple[str, str]] = []
+
+    def add(
+        self,
+        match_id: str,
+        stamp: datetime,
+        team_ids: Sequence[str],
+        rosters: Iterable[Iterable[str]],
+        ranks: Sequence[int],
+        sizes: Iterable[int],
+    ) -> None:
+        """One match as per-team columns; ``sizes`` holds every team size
+        that occurs.  A match the ``team_size`` filter drops is not built."""
+        self.read += 1
+        size = self.team_size
+        if size is not None and any(s != size for s in sizes):
+            self.filtered += 1
+            return
+        try:
+            self.matches.append(build_match(match_id, stamp, team_ids, rosters, ranks))
+        except DomainError as exc:
+            self.rejected.append((match_id, str(exc)))
+
+    def add_grouped(
+        self,
+        match_id: str,
+        stamp: datetime,
+        teams: dict[str, list[Any]],
+        bad_reason: str | None,
+    ) -> None:
+        """One match as ``_group_row`` grouped it."""
+        if bad_reason is not None:
+            self.read += 1
+            self.rejected.append((match_id, bad_reason))
+            return
+        entries = teams.values()
+        self.add(
+            match_id,
+            stamp,
+            tuple(teams),
+            [entry[1:] for entry in entries],
+            [entry[0] for entry in entries],
+            [len(entry) - 1 for entry in entries],
+        )
+
+    def commit(self, stats: IngestStats) -> list[MatchRecord]:
+        stats.matches_read += self.read
+        stats.filtered += self.filtered
+        stats.rejected.extend(self.rejected)
+        for match_id, reason in self.rejected:
+            log.warning("rejected match %s: %s", match_id, reason)
+        # stable, equal stamps keep file order
+        self.matches.sort(key=operator.attrgetter("timestamp"))
+        return self.matches
+
+
+class _ColumnPass:
+    """The column pass of ``ingest`` over a quote-free log.
+
+    Each chunk of lines becomes the five columns in one split, the columns
+    are cut into runs of one match id, and a run whose rows share one
+    timestamp string, whose teams are contiguous and of one size, and
+    whose teams each have one placement string is built from its column
+    slices.  A run of another shape is grouped row by row by
+    ``_group_row``.  Whatever it cannot check the way the ``csv.reader``
+    pass would raises ``_Unchecked``.
+    """
+
+    def __init__(self, kept: _Kept) -> None:
+        self.kept = kept
+        self.stamps = _Parsed(parse_timestamp)
+        self.placements = _Parsed(int)
+        self.seen: set[str] = set()
+        self.rows = 0
+
+    def read(self, path: Path) -> None:
+        limit = csv.field_size_limit()
+        try:
+            with open(path, encoding="utf-8") as handle:
+                head = handle.readline()
+                if '"' in head or "\0" in head or len(head) > limit:
+                    raise _Unchecked
+                header = head.rstrip("\n").split(",")
+                # a repeated column counts at its last position, as in DictReader
+                position = {name: i for i, name in enumerate(header)}
+                if not position.keys() >= set(MATCH_LOG_COLUMNS):
+                    raise _Unchecked
+                picks = [position[c] for c in MATCH_LOG_COLUMNS]
+                carry: list[list[str]] = [[] for _ in picks]
+                while lines := handle.readlines(_CHUNK_CHARS):
+                    columns = _chunk_columns(lines, len(header), picks, limit)
+                    self.rows += len(columns[0])
+                    # the last run may go on in the next chunk
+                    columns = [old + new for old, new in zip(carry, columns)]
+                    ids, stamps, teams, players, places = columns
+                    changes = map(operator.ne, ids, ids[1:])
+                    starts = [0, *compress(range(1, len(ids)), changes)]
+                    for i, j in pairwise(starts):
+                        self.add_run(
+                            ids[i], stamps[i:j], teams[i:j], players[i:j], places[i:j]
+                        )
+                    carry = [column[starts[-1] :] for column in columns]
+                if carry[0]:
+                    self.add_run(carry[0][0], *carry[1:])
+        except UnicodeDecodeError:
+            raise _Unchecked from None
+
+    def add_run(
+        self,
+        match_id: str,
+        stamps: list[str],
+        team_ids: list[str],
+        players: list[str],
+        places: list[str],
+    ) -> None:
+        """One match's rows, in file order."""
+        if match_id in self.seen:
+            raise _Unchecked  # the match's rows are not contiguous
+        self.seen.add(match_id)
+        rows = len(team_ids)
+        size = team_ids.count(team_ids[0])
+        teams = team_ids[::size]
+        ranks = places[::size]
+        if (
+            rows == size * len(teams)
+            and stamps.count(stamps[0]) == rows
+            and len(set(teams)) == len(teams)
+            and all(
+                team_ids[j::size] == teams and places[j::size] == ranks
+                for j in range(1, size)
+            )
+        ):
+            (stamp,) = _parse_all(self.stamps, stamps[:1])
+            ranks = _parse_all(self.placements, ranks)
+            rosters = zip(*[iter(players)] * size)
+            self.kept.add(match_id, stamp, teams, rosters, ranks, (size,))
+            return
+        grouped: dict[str, list[Any]] = {}
+        for row in zip(
+            _parse_all(self.stamps, stamps),
+            team_ids,
+            players,
+            _parse_all(self.placements, places),
+        ):
+            _group_row(grouped, match_id, *row)
+        self.kept.add_grouped(match_id, *grouped[match_id])
+
+
+def _chunk_columns(
+    lines: list[str], width: int, picks: list[int], limit: int
+) -> list[list[str]]:
+    """The picked columns of a chunk of lines read with universal newlines;
+    raises ``_Unchecked`` unless the ``csv.reader`` pass would read the
+    same fields from them, none of them empty."""
+    if lines.count("\n"):
+        lines = [line for line in lines if line != "\n"]  # blank lines are skipped
+        if not lines:
+            return [[] for _ in picks]
+    text = "".join(lines)
+    if (
+        '"' in text
+        or "\0" in text
+        or (len(text) > limit and max(map(len, lines)) > limit)
+        or list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines)
+    ):
+        raise _Unchecked
+    if text[-1] != "\n":
+        text += "\n"  # a last line without one
+    fields = text.replace("\n", ",").split(",")
+    fields.pop()  # after the last line's comma
+    columns = [fields[pick::width] for pick in picks]
+    if any("" in column for column in columns):
+        raise _Unchecked
+    return columns
+
+
+def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
+    """The ``csv.reader`` pass of ``ingest``: each row, checked and parsed,
+    joins its team in its match through ``_group_row``; matches keep
+    first-appearance order.  Rows after a match's first bad one are
+    counted, not grouped.
     """
     grouped: dict[str, list[Any]] = {}
-    stamps: dict[str, datetime] = {}
-    placements: dict[str, int] = {}
+    stamps = _Parsed(parse_timestamp)
+    placements = _Parsed(int)
     rows = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -149,45 +398,21 @@ def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
                         f"{path}:{reader.line_num}: row is missing a required field"
                     )
                 match_id, ts_text, team_id, player_id, placement_text = values
-                stamp = stamps.get(ts_text)
-                if stamp is None:
-                    try:
-                        stamp = stamps[ts_text] = parse_timestamp(ts_text)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{reader.line_num}: bad timestamp {ts_text!r}"
-                        ) from None
-                placement = placements.get(placement_text)
-                if placement is None:
-                    try:
-                        placement = placements[placement_text] = int(placement_text)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{reader.line_num}: bad team_placement "
-                            f"{placement_text!r}"
-                        ) from None
+                try:
+                    stamp = stamps[ts_text]
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{reader.line_num}: bad timestamp {ts_text!r}"
+                    ) from None
+                try:
+                    placement = placements[placement_text]
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{reader.line_num}: bad team_placement "
+                        f"{placement_text!r}"
+                    ) from None
                 rows += 1
-                match = grouped.get(match_id)
-                if match is None:
-                    teams = {team_id: [placement, player_id]}
-                    grouped[match_id] = [stamp, teams, None]
-                    continue
-                first, teams, bad_reason = match
-                if bad_reason is not None:
-                    continue
-                if stamp is not first and stamp != first:
-                    match[2] = (
-                        f"rows carry different timestamps ({first.isoformat()} "
-                        f"and {stamp.isoformat()})"
-                    )
-                    continue
-                team = teams.get(team_id)
-                if team is None:
-                    teams[team_id] = [placement, player_id]
-                elif team[0] != placement:
-                    match[2] = f"team {team_id!r} has inconsistent placements"
-                else:
-                    team.append(player_id)
+                _group_row(grouped, match_id, stamp, team_id, player_id, placement)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -205,49 +430,51 @@ def ingest(
 ) -> list[MatchRecord]:
     """Read a match-log CSV into time-sorted MatchRecords.
 
-    One streaming pass reads the rows with ``csv.reader``, picks the five
-    columns at the positions the header gives them (a repeated column
-    counts at its last position; extra columns are ignored; blank lines
-    are skipped) and adds each row to its team in its match.  Each distinct
-    timestamp and placement string is parsed once per call.  Structurally
+    The rows' five columns are found at the positions the header gives
+    them (a repeated column counts at its last position; extra columns are
+    ignored; blank lines are skipped), and each distinct timestamp and
+    placement string is parsed once per call.
+
+    Every log starts on the column pass: it is read with universal
+    newlines about ``_CHUNK_CHARS`` characters at a time, each chunk is
+    split into its columns at once, and each match is built from its
+    column slices.  A double quote, a NUL (which ``csv.reader`` rejects
+    before Python 3.11), a line over the csv module's field size limit, a
+    line with another number of fields than the header, an empty field,
+    an unparsable timestamp or placement, bytes that are not UTF-8, or a
+    match whose rows are not contiguous ends that pass, and the whole file
+    is read again, row by row, with ``csv.reader``.  So quote-free logs
+    whose matches each sit in one run of rows (``synth`` writes them so)
+    take the column pass, and quoted logs give the results of their
+    unquoted twins.  Only the ``csv.reader`` pass raises: structurally
     malformed rows (missing fields, bad timestamp, non-integer placement)
     and csv-level errors (a field over the csv module's size limit, ...)
     raise a DataError naming file and line, at the first bad line in file
     order; bytes that are not UTF-8 raise a DataError naming the file.
+
     Semantically invalid matches (rows that disagree on the timestamp,
     placements not a permutation, duplicated players, placement < 1) are
     rejected with a logged diagnostic and the rest of the file is still
     used.  ``team_size``, which must be positive, keeps only matches whose
-    teams all have exactly that many players.
+    teams all have exactly that many players.  The column pass fills in
+    ``stats`` and logs the rejections only once it has read the whole
+    file, so a restart counts and logs nothing twice.
     """
     if team_size is not None and team_size < 1:
         raise DomainError(f"team_size must be positive, got {team_size}")
     path = Path(path)
     stats = stats if stats is not None else IngestStats()
-    grouped = _read_grouped(path, stats)
-
-    matches: list[MatchRecord] = []
-    for match_id, (stamp, teams, bad_reason) in grouped.items():
-        stats.matches_read += 1
-        if bad_reason is None:
-            entries = teams.values()
-            if team_size is not None and any(len(e) - 1 != team_size for e in entries):
-                stats.filtered += 1
-                continue
-            rosters = [entry[1:] for entry in entries]
-            placements = [entry[0] for entry in entries]
-            try:
-                record = build_match(match_id, stamp, tuple(teams), rosters, placements)
-            except DomainError as exc:
-                bad_reason = str(exc)
-            else:
-                matches.append(record)
-                continue
-        stats.rejected.append((match_id, bad_reason))
-        log.warning("rejected match %s: %s", match_id, bad_reason)
-
-    matches.sort(key=lambda m: m.timestamp)  # stable, equal stamps keep file order
-    return matches
+    kept = _Kept(team_size)
+    column_pass = _ColumnPass(kept)
+    try:
+        column_pass.read(path)
+    except _Unchecked:
+        kept = _Kept(team_size)
+        for match_id, match in _read_grouped(path, stats).items():
+            kept.add_grouped(match_id, *match)
+    else:
+        stats.rows += column_pass.rows
+    return kept.commit(stats)
 
 
 @dataclass(slots=True)

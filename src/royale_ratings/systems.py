@@ -52,12 +52,15 @@ raises or stays silent, so each numpy step states what it does:
 - ``predict`` sums team scores under ``np.errstate(over="raise")``; a
   sum past the largest double becomes a ``RatingsError`` naming the
   match and system, with no ``RuntimeWarning``.
-- ``update_match`` runs ``_apply`` under ``np.errstate(divide="raise")``.
-  The ``FloatingPointError``, like any ``ArithmeticError`` (overflow, a
-  Python division by zero at extreme finite parameters), becomes a
-  ``RatingsError`` naming the match.  A ``DomainError`` from ``_apply``
-  or from the posterior check (a sigma that is not positive) keeps its
-  type and text behind the same match-and-system prefix.
+- ``update_match`` runs ``_apply`` under ``np.errstate(divide="raise",
+  over="raise")``.  The ``FloatingPointError``, like any
+  ``ArithmeticError`` (a Python overflow or division by zero at extreme
+  finite parameters), becomes a ``RatingsError`` naming the match.  A
+  ``DomainError`` from ``_apply`` or from the posterior check (a sigma
+  that is not positive) keeps its type and text behind the same
+  match-and-system prefix.  Glicko and TrueSkill square each team's
+  deviation through ``squares`` before any array step, and a team whose
+  square overflows is named by ``require_finite_variances``.
 - Array steps that stand in for Python float arithmetic, which
   overflows to inf silently, ignore that flag (TrueSkill's split, the
   ``best`` cohort's conservative scores).
@@ -337,6 +340,30 @@ def _as_table(state: RatingState, match: MatchRecord) -> RatingTable:
     return RatingTable({p: state[p] for p in match.roster if p in state})
 
 
+def squares(values: list[float]) -> list[float]:
+    """Each value's ``**2``, as the scalar code squares (C ``pow``), with
+    inf where that overflows."""
+    try:
+        return [value**2 for value in values]
+    except OverflowError:
+        pass
+    out = []
+    for value in values:
+        try:
+            out.append(value**2)
+        except OverflowError:
+            out.append(math.inf)
+    return out
+
+
+def require_finite_variances(team_ids: Sequence[str], variances: list[float]) -> None:
+    """Raise a DomainError naming the first team whose variance, its
+    deviation squared, passed the largest double."""
+    if math.inf in variances:
+        team_id = team_ids[variances.index(math.inf)]
+        raise DomainError(f"team {team_id!r} deviation overflows when squared")
+
+
 def warn_uniform_weights(team_id: str, lowest: float) -> None:
     """Log a team that fell back to uniform member weights."""
     log.warning(
@@ -432,7 +459,7 @@ class RatingSystem(ABC):
         block = table.gather(match)
         ranking = self.predict(table, match, rng_seed)
         try:
-            with np.errstate(divide="raise"):
+            with np.errstate(divide="raise", over="raise"):
                 mu, sigma = self._apply(block)
             table.scatter(block, mu, sigma)
         except (ArithmeticError, DomainError) as exc:

@@ -57,7 +57,14 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .core import DomainError, PlayerRating
-from .systems import MatchBlock, Posterior, RatingSystem, member_weights
+from .systems import (
+    MatchBlock,
+    Posterior,
+    RatingSystem,
+    member_weights,
+    require_finite_variances,
+    squares,
+)
 
 __all__ = [
     "TrueSkillParams",
@@ -194,12 +201,15 @@ class TrueSkillSystem(RatingSystem):
 
     def __init__(self, params: TrueSkillParams | None = None) -> None:
         self.params = params or TrueSkillParams()
+        self._initial = PlayerRating(
+            mu=self.params.default_mu, sigma=self.params.default_sigma
+        )
 
     def params_dict(self) -> dict[str, Any]:
         return asdict(self.params)
 
     def initial_rating(self) -> PlayerRating:
-        return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
+        return self._initial
 
     def _apply(self, block: MatchBlock) -> Posterior:
         params = self.params
@@ -211,12 +221,18 @@ class TrueSkillSystem(RatingSystem):
         member_sigmas = block.sigma[block.mask].tolist()
         tau_sq = params.tau_dynamics**2
         if tau_sq > 0:
-            member_sigmas = [math.sqrt(s**2 + tau_sq) for s in member_sigmas]
+            member_sigmas = [math.sqrt(q + tau_sq) for q in squares(member_sigmas)]
         # per-team member lists, sliced from the members in record order
         spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
         member_mus = block.mu[block.mask].tolist()
         mus = [member_mus[span] for span in spans]
         sigmas = [member_sigmas[span] for span in spans]
+        # each team's member variances and their sum as it enters the chain;
+        # an infinite sum would turn the chain's sigmas to NaN
+        member_squares = squares(member_sigmas)
+        team_squares = [member_squares[span] for span in spans]
+        variances = list(map(sum, team_squares))
+        require_finite_variances(team_ids, variances)
         # a member's share of its team's mu delta is weight / total: its
         # member_weights entry over 1.0, or its variance over the team's
         weights: list[list[float]] = [[]] * n
@@ -228,12 +244,10 @@ class TrueSkillSystem(RatingSystem):
         by_rank = np.argsort(block.ranks).tolist()
         last = by_rank[-1]
         win = by_rank[0]
-        squares_w = [s**2 for s in sigmas[win]]
-        var_w = sum(squares_w)
+        squares_w, var_w = team_squares[win], variances[win]
         mu_w, sigma_w = sum(mus[win]), math.sqrt(var_w)
         for lose in by_rank[1:]:
-            squares_l = [s**2 for s in sigmas[lose]]
-            var_l = sum(squares_l)
+            squares_l, var_l = team_squares[lose], variances[lose]
             mu_l, sigma_l = sum(mus[lose]), math.sqrt(var_l)
             post_w, post_l = update_pair((mu_w, sigma_w), (mu_l, sigma_l), params)
             deltas[win] = post_w[0] - mu_w

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from royale_ratings.replay import (
 from royale_ratings.synth import SynthConfig, config_dict
 from royale_ratings.systems import SYSTEM_NAMES, make_system
 from royale_ratings.trueskill import MEMBER_SHARES
+
+GOLDEN_LOG = Path(__file__).resolve().parent / "golden" / "matches.csv"
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +325,32 @@ class TestReplayCommand:
         assert captured.err.startswith("error: match 'm")
         assert message in captured.err
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--system", "glicko", "--glicko-sigma", "1e160"],
+            ["--system", "glicko", "--glicko-sigma", "1e308"],
+            ["--system", "trueskill", "--ts-sigma", "1e154"],
+            ["--system", "trueskill", "--ts-sigma", "1e160", "--tau", "0"],
+        ],
+    )
+    def test_deviation_overflow_names_the_team(self, capsys, tmp_path, flags):
+        code, captured = run_cli(
+            capsys,
+            "replay",
+            "--input",
+            str(GOLDEN_LOG),
+            "--output-dir",
+            str(tmp_path / "run"),
+            *flags,
+        )
+        assert code == 1
+        assert re.fullmatch(
+            r"error: match 'm\d+': \w+ update failed \(team 't\d+' deviation "
+            r"overflows when squared\)\n",
+            captured.err,
+        ), captured.err
 
     def test_non_utf8_input_is_exit_one(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path, matches="2")

@@ -5,23 +5,36 @@ replaced.
 apart from its name: one ``csv.DictReader`` pass that parses every row's
 timestamp and placement, then a grouping pass.  Hypothesis writes match
 logs with reordered, repeated and extra header columns, short and long
-rows, blank lines, quoted fields holding newlines, one instant spelt
+rows, blank lines, LF, CRLF and lone-CR line ends, a last line without
+one, quoted fields holding newlines, ids holding characters that
+``str.splitlines`` splits on and a NUL, one instant or placement spelt
 several ways, interleaved and out-of-order matches and every semantic
 defect, and both readers must agree on the matches, the ``IngestStats``,
 the warnings logged (in order) and, when they raise, the ``DataError``
 message.
+
+``ingest`` reads quote-free logs in a column pass, a chunk of lines at a
+time, and starts again on the ``csv.reader`` pass at the first line it
+cannot check; every test here runs with chunks of a few lines, so
+matches cross chunk boundaries and a restart can come late.  The last
+tests check that the logs ``synth`` and the benchmark write never reach
+the ``csv.reader`` pass.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib
+import importlib.util
 import io
 import logging
+import sys
 import tempfile
 from contextlib import contextmanager
 from datetime import datetime
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +45,22 @@ from royale_ratings.replay import (
     ingest,
     parse_timestamp,
 )
+from royale_ratings.synth import SynthConfig, generate, write_match_log
 
 log = logging.getLogger("royale_ratings.replay")
+replay_module = importlib.import_module("royale_ratings.replay")
+
+ROOT = Path(__file__).resolve().parents[1]
+# characters of a line in each column-pass chunk, here and in production
+SMALL_CHUNK = 64
+FULL_CHUNK = replay_module._CHUNK_CHARS
+
+
+@pytest.fixture(autouse=True, scope="module")
+def small_chunks():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(replay_module, "_CHUNK_CHARS", SMALL_CHUNK)
+        yield
 
 
 def reference_ingest(
@@ -164,8 +191,13 @@ INSTANTS = (
 )
 BAD_STAMPS = ("not-a-time", "2020-13-01T00:00:00Z", " ")
 BAD_PLACEMENTS = ("first", "1.5", " ")
-PLAYERS = tuple("abcdefghij") + ("multi\nline", 'q"uote', "x,y")
-EXTRA_VALUES = ("", "x", "two\nlines", "three\r\nlines\n", '"', "a,b")
+# str.splitlines splits on \x0c, \x1c and \u2028; the csv module does not
+LINE_LIKE = ("\x0c", "\x1c", "\u2028")
+# the plain values are written without quotes and hold no NUL
+PLAIN_PLAYERS = tuple("abcdefghij") + tuple(f"s{mark}p" for mark in LINE_LIKE)
+PLAYERS = PLAIN_PLAYERS + ("multi\nline", 'q"uote', "x,y", "n\x00ul")
+PLAIN_EXTRA_VALUES = ("", "x")
+EXTRA_VALUES = PLAIN_EXTRA_VALUES + ("two\nlines", "three\r\nlines\n", '"', "a,b")
 
 
 def placement_text(rank: int) -> st.SearchStrategy[str]:
@@ -177,7 +209,7 @@ def one_in(n: int) -> st.SearchStrategy[bool]:
 
 
 @st.composite
-def match_rows(draw, match_id: str) -> list[dict[str, str]]:
+def match_rows(draw, match_id: str, players: tuple[str, ...]) -> list[dict[str, str]]:
     """One match's rows, by column name, perhaps with one semantic defect."""
     defect = draw(
         st.sampled_from(
@@ -194,7 +226,7 @@ def match_rows(draw, match_id: str) -> list[dict[str, str]]:
     sizes = [draw(st.integers(1, 3)) for _ in ranks]
     total = sum(sizes)
     players = draw(
-        st.lists(st.sampled_from(PLAYERS), min_size=total, max_size=total, unique=True)
+        st.lists(st.sampled_from(players), min_size=total, max_size=total, unique=True)
     )
     instant = draw(st.integers(0, len(INSTANTS) - 1))
     rows = []
@@ -239,18 +271,26 @@ def header_columns(draw) -> list[str]:
 def match_logs(draw) -> str:
     header = draw(header_columns())
     last = {name: i for i, name in enumerate(header)}
+    # half the logs are plain, so the column pass reads them to the end
+    # unless a defect or a ragged row stops it
+    plain = draw(st.booleans())
+    ragged = draw(one_in(3))
+    players = PLAIN_PLAYERS if plain else PLAYERS
+    extras = PLAIN_EXTRA_VALUES if plain else EXTRA_VALUES
     rows: list[dict[str, str]] = []
+    mark = draw(st.sampled_from(("",) + LINE_LIKE))
     for number in range(draw(st.integers(0, 5))):
-        rows.extend(draw(match_rows(f"m{number}")))
+        rows.extend(draw(match_rows(f"m{mark}{number}", players)))
     # interleave the matches' rows and move some matches before earlier ones
-    rows = draw(st.permutations(rows)) if draw(st.booleans()) else rows
+    rows = draw(st.permutations(rows)) if draw(one_in(3)) else rows
     # a structural defect in one row of some logs; the others reach the
     # semantic checks
     fault_at = draw(st.integers(0, len(rows) - 1)) if rows and draw(one_in(4)) else None
     fault = draw(st.sampled_from(("empty", "stamp", "placement", "short")))
 
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(("\n", "\r\n"))))
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    writer = csv.writer(buffer, lineterminator=ending)
     if draw(one_in(12)):
         buffer.write("\n")  # a blank first line stands where the header should
     writer.writerow(header)
@@ -264,16 +304,20 @@ def match_logs(draw) -> str:
             row["team_placement"] = draw(st.sampled_from(BAD_PLACEMENTS))
         # an earlier copy of a repeated column holds a decoy
         fields = [
-            row[name] if last[name] == i and name in row else draw(st.sampled_from(EXTRA_VALUES))
+            row[name] if last[name] == i and name in row else draw(st.sampled_from(extras))
             for i, name in enumerate(header)
         ]
         if faulty and fault == "short":
             fields = fields[: draw(st.integers(0, len(fields) - 1))]
-        fields.extend(draw(st.lists(st.sampled_from(EXTRA_VALUES), max_size=2)))
+        if ragged:
+            fields.extend(draw(st.lists(st.sampled_from(extras), max_size=2)))
         writer.writerow(fields)
         if draw(one_in(6)):
             buffer.write("\n")  # blank lines are skipped
-    return buffer.getvalue()
+    text = buffer.getvalue()
+    if text.endswith(ending) and draw(one_in(4)):
+        text = text[: -len(ending)]  # a last line without a line end
+    return text
 
 
 @contextmanager
@@ -324,3 +368,163 @@ def test_structured_logs_ingest_like_the_reference(text, team_size):
 def test_csv_noise_ingests_like_the_reference(body, team_size):
     # a valid header, so the rows reach the per-row checks
     assert_same_outcome(",".join(MATCH_LOG_COLUMNS) + "\n" + body, team_size)
+
+
+def rows_text(rows: list[str], ending: str = "\n") -> str:
+    return ending.join([",".join(MATCH_LOG_COLUMNS), *rows]) + ending
+
+
+def match_of(match_id: str, stamp: str, teams: int, size: int) -> list[str]:
+    """A valid match's rows, team t1 placed first."""
+    return [
+        f"{match_id},{stamp},t{team},{match_id}p{team}.{member},{team}"
+        for team in range(1, teams + 1)
+        for member in range(size)
+    ]
+
+
+def planted_log(count: int) -> list[str]:
+    """``count`` duo and trio matches, some rejected for each reason."""
+    rows: list[str] = []
+    for number in range(count):
+        stamp = f"2020-05-01T12:{number % 60:02d}:00Z"
+        match = match_of(f"m{number}", stamp, 3, 2 + number % 2)
+        if number % 5 == 1:  # two teams placed first
+            match[-1] = match[-1][:-1] + "1"
+            match[-2] = match[-2][:-1] + "1"
+            if number % 2:
+                match[-3] = match[-3][:-1] + "1"
+        elif number % 5 == 3:  # a team whose rows disagree on its placement
+            match[0] = match[0][:-1] + "2"
+        rows.extend(match)
+    return rows
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("team_size", [None, 2])
+def test_a_late_quote_restarts_without_counting_twice(ending, team_size):
+    # the column pass builds, filters and rejects matches for many chunks
+    # before the quote; the csv pass then reads the file from the start
+    rows = planted_log(13)
+    rows[-1] = rows[-1].replace(",m12p3.1,", ',"m12p3.1",')
+    assert_same_outcome(rows_text(rows, ending), team_size)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a match whose rows come in two runs
+        rows_text(
+            match_of("a", "2020-05-01T12:00:00Z", 2, 1)
+            + match_of("b", "2020-05-01T12:00:00Z", 2, 1)
+            + ["a,2020-05-01T12:00:00Z,t3,x,3"]
+        ),
+        # Z and +00:00, 07 and 7 inside one run
+        rows_text(
+            [
+                "m,2020-05-01T12:00:00Z,t1,a,07",
+                "m,2020-05-01T12:00:00+00:00,t1,b,7",
+                "m,2020-05-01T12:00:00Z,t2,c,+1",
+                "m,2020-05-01T12:00:00Z,t2,d,1",
+            ]
+        ),
+        # a run of one shape whose rows disagree on the instant, or whose
+        # later row has a timestamp that does not parse
+        rows_text(
+            ["m,2020-05-01T12:00:00Z,t1,a,1", "m,2020-05-01T12:00:00+00:00,t2,b,2"]
+        ),
+        rows_text(["m,2020-05-01T12:00:00Z,t1,a,1", "m,2020-05-01T13:00:00Z,t2,b,2"]),
+        rows_text(["m,2020-05-01T12:00:00Z,t1,a,1", "m,not-a-time,t2,b,2"]),
+        # teams of two sizes, and a team whose rows are not contiguous
+        rows_text(
+            [
+                "m,2020-05-01T12:00:00Z,t1,a,1",
+                "m,2020-05-01T12:00:00Z,t2,b,2",
+                "m,2020-05-01T12:00:00Z,t2,c,2",
+            ]
+        ),
+        rows_text(
+            [
+                "m,2020-05-01T12:00:00Z,t1,a,1",
+                "m,2020-05-01T12:00:00Z,t2,b,2",
+                "m,2020-05-01T12:00:00Z,t3,c,3",
+                "m,2020-05-01T12:00:00Z,t2,d,2",
+            ]
+        ),
+        # blank lines, a last line without a line end
+        "\n" + rows_text(match_of("m", "2020-05-01T12:00:00Z", 2, 2)),
+        rows_text(match_of("m", "2020-05-01T12:00:00Z", 2, 2), "\r\n\r\n").rstrip(),
+        # quoted fields the csv module reads without their quotes
+        rows_text(
+            ['m,2020-05-01T12:00:00Z,t1,"a",1', 'm,2020-05-01T12:00:00Z,t2,b,"2"']
+        ),
+        # a NUL, and ids split by str.splitlines
+        rows_text(match_of("m\x00", "2020-05-01T12:00:00Z", 2, 2)),
+        *(
+            rows_text(match_of(f"m{mark}", "2020-05-01T12:00:00Z", 3, 2))
+            for mark in LINE_LIKE
+        ),
+        # an empty field, a bad placement and a short line late in the log
+        rows_text(planted_log(6) + ["m9,2020-05-01T12:00:00Z,t1,,1"]),
+        rows_text(planted_log(6) + ["m9,2020-05-01T12:00:00Z,t1,a,first"]),
+        rows_text(planted_log(6) + ["m9,2020-05-01T12:00:00Z,t1,a"]),
+    ],
+)
+@pytest.mark.parametrize("team_size", [None, 2])
+def test_edge_logs_ingest_like_the_reference(text, team_size):
+    assert_same_outcome(text, team_size)
+
+
+def load_benchmark_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.fixture(scope="module")
+def fast_path_logs(tmp_path_factory) -> list[tuple[Path, int | None]]:
+    """A ``synth`` log and one log of each benchmark shape, planted rejects
+    included, each with the team sizes it is read with."""
+    directory = tmp_path_factory.mktemp("logs")
+    config = SynthConfig(
+        player_count=60, team_size=2, teams_per_match=6, match_count=40, seed=3
+    )
+    matches, _ = generate(config)
+    write_match_log(directory / "synth.csv", matches)
+    logs = [(directory / "synth.csv", None), (directory / "synth.csv", 2)]
+    # the same rows with LF or lone-CR line ends, blank lines, and a last
+    # line without a line end
+    lines = (directory / "synth.csv").read_text(encoding="utf-8").splitlines()
+    for name, ending in (("lf", "\n"), ("cr", "\r")):
+        spaced = "".join(
+            line + ending * (1 + (i % 7 == 3)) for i, line in enumerate(lines)
+        )
+        path = directory / f"synth-{name}.csv"
+        path.write_text(spaced.rstrip(ending), encoding="utf-8", newline="")
+        logs.append((path, None))
+    workloads = load_benchmark_workloads()
+    for name, workload in workloads.WORKLOADS.items():
+        path = workloads.ensure_log(name, 5, directory, scale=0.5) / "matches.csv"
+        logs += [(path, None), (path, workload.target_mode[0])]
+    return logs
+
+
+@pytest.mark.parametrize("chunk", [SMALL_CHUNK, FULL_CHUNK])
+def test_synth_and_benchmark_logs_take_the_column_pass(
+    fast_path_logs, monkeypatch, chunk
+):
+    expected = [outcome(reference_ingest, path, size) for path, size in fast_path_logs]
+    assert any(stats.rejected for _, _, stats, _ in expected)
+
+    def csv_pass(*args, **kwargs):
+        raise AssertionError("the csv.reader pass was reached")
+
+    monkeypatch.setattr(replay_module, "_CHUNK_CHARS", chunk)
+    monkeypatch.setattr(replay_module, "_read_grouped", csv_pass)
+    for (path, size), reference in zip(fast_path_logs, expected):
+        assert outcome(ingest, path, size) == reference, (path, size)

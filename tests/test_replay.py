@@ -233,6 +233,14 @@ class TestIngest:
     @pytest.mark.parametrize("where", ["header", "body"])
     def test_csv_field_over_the_size_limit_is_positional_error(self, tmp_path, where):
         big = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        self.check_field_limit(tmp_path, where, big)
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_unquoted_field_over_the_size_limit_is_positional_error(self, tmp_path, where):
+        self.check_field_limit(tmp_path, where, "x" * (csv.field_size_limit() + 1))
+
+    @staticmethod
+    def check_field_limit(tmp_path, where, big):
         row = "m1,2020-05-01T12:00:00Z,t1,a,1"
         if where == "header":
             path = tmp_path / "log.csv"

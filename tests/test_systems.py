@@ -19,7 +19,7 @@ from royale_ratings.core import (
 )
 from royale_ratings.elo import EloParams, EloSystem
 from royale_ratings.glicko import GlickoParams, GlickoSystem
-from royale_ratings.systems import RatingTable, make_system
+from royale_ratings.systems import SYSTEM_NAMES, RatingTable, make_system
 from royale_ratings.trueskill import TrueSkillParams, TrueSkillSystem
 
 from conftest import BASE_TIME, quick_match
@@ -152,6 +152,35 @@ def test_update_domain_error_names_the_match(winner, loser, message):
     with pytest.raises(DomainError, match=expected):
         system.update_match(state, match, 0)
     assert state == before
+
+
+@pytest.mark.parametrize("name", ["glicko", "trueskill"])
+@pytest.mark.parametrize("sigma", [1e160, 1e308])
+def test_deviation_overflow_names_the_team(name, sigma):
+    # one member of the second team in record order carries a deviation
+    # whose square passes the largest double; no RuntimeWarning may escape
+    system = make_system(name)
+    match = quick_match([2, 1, 3], team_size=2, match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    state["t2_p2"] = replace(state["t2_p2"], sigma=sigma)
+    before = dict(state)
+    expected = (
+        f"match 'm7': {name} update failed "
+        r"\(team 't2' deviation overflows when squared\)$"
+    )
+    with pytest.raises(DomainError, match=expected):
+        system.update_match(state, match, 0)
+    assert state == before
+
+
+@pytest.mark.parametrize("name", SYSTEM_NAMES)
+def test_initial_rating_is_built_once(name):
+    system = make_system(name)
+    rating = system.initial_rating()
+    assert system.initial_rating() is rating
+    params = system.params_dict()
+    mu = params.get("default_rating", params.get("default_mu", 0.0))
+    assert rating == PlayerRating(mu=mu, sigma=params.get("default_sigma"))
 
 
 FLOAT_PARAMS = [
