@@ -5,15 +5,21 @@ Ranks are team placements: 1 is the winner, N is the last team out of N.
 All rating math is double precision.
 
 A ``TeamEntry`` is a named tuple (team_id, members, observed_rank),
-checked when it is built by name.  A ``MatchRecord`` derives its layout
-from its teams once, when it is built: ``team_ids``, ``ranks`` and
-``sizes`` per team, in record order, and ``roster``, every player id with
-each team's members in a row.  Prediction, the update, the metrics and
-the writers read these tuples and never walk the teams.  The layout
-fields take no part in ``==`` or ``repr``, and ``dataclasses.replace``
-derives them again.  ``build_match`` builds a record from per-team
-columns with one check of the whole match, and falls back to the
-checked constructors, for their error text, only when that check fails.
+checked when it is built by name.  A ``MatchRecord`` stores its teams as
+its layout: ``team_ids``, ``ranks`` and ``sizes`` per team, in record
+order, and ``roster``, every player id with each team's members in a
+row.  Prediction, the update, the metrics and the writers read these
+tuples and never walk the teams.  ``teams`` is still a field, compared,
+shown in ``repr`` and taken by ``dataclasses.replace``, but its tuple of
+``TeamEntry`` is built from the layout each time it is read.  A record
+keeps no per-team object because CPython's collector never untracks a
+tuple subclass: one ``TeamEntry`` per team of a long log would stay in
+every full collection for the life of the run, while the layout's plain
+tuples of strings and ints are untracked at the first collection.  The
+layout fields take no part in ``==`` or ``repr``.  ``build_match``
+builds a record from per-team columns with one check of the whole match,
+and falls back to the checked constructors, for their error text, only
+when that check fails.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import chain, compress, pairwise, repeat
+from itertools import accumulate, chain, compress, pairwise, repeat
 from operator import ne
 from typing import Iterable, NamedTuple, Sequence
 
@@ -97,8 +103,8 @@ class _TeamFields(NamedTuple):
 class TeamEntry(_TeamFields):
     """One team's roster and observed placement within a single match.
 
-    A named tuple, checked when built by name; ``build_match`` makes its
-    teams with ``tuple.__new__`` after checking the whole match at once.
+    A named tuple, checked when built by name; a ``MatchRecord`` builds its
+    teams with ``tuple.__new__`` from its layout, checked as a whole.
     """
 
     __slots__ = ()
@@ -126,37 +132,60 @@ class TeamEntry(_TeamFields):
         return cls(*iterable)
 
 
-@dataclass(frozen=True, slots=True)
+class _Teams:
+    """The ``teams`` field of a ``MatchRecord``: the teams given are stored
+    as the record's layout, and each read builds them from it."""
+
+    def __get__(
+        self, record: "MatchRecord | None", owner: type | None = None
+    ) -> tuple[TeamEntry, ...]:
+        if record is None:
+            raise AttributeError("teams")  # the field has no default
+        roster, sizes = record.roster, record.sizes
+        spans = map(slice, accumulate(sizes, initial=0), accumulate(sizes))
+        members = map(roster.__getitem__, spans)
+        return tuple(
+            map(tuple.__new__, repeat(TeamEntry), zip(record.team_ids, members, record.ranks))
+        )
+
+    def __set__(self, record: "MatchRecord", teams: Iterable[TeamEntry]) -> None:
+        teams = tuple(teams)
+        team_ids, rosters, ranks = zip(*teams) if teams else ((), (), ())
+        record._set_layout(
+            team_ids, ranks, tuple(map(len, rosters)), tuple(chain.from_iterable(rosters))
+        )
+
+
+@dataclass(frozen=True)
 class MatchRecord:
     """A completed match: at least two teams whose observed placements form
     a permutation of 1..N and whose rosters are disjoint.
 
-    The layout every per-match step reads is derived from ``teams`` once,
-    when the record is built: ``team_ids``, ``ranks`` (observed
+    The record stores its layout, ``team_ids``, ``ranks`` (observed
     placements) and ``sizes`` per team in record order, and ``roster``,
-    every player id with each team's members in a row.
+    every player id with each team's members in a row.  ``teams`` is
+    built from it on each read.
     """
 
     match_id: str
     timestamp: datetime
-    teams: tuple[TeamEntry, ...]
+    teams: tuple[TeamEntry, ...] = _Teams()
     team_ids: tuple[str, ...] = field(init=False, compare=False, repr=False)
     ranks: tuple[int, ...] = field(init=False, compare=False, repr=False)
     sizes: tuple[int, ...] = field(init=False, compare=False, repr=False)
     roster: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.teams)
+        team_ids, ranks, roster = self.team_ids, self.ranks, self.roster
+        n = len(team_ids)
         if n < 2:
             raise DomainError(f"match {self.match_id!r} needs >= 2 teams, got {n}")
-        team_ids, rosters, ranks = zip(*self.teams)
         if len(set(team_ids)) != n:
             raise DomainError(f"match {self.match_id!r} repeats a team_id")
         if sorted(ranks) != list(range(1, n + 1)):
             raise DomainError(
                 f"match {self.match_id!r} placements are not a permutation of 1..{n}"
             )
-        roster = tuple(chain.from_iterable(rosters))
         if len(set(roster)) != len(roster):
             seen: set[str] = set()
             for player in roster:
@@ -165,7 +194,6 @@ class MatchRecord:
                         f"match {self.match_id!r}: player {player!r} appears in two teams"
                     )
                 seen.add(player)
-        self._set_layout(team_ids, ranks, tuple(map(len, rosters)), roster)
 
     def _set_layout(
         self,
@@ -226,14 +254,8 @@ def build_match(
         and sorted(ranks) == list(range(1, n + 1))
     ):
         record = object.__new__(MatchRecord)
-        set_field = object.__setattr__
-        set_field(record, "match_id", match_id)
-        set_field(record, "timestamp", timestamp)
-        set_field(
-            record,
-            "teams",
-            tuple(map(tuple.__new__, repeat(TeamEntry), zip(team_ids, rosters, ranks))),
-        )
+        object.__setattr__(record, "match_id", match_id)
+        object.__setattr__(record, "timestamp", timestamp)
         record._set_layout(team_ids, ranks, tuple(map(len, rosters)), roster)
         return record
     return MatchRecord(

@@ -28,6 +28,11 @@ in index order: a cumulative sum over the squares with the team's own
 entry zeroed, which rounds like the scalar loop (total minus own would
 not).  The squares themselves stay Python ``**``.
 
+Squared deviations that are each finite can still overflow when they
+are added: a pair of team squares in the kernel, or a team's opponents'
+squares in its RMS.  The update then raises a DomainError naming the
+first such pair of teams, or the team, before any warning is logged.
+
 When E rounds to exactly 0 or 1 the information term q^2 g^2 E (1 - E)
 is 0 and d^2 is undefined: the update raises a RatingsError naming the
 first such team instead of dividing by zero, after logging the warnings
@@ -36,9 +41,11 @@ of the teams before it.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import asdict, dataclass
+from itertools import combinations
 from typing import Any, Sequence
 
 import numpy as np
@@ -139,6 +146,20 @@ def win_probabilities(
     return pooled
 
 
+def _require_finite_pair_sums(team_ids: Sequence[str], team_squares: list[float]) -> None:
+    """Raise a DomainError naming the first pair of teams, in index order,
+    whose squared deviations, each finite, sum past the largest double:
+    the pairwise kernel pools every pair's deviations."""
+    if sum(heapq.nlargest(2, team_squares)) < math.inf:
+        return
+    for i, j in combinations(range(len(team_squares)), 2):
+        if team_squares[i] + team_squares[j] == math.inf:
+            raise DomainError(
+                f"teams {team_ids[i]!r} and {team_ids[j]!r} deviations "
+                "overflow when combined"
+            )
+
+
 class GlickoSystem(RatingSystem):
     name = "glicko"
 
@@ -165,13 +186,23 @@ class GlickoSystem(RatingSystem):
         # Python's ** rounds some squares differently from numpy's x*x
         team_squares = squares(team_sigma.tolist())
         require_finite_variances(team_ids, team_squares)
+        _require_finite_pair_sums(team_ids, team_squares)
         team_squares = np.array(team_squares)
         pooled = win_probabilities(team_mu, team_sigma, self.params)
         residual = normalized_results(block) - pooled
         # row i holds the other teams' squares in index order, 0 at i
         others = np.tile(team_squares, (n, 1))
         np.fill_diagonal(others, 0.0)
-        opp_rms = np.sqrt(row_sums(others) / (n - 1))
+        # a sum past the largest double is named here
+        with np.errstate(over="ignore"):
+            opponent_squares = row_sums(others)
+        overflows = np.isinf(opponent_squares)
+        if overflows.any():
+            team_id = team_ids[int(overflows.argmax())]
+            raise DomainError(
+                f"team {team_id!r} opponents' deviations overflow when combined"
+            )
+        opp_rms = np.sqrt(opponent_squares / (n - 1))
         # g_weight(opp_rms, q) of every team
         g_opp = 1.0 / np.sqrt(1.0 + 3.0 * q * q * opp_rms * opp_rms / math.pi**2)
         information = q * q * g_opp * g_opp * pooled * (1.0 - pooled)

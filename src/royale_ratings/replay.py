@@ -31,12 +31,12 @@ import math
 import operator
 import random
 from bisect import bisect_right
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate, compress, pairwise, repeat
+from itertools import accumulate, chain, compress, pairwise, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -578,12 +578,49 @@ class MatchReport:
     new_player_fraction: float
 
 
+class _PlayerMatches(Mapping[str, list[int]]):
+    """Read-only map of each player, in first-appearance order, to the
+    chronological positions (indices into ``reports``) of their matches.
+
+    It holds the replay's member rows, not one list per player: the first
+    lookup sorts the rows once (a stable argsort), and each lookup builds
+    that player's list from the sorted positions.
+    """
+
+    def __init__(self, players: dict[str, int], rows: np.ndarray, ends: np.ndarray) -> None:
+        self._players = players  # id -> row, rows numbered in first-appearance order
+        self._rows = rows  # every member's row, match after match
+        self._ends = ends  # where each match's members end in rows
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self._players)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._players)
+
+    def __getitem__(self, player_id: str) -> list[int]:
+        row = self._players[player_id]
+        if self._sorted is None:
+            # members grouped by row; a stable sort keeps each row's
+            # members, and so its matches, in chronological order
+            order = np.argsort(self._rows, kind="stable")
+            positions = np.searchsorted(self._ends, order, side="right")
+            counts = np.bincount(self._rows, minlength=len(self._players))
+            self._sorted = positions, np.concatenate(([0], np.cumsum(counts)))
+        positions, bounds = self._sorted
+        return positions[bounds[row] : bounds[row + 1]].tolist()
+
+    def __repr__(self) -> str:
+        return f"_PlayerMatches({dict(self)!r})"
+
+
 @dataclass(slots=True)
 class ReplayResult:
     store: RatingStore
     reports: list[MatchReport]
     # chronological positions (indices into reports) of each player's matches
-    player_match_index: dict[str, list[int]]
+    player_match_index: Mapping[str, list[int]]
 
 
 def replay(
@@ -598,16 +635,31 @@ def replay(
     The caller provides matches already time-sorted (``ingest`` does).
     Per-match tie-break seeds are drawn from ``random.Random(seed)``, so
     the whole replay is reproducible from (matches, system, seed).
+
+    One pass before the loop compiles the stream: every player gets a
+    table row in first-appearance order, all rows are inserted at once
+    with the system's initial rating (one ``initial_rating()`` call per
+    player), and every member's row goes into one flat array.  A match's
+    new players are the rows past the highest one seen before it.  The
+    loop hands each match its slice of that array, so it looks up no
+    player by id.  ``player_match_index`` is a read-only mapping over the
+    same array.
     """
-    rng = random.Random(seed)
+    members = list(chain.from_iterable(match.roster for match in matches))
+    players = {player: row for row, player in enumerate(dict.fromkeys(members))}
+    rows = np.fromiter(map(players.__getitem__, members), np.intp, len(members))
+    ends = np.cumsum([len(match.roster) for match in matches], dtype=np.intp)
+    # rows are numbered in first-appearance order, so the players seen by
+    # the end of a match are its highest row so far, plus one
+    seen = np.maximum.accumulate(rows)[ends - 1] + 1
+    new_players = np.diff(seen, prepend=0).tolist()
     state = RatingTable()
+    state.insert(list(players), [system.initial_rating() for _ in players])
+    rng = random.Random(seed)
     reports: list[MatchReport] = []
-    player_matches: dict[str, list[int]] = defaultdict(list)
-    for index, match in enumerate(matches):
-        players = match.roster
-        unseen = state.missing(players)
-        if unseen:
-            state.insert(unseen, [system.initial_rating() for _ in unseen])
+    bounds = [0, *ends.tolist()]
+    for match, start, end, new in zip(matches, bounds, bounds[1:], new_players):
+        state.gather(match, rows[start:end])
         match_seed = rng.randrange(2**63)
         ranking = system.update_match(state, match, match_seed)
         pairs = rank_pairs(ranking, match)
@@ -616,11 +668,9 @@ def replay(
                 match=match,
                 ranking=ranking,
                 metrics=score_match(pairs, position_index=position_index),
-                new_player_fraction=len(unseen) / len(players),
+                new_player_fraction=new / (end - start),
             )
         )
-        for player in players:
-            player_matches[player].append(index)
     store = RatingStore(
         system=system.name,
         params=system.params_dict(),
@@ -629,7 +679,9 @@ def replay(
         ratings=state,
     )
     return ReplayResult(
-        store=store, reports=reports, player_match_index=dict(player_matches)
+        store=store,
+        reports=reports,
+        player_match_index=_PlayerMatches(players, rows, ends),
     )
 
 
@@ -770,11 +822,10 @@ def _game_indexed_trend(
     if not cohort:
         log.warning("set-up %s: empty cohort, trend is empty", setup)
         return ExperimentTrend(setup, params, points)
+    games = [(pid, result.player_match_index[pid]) for pid in cohort]
     for game in range(1, params["horizon"] + 1):
         contributions = [
-            (pid, result.player_match_index[pid][game - 1])
-            for pid in cohort
-            if len(result.player_match_index[pid]) >= game
+            (pid, indices[game - 1]) for pid, indices in games if len(indices) >= game
         ]
         if not contributions:
             log.warning(

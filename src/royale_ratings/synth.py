@@ -18,6 +18,7 @@ import csv
 import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -109,17 +110,17 @@ def generate(config: SynthConfig) -> tuple[list[MatchRecord], dict[str, float]]:
 
 
 def write_match_log(path: str | Path, matches: list[MatchRecord]) -> None:
-    """Write matches in the flat match-log layout, one row per player."""
+    """Write matches in the flat match-log layout, one row per player,
+    from each match's layout."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(MATCH_LOG_COLUMNS)
         for match in matches:
-            stamp = format_timestamp(match.timestamp)
-            for team in match.teams:
-                for player in team.members:
-                    writer.writerow(
-                        [match.match_id, stamp, team.team_id, player, team.observed_rank]
-                    )
+            sizes = match.sizes
+            team_ids = chain.from_iterable(map(repeat, match.team_ids, sizes))
+            ranks = chain.from_iterable(map(repeat, match.ranks, sizes))
+            first = repeat(match.match_id), repeat(format_timestamp(match.timestamp))
+            writer.writerows(zip(*first, team_ids, match.roster, ranks))
 
 
 def write_latent_skills(path: str | Path, skills: dict[str, float]) -> None:

@@ -16,21 +16,27 @@ PlayerRating]``: ``table[p]`` builds a validated view and ``table[p] =
 rating`` writes one row, so stores, cohort selection and library callers
 see the familiar mapping.  The per-match path never builds a view.
 
-A match's new players get their rows in one ``RatingTable.insert``,
-which grows the columns in the same steps as one ``table[p] = rating``
-at a time.  Per match, ``RatingTable.gather`` copies the members' rows
-once into a ``MatchBlock``, reading the match's layout (``roster``,
-``sizes``, ``ranks``; see ``core``): (teams x width) matrices in record
-order, a member's position in its team as its column, zero where a team
-is narrower than the widest.  ``predict`` ranks ``team_scores(block)``;
-``_apply(block)`` is a pure function returning the posterior ``(mu,
-sigma)`` matrices of the same shape, ``sigma`` None for systems that
-carry none.  Then ``RatingTable.scatter`` checks every posterior at once
-(mu finite, sigma > 0, with ``PlayerRating``'s error text) and only then
-writes mu, sigma, ``games + 1`` and the team placement as the last rank
-in one scatter, so an update that raises (a certain Glicko outcome, an
-invalid posterior) leaves state exactly as it was.  The table keeps the last block until
-its next write, so ``predict`` and ``_apply`` share one gather.
+``RatingTable.insert`` adds many rows at once and grows the columns in
+the same steps as one ``table[p] = rating`` at a time; ``replay``
+inserts every player of its log in one call before its loop.  Per
+match, ``RatingTable.gather`` copies the members' rows once into a
+``MatchBlock``, reading the match's layout (``roster``, ``sizes``,
+``ranks``; see ``core``): (teams x width) matrices in record order, a
+member's position in its team as its column, zero where a team is
+narrower than the widest.  ``gather`` looks the members' rows up by id,
+or takes them precompiled (``replay`` hands each match its slice of one
+array of member rows); the read-only ``sizes`` and ``mask`` of a block
+are built once per distinct team-size tuple and kept by the table.
+``predict`` ranks ``team_scores(block)``; ``_apply(block)`` is a pure
+function returning the posterior ``(mu, sigma)`` matrices of the same
+shape, ``sigma`` None for systems that carry none.  Then
+``RatingTable.scatter`` checks every posterior at once (mu finite,
+sigma > 0, with ``PlayerRating``'s error text) and only then writes mu,
+sigma, ``games + 1`` and the team placement as the last rank in one
+scatter, so an update that raises (a certain Glicko outcome, an invalid
+posterior) leaves state exactly as it was.  The table keeps the last
+block until its next write, so ``predict`` and ``_apply`` share one
+gather.
 
 A plain dict of ``PlayerRating`` is accepted too: the update runs on a
 table of the match's members and is written back to the dict only after
@@ -53,14 +59,23 @@ raises or stays silent, so each numpy step states what it does:
   sum past the largest double becomes a ``RatingsError`` naming the
   match and system, with no ``RuntimeWarning``.
 - ``update_match`` runs ``_apply`` under ``np.errstate(divide="raise",
-  over="raise")``.  The ``FloatingPointError``, like any
+  over="raise", invalid="raise")``.  The ``FloatingPointError``, like any
   ``ArithmeticError`` (a Python overflow or division by zero at extreme
   finite parameters), becomes a ``RatingsError`` naming the match.  A
   ``DomainError`` from ``_apply`` or from the posterior check (a sigma
   that is not positive) keeps its type and text behind the same
   match-and-system prefix.  Glicko and TrueSkill square each team's
   deviation through ``squares`` before any array step, and a team whose
-  square overflows is named by ``require_finite_variances``.
+  square overflows is named by ``require_finite_variances``.  Squares
+  that are each finite but overflow when added (Glicko's pairwise
+  kernel and opponent RMS, TrueSkill's c^2) name the pair of teams, or
+  the team, instead.
+- A posterior equal to the prior although the prediction missed the
+  observed order means every change was lost to rounding (a delta
+  absorbed by a huge rating, or one that underflowed); ``update_match``
+  raises a ``DomainError`` for it rather than report an upset that moved
+  nothing.  A system whose beliefs never change (prevrank) returns the
+  prior ``block.mu`` itself and is exempt.
 - Array steps that stand in for Python float arithmetic, which
   overflows to inf silently, ignore that flag (TrueSkill's split, the
   ``best`` cohort's conservative scores).
@@ -124,6 +139,9 @@ SYSTEM_NAMES = ("elo", "glicko", "trueskill", "prevrank")
 
 _COLUMNS = ("_mu", "_sigma", "_games", "_last_rank")
 
+# distinct team-size tuples whose block shape a table keeps
+_SHAPES_KEPT = 256
+
 
 def row_sums(matrix: np.ndarray) -> np.ndarray:
     """Each row's sum, added left to right like Python's ``sum``."""
@@ -164,6 +182,7 @@ class RatingTable(MutableMapping[str, PlayerRating]):
         self._games = np.zeros(0, dtype=np.int64)
         self._last_rank = np.zeros(0, dtype=np.int64)
         self._block: MatchBlock | None = None
+        self._shapes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         if ratings:
             self.insert(list(ratings), list(ratings.values()))
 
@@ -250,24 +269,39 @@ class RatingTable(MutableMapping[str, PlayerRating]):
                 self._rows[later] = index - 1
         self._block = None
 
-    def gather(self, match: MatchRecord) -> MatchBlock:
+    def _shape(self, team_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ``sizes`` and ``mask`` of a block whose teams have
+        these sizes, built once per distinct sizes tuple."""
+        shape = self._shapes.get(team_sizes)
+        if shape is None:
+            if len(self._shapes) == _SHAPES_KEPT:
+                self._shapes.clear()  # a log of many mixed shapes
+            sizes = np.array(team_sizes)
+            mask = np.arange(max(team_sizes)) < sizes[:, None]
+            sizes.flags.writeable = mask.flags.writeable = False
+            shape = self._shapes[team_sizes] = sizes, mask
+        return shape
+
+    def gather(self, match: MatchRecord, rows: np.ndarray | None = None) -> MatchBlock:
         """The match's member rows as a ``MatchBlock``; raises
-        ``MissingStateError`` when a member has no row."""
+        ``MissingStateError`` when a member has no row.  A caller that
+        holds the members' table rows, in roster order, passes them as
+        ``rows`` and spares the lookup by id."""
         if self._block is not None and self._block.match is match:
             return self._block
-        roster = match.roster
-        try:
-            rows = np.fromiter(
-                map(self._rows.__getitem__, roster), np.intp, len(roster)
-            )
-        except KeyError:
-            missing = self.missing(roster)
-            raise MissingStateError(
-                f"match {match.match_id!r}: no rating entry for "
-                f"{len(missing)} player(s), first {missing[0]!r}"
-            ) from None
-        sizes = np.array(match.sizes)
-        mask = np.arange(max(match.sizes)) < sizes[:, None]
+        if rows is None:
+            roster = match.roster
+            try:
+                rows = np.fromiter(
+                    map(self._rows.__getitem__, roster), np.intp, len(roster)
+                )
+            except KeyError:
+                missing = self.missing(roster)
+                raise MissingStateError(
+                    f"match {match.match_id!r}: no rating entry for "
+                    f"{len(missing)} player(s), first {missing[0]!r}"
+                ) from None
+        sizes, mask = self._shape(match.sizes)
 
         def matrix(column: np.ndarray) -> np.ndarray:
             out = np.zeros(mask.shape, column.dtype)
@@ -425,7 +459,8 @@ class RatingSystem(ABC):
     @abstractmethod
     def _apply(self, block: MatchBlock) -> Posterior:
         """Posterior (mu, sigma) matrices of every member, from the
-        pre-match block; reads and writes no state."""
+        pre-match block; reads and writes no state.  A system whose
+        beliefs never change returns ``block.mu`` itself."""
 
     @abstractmethod
     def params_dict(self) -> dict[str, Any]:
@@ -459,8 +494,13 @@ class RatingSystem(ABC):
         block = table.gather(match)
         ranking = self.predict(table, match, rng_seed)
         try:
-            with np.errstate(divide="raise", over="raise"):
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
                 mu, sigma = self._apply(block)
+            if mu is not block.mu and _missed_yet_unmoved(block, mu, sigma, ranking):
+                raise DomainError(
+                    "the prediction missed the observed order, yet every rating "
+                    "change is lost to rounding"
+                )
             table.scatter(block, mu, sigma)
         except (ArithmeticError, DomainError) as exc:
             kind = DomainError if isinstance(exc, DomainError) else RatingsError
@@ -471,6 +511,20 @@ class RatingSystem(ABC):
             for player in match.roster:
                 state[player] = table[player]
         return ranking
+
+
+def _missed_yet_unmoved(
+    block: MatchBlock, mu: np.ndarray, sigma: np.ndarray | None, ranking: PredictedRanking
+) -> bool:
+    """Whether a posterior equals the prior although the prediction missed
+    the observed order, so the update computed a change that rounding
+    (absorption into a large rating, or underflow) lost entirely."""
+    if not np.array_equal(mu, block.mu):
+        return False
+    if sigma is not None and not np.array_equal(sigma, block.sigma):
+        return False
+    team_ids = block.match.team_ids
+    return list(ranking.order) != [team_ids[i] for i in np.argsort(block.ranks).tolist()]
 
 
 def make_system(name: str, **overrides: Any) -> RatingSystem:

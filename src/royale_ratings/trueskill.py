@@ -167,7 +167,8 @@ def update_pair(
     The beliefs may be single players or whole-team aggregates
     (mu = sum of member mus, sigma = sqrt of summed member variances).
     Dynamics noise is not added here; callers inflate variances first.
-    Returns the posterior (mu, sigma) pairs, winner first.  Below
+    Returns the posterior (mu, sigma) pairs, winner first.  Raises
+    OverflowError when c^2 passes the largest double.  Below
     x = -40 the sigma factor 1 - (sigma^2/c^2) w is formed without its
     subtraction, so it stays positive where w rounds to 1.
     """
@@ -176,6 +177,9 @@ def update_pair(
     if not sigma_w > 0 or not sigma_l > 0:
         raise DomainError("sigmas must be positive")
     c_sq = 2.0 * params.beta**2 + sigma_w**2 + sigma_l**2
+    if c_sq == math.inf:
+        # x and both corrections would be 0: the priors come back unchanged
+        raise OverflowError("c^2 = 2 beta^2 + sigma_w^2 + sigma_l^2 overflows")
     c = math.sqrt(c_sq)
     x = (mu_w - mu_l) / c
     v, w, slack = _moments(x)
@@ -249,7 +253,13 @@ class TrueSkillSystem(RatingSystem):
         for lose in by_rank[1:]:
             squares_l, var_l = team_squares[lose], variances[lose]
             mu_l, sigma_l = sum(mus[lose]), math.sqrt(var_l)
-            post_w, post_l = update_pair((mu_w, sigma_w), (mu_l, sigma_l), params)
+            try:
+                post_w, post_l = update_pair((mu_w, sigma_w), (mu_l, sigma_l), params)
+            except OverflowError:
+                raise DomainError(
+                    f"teams {team_ids[win]!r} and {team_ids[lose]!r} deviations "
+                    "overflow when combined"
+                ) from None
             deltas[win] = post_w[0] - mu_w
             shrinks[win] = post_w[1] / sigma_w
             delta = deltas[lose] = post_l[0] - mu_l

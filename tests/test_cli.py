@@ -352,6 +352,31 @@ class TestReplayCommand:
             captured.err,
         ), captured.err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--system", "glicko", "--glicko-sigma", "1e154"],
+            ["--system", "trueskill", "--ts-sigma", "1e154"],
+        ],
+    )
+    def test_combined_deviation_overflow_names_the_teams(self, capsys, tmp_path, flags):
+        # solo teams: every square is finite, a pair's sum is not
+        log = tmp_path / "solo" / "matches.csv"
+        run_json(
+            capsys, "synth", "--players", "12", "--team-size", "1", "--teams", "6",
+            "--matches", "5", "--seed", "3", "--output-dir", str(log.parent),
+        )
+        run = tmp_path / "run"
+        code, captured = run_cli(
+            capsys, "replay", "--input", str(log), "--output-dir", str(run), *flags
+        )
+        assert code == 1
+        assert re.fullmatch(
+            r"error: match 'm000001': \w+ update failed \(teams 't\d+' and 't\d+' "
+            r"deviations overflow when combined\)\n",
+            captured.err,
+        ), captured.err
+
     def test_non_utf8_input_is_exit_one(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path, matches="2")
         log.write_bytes(log.read_bytes().replace(b"p", b"\xff", 1))

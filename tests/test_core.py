@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -15,6 +16,7 @@ from royale_ratings.core import (
     PlayerRating,
     PredictedRanking,
     TeamEntry,
+    build_match,
     normalized_result,
     rank_teams_by_score,
 )
@@ -190,3 +192,56 @@ class TestDomainTypes:
     def test_predicted_ranking_ranks(self):
         ranking = PredictedRanking(order=("b", "a"), tie_groups=(), seed_used=0)
         assert ranking.rank_of("a") == 2
+
+
+class TestStoredLayout:
+    """A record stores its layout; ``teams`` is built from it on read."""
+
+    STAMP = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    ENTRIES = (
+        TeamEntry(team_id="t1", members=("a", "b"), observed_rank=2),
+        TeamEntry(team_id="t2", members=("c",), observed_rank=1),
+        TeamEntry(team_id="t3", members=("d", "e", "f"), observed_rank=3),
+    )
+
+    def built(self):
+        team_ids, rosters, ranks = zip(*self.ENTRIES)
+        return build_match("m1", self.STAMP, team_ids, rosters, ranks)
+
+    def checked(self):
+        return MatchRecord(match_id="m1", timestamp=self.STAMP, teams=self.ENTRIES)
+
+    def test_built_and_checked_records_are_one_value(self):
+        built, checked = self.built(), self.checked()
+        assert built == checked
+        assert hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+        assert built != replace(checked, teams=self.ENTRIES[::-1])
+
+    def test_teams_are_the_entries_given(self):
+        for record in (self.built(), self.checked()):
+            assert record.teams == self.ENTRIES
+            assert [type(team) for team in record.teams] == [TeamEntry] * 3
+            assert record.team_ids == ("t1", "t2", "t3")
+            assert record.ranks == (2, 1, 3)
+            assert record.sizes == (2, 1, 3)
+            assert record.roster == ("a", "b", "c", "d", "e", "f")
+
+    def test_replace_round_trips(self):
+        record = self.built()
+        renamed = replace(record, match_id="m2")
+        assert renamed.match_id == "m2" and renamed.teams == self.ENTRIES
+        assert replace(renamed, match_id="m1") == record
+        reordered = replace(record, teams=record.teams[::-1])
+        assert reordered.team_ids == ("t3", "t2", "t1")
+        assert reordered.roster == ("d", "e", "f", "c", "a", "b")
+        assert replace(reordered, teams=self.ENTRIES) == record
+        with pytest.raises(DomainError, match="appears in two teams"):
+            replace(record, teams=self.ENTRIES + (TeamEntry("t4", ("a",), 4),))
+
+    def test_teams_cannot_be_assigned(self):
+        record = self.built()
+        with pytest.raises(AttributeError):
+            record.teams = self.ENTRIES[:2]
+        assert record.team_ids == ("t1", "t2", "t3")
+

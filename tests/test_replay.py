@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import logging
 import math
 from datetime import datetime, timedelta, timezone
@@ -33,7 +34,7 @@ from royale_ratings.replay import (
     write_match_metrics_csv,
     write_trend_csv,
 )
-from royale_ratings.synth import SynthConfig, generate
+from royale_ratings.synth import SynthConfig, generate, write_match_log
 from royale_ratings.systems import RatingTable
 
 from conftest import BASE_TIME
@@ -266,6 +267,26 @@ class TestIngest:
         path.write_bytes(data)
         with pytest.raises(DataError, match=r"log\.csv: not UTF-8 text"):
             ingest(path)
+
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["column-pass", "csv-reader"])
+    def test_keeps_no_object_per_team(self, tmp_path, quoted):
+        # a record stores its layout as plain tuples of strings and ints,
+        # which the collector untracks; one object per team would stay
+        # tracked for the life of the matches
+        config = SynthConfig(
+            player_count=300, team_size=1, teams_per_match=100, match_count=40
+        )
+        path = tmp_path / "log.csv"
+        write_match_log(path, generate(config)[0])
+        if quoted:  # a quote sends the log through the csv.reader pass
+            path.write_text(path.read_text().replace(",t01,", ',"t01",'))
+        gc.collect()
+        before = len(gc.get_objects())
+        matches = ingest(path)
+        gc.collect()
+        assert len(matches) == 40
+        assert len(gc.get_objects()) - before <= 2 * len(matches) + 50
 
 
 def synth_matches(match_count=20, **overrides):

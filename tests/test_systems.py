@@ -173,6 +173,33 @@ def test_deviation_overflow_names_the_team(name, sigma):
     assert state == before
 
 
+@pytest.mark.parametrize(
+    "name, sigma, teams, pair",
+    [
+        # squares of 1e308 are finite, but two of them sum past the
+        # largest double: in Glicko's pairwise kernel, and in TrueSkill's
+        # c^2, where the pair update used to return both priors unchanged
+        ("glicko", 1e154, 3, "teams 't1' and 't2'"),
+        ("trueskill", 1e154, 3, "teams 't2' and 't1'"),
+        # no two squares of 0.4 * the largest double overflow, but the
+        # three opponents of a team in Glicko's aggregate do
+        ("glicko", 8.5e153, 4, "team 't1' opponents'"),
+    ],
+)
+def test_combined_deviation_overflow_names_the_teams(name, sigma, teams, pair):
+    system = make_system(name, default_sigma=sigma)
+    match = quick_match([2, 1, *range(3, teams + 1)], match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    before = dict(state)
+    expected = (
+        f"match 'm7': {name} update failed "
+        rf"\({pair} deviations overflow when combined\)$"
+    )
+    with pytest.raises(DomainError, match=expected):
+        system.update_match(state, match, 0)
+    assert state == before
+
+
 @pytest.mark.parametrize("name", SYSTEM_NAMES)
 def test_initial_rating_is_built_once(name):
     system = make_system(name)
