@@ -19,9 +19,9 @@ keeps its default.  Only ``--seed`` and ``--position-index`` have parser
 defaults, because the summary echoes them.
 
 Exit codes: 0 success, 1 unusable data, 2 usage errors (unknown or
-missing flags, a non-positive --team-size, --window, --top-k or
---horizon, a negative synth --seed, and a non-finite value of any
-float flag).
+missing flags, a non-positive --team-size, --window, --top-k,
+--horizon or synth --matches, a negative synth --seed, and a non-finite
+value of any float flag).
 """
 
 from __future__ import annotations
@@ -163,9 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
     # each generator flag's dest is the SynthConfig field it sets
     add = p_synth.add_argument
     add("--players", dest="player_count", metavar="PLAYERS", type=int, required=True)
-    add("--team-size", type=int)
+    add("--team-size", type=_positive_int)
     add("--teams", dest="teams_per_match", metavar="TEAMS", type=int)
-    add("--matches", dest="match_count", metavar="MATCHES", type=int)
+    add("--matches", dest="match_count", metavar="MATCHES", type=_positive_int)
     add("--skill-mean", type=_finite_float)
     add("--skill-spread", type=_finite_float)
     add("--noise-spread", type=_finite_float)

@@ -19,7 +19,10 @@ function, and the trend it returns records every value it used.
 
 Cohort set-ups never re-simulate: they index the single chronological
 pass, so a cohort player's 3rd game is scored with whatever ratings the
-whole population had evolved by then.
+whole population had evolved by then.  Every set-up reads the same two
+columns of that pass: one row per report of the six metrics and the
+new-player fraction, and, for the cohorts, the |predicted - observed|
+rank of each member's team, aligned with the replay's member array.
 """
 
 from __future__ import annotations
@@ -30,11 +33,9 @@ import logging
 import math
 import operator
 import random
-from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from itertools import accumulate, chain, compress, pairwise, repeat
+from itertools import chain, compress, pairwise, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -582,9 +583,12 @@ class _PlayerMatches(Mapping[str, list[int]]):
     """Read-only map of each player, in first-appearance order, to the
     chronological positions (indices into ``reports``) of their matches.
 
-    It holds the replay's member rows, not one list per player: the first
-    lookup sorts the rows once (a stable argsort), and each lookup builds
-    that player's list from the sorted positions.
+    It holds the replay's member array (every member's row, match after
+    match), not one list per player: the first lookup sorts that array
+    once (a stable argsort).  ``members`` gives a player's entries in the
+    array and ``match_of`` the matches of entries, so the cohort set-ups
+    read a player's games from the same array as the member-error column
+    of ``_member_errors``.
     """
 
     def __init__(self, players: dict[str, int], rows: np.ndarray, ends: np.ndarray) -> None:
@@ -599,17 +603,24 @@ class _PlayerMatches(Mapping[str, list[int]]):
     def __iter__(self) -> Iterator[str]:
         return iter(self._players)
 
-    def __getitem__(self, player_id: str) -> list[int]:
+    def members(self, player_id: str) -> np.ndarray:
+        """The player's entries in the member array, chronological."""
         row = self._players[player_id]
         if self._sorted is None:
-            # members grouped by row; a stable sort keeps each row's
-            # members, and so its matches, in chronological order
+            # entries grouped by row; a stable sort keeps each row's
+            # entries, and so its matches, in chronological order
             order = np.argsort(self._rows, kind="stable")
-            positions = np.searchsorted(self._ends, order, side="right")
             counts = np.bincount(self._rows, minlength=len(self._players))
-            self._sorted = positions, np.concatenate(([0], np.cumsum(counts)))
-        positions, bounds = self._sorted
-        return positions[bounds[row] : bounds[row + 1]].tolist()
+            self._sorted = order, np.concatenate(([0], np.cumsum(counts)))
+        order, bounds = self._sorted
+        return order[bounds[row] : bounds[row + 1]]
+
+    def match_of(self, members: np.ndarray | list[int]) -> np.ndarray:
+        """The chronological position of each entry's match."""
+        return np.searchsorted(self._ends, members, side="right")
+
+    def __getitem__(self, player_id: str) -> list[int]:
+        return self.match_of(self.members(player_id)).tolist()
 
     def __repr__(self) -> str:
         return f"_PlayerMatches({dict(self)!r})"
@@ -619,7 +630,8 @@ class _PlayerMatches(Mapping[str, list[int]]):
 class ReplayResult:
     store: RatingStore
     reports: list[MatchReport]
-    # chronological positions (indices into reports) of each player's matches
+    # chronological positions (indices into reports) of each player's
+    # matches; the cohort set-ups also read the member array behind it
     player_match_index: Mapping[str, list[int]]
 
 
@@ -715,31 +727,33 @@ class ExperimentTrend:
     points: list[TrendPoint]
 
 
+_metric_values = operator.attrgetter(*METRIC_NAMES)
+_alt_values = operator.attrgetter("alt_ap", "alt_ndcg")
+
+
+def _metric_rows(reports: Iterable[MatchReport]) -> list[tuple[float, ...]]:
+    """Each report's six metrics and new-player fraction, in TrendPoint order."""
+    return [(*_metric_values(r.metrics), r.new_player_fraction) for r in reports]
+
+
+def _column_means(rows: Sequence[Sequence[float]] | np.ndarray) -> list[float]:
+    """Each column's mean over the (non-empty) rows.  The sums add top to
+    bottom, as a running total from 0.0 does; adding 0.0 turns the one
+    sum that can differ, a -0.0, into that total's 0.0."""
+    return ((np.cumsum(rows, axis=0)[-1] + 0.0) / len(rows)).tolist()
+
+
 def mean_metrics(reports: Iterable[MatchReport]) -> dict[str, float]:
     """Mean of each metric over the given reports."""
-    totals = dict.fromkeys(METRIC_NAMES, 0.0)
-    count = 0
-    for report in reports:
-        for name in METRIC_NAMES:
-            totals[name] += getattr(report.metrics, name)
-        count += 1
-    if count == 0:
-        return {}
-    return {name: totals[name] / count for name in METRIC_NAMES}
+    rows = _metric_rows(reports)
+    return dict(zip(METRIC_NAMES, _column_means(rows))) if rows else {}
 
 
 def mean_metrics_alt_index(reports: Iterable[MatchReport]) -> dict[str, float]:
     """Mean AP and NDCG under the other position convention, from the
     ``alt_ap`` and ``alt_ndcg`` that ``score_match`` stored."""
-    total_ap = total_ndcg = 0.0
-    count = 0
-    for report in reports:
-        total_ap += report.metrics.alt_ap
-        total_ndcg += report.metrics.alt_ndcg
-        count += 1
-    if count == 0:
-        return {}
-    return {"ap": total_ap / count, "ndcg": total_ndcg / count}
+    rows = [_alt_values(report.metrics) for report in reports]
+    return dict(zip(("ap", "ndcg"), _column_means(rows))) if rows else {}
 
 
 def _require_positive(**sizes: int) -> None:
@@ -760,95 +774,67 @@ def setup_all_players(
     sequence."""
     _require_positive(window=window)
     result = replay(matches, system, seed=seed, position_index=position_index)
-    names = METRIC_NAMES + ("new_player_fraction",)
-    sums = dict.fromkeys(names, 0.0)
-    recent: deque[tuple[float, ...]] = deque()
+    rows = _metric_rows(result.reports)
+    sums = [0.0] * (len(METRIC_NAMES) + 1)
     points: list[TrendPoint] = []
-    for position, report in enumerate(result.reports, start=1):
-        values = tuple(getattr(report.metrics, n) for n in METRIC_NAMES) + (
-            report.new_player_fraction,
-        )
-        recent.append(values)
-        for name, value in zip(names, values):
-            sums[name] += value
-        if len(recent) > window:
-            dropped = recent.popleft()
-            for name, value in zip(names, dropped):
-                sums[name] -= value
-        count = len(recent)
+    for position, row in enumerate(rows, start=1):
+        sums = list(map(operator.add, sums, row))
+        if position > window:
+            sums = list(map(operator.sub, sums, rows[position - 1 - window]))
+        count = min(position, window)
         # the running add/drop sums drift at float resolution; any true
         # nonzero mean here is >= 1/(2500 * window), far above 1e-12
-        means = {
-            name: 0.0 if abs(sums[name]) < 1e-12 * count else sums[name] / count
-            for name in names
-        }
-        points.append(
-            TrendPoint(
-                position_index=position,
-                match_count=count,
-                focal_team_error=None,
-                **means,
-            )
-        )
+        means = [0.0 if abs(total) < 1e-12 * count else total / count for total in sums]
+        points.append(TrendPoint(position, *means, match_count=count))
     return ExperimentTrend("all", {"window": window}, points), result
 
 
-def _team_error_of(report: MatchReport, player_id: str) -> int:
-    """|predicted - observed| rank of the player's team in the match, whose
-    index is read from the match's roster and team sizes."""
-    match = report.match
-    try:
-        position = match.roster.index(player_id)
-    except ValueError:
-        raise DomainError(
-            f"player {player_id!r} not in match {match.match_id!r}"
-        ) from None
-    sizes = match.sizes
-    if sizes.count(sizes[0]) == len(sizes):
-        # equal teams: the roster is in blocks of one size
-        team = position // sizes[0]
-    else:
-        team = bisect_right(list(accumulate(sizes)), position)
-    predicted = report.ranking.order.index(match.team_ids[team]) + 1
-    return abs(predicted - match.ranks[team])
+def _member_errors(reports: Sequence[MatchReport]) -> np.ndarray:
+    """|predicted - observed| rank of each member's team, member after
+    member as in the replay's member array."""
+    predicted: list[int] = []
+    observed: list[int] = []
+    sizes: list[int] = []
+    for report in reports:
+        match = report.match
+        predicted.extend(map(report.ranking.ranks.__getitem__, match.team_ids))
+        observed.extend(match.ranks)
+        sizes.extend(match.sizes)
+    return np.repeat(np.abs(np.subtract(predicted, observed, dtype=np.intp)), sizes)
 
 
 def _game_indexed_trend(
     result: ReplayResult, cohort: Sequence[str], setup: str, params: dict[str, Any]
 ) -> ExperimentTrend:
     """Raw per-game-index means over a player cohort, for games
-    1..params["horizon"]."""
+    1..params["horizon"].  A game's contributions are the cohort players'
+    entries in the replay's member array; the metric rows of their matches
+    and their entries of the member-error column are read at once."""
     points: list[TrendPoint] = []
     if not cohort:
         log.warning("set-up %s: empty cohort, trend is empty", setup)
         return ExperimentTrend(setup, params, points)
-    games = [(pid, result.player_match_index[pid]) for pid in cohort]
-    for game in range(1, params["horizon"] + 1):
-        contributions = [
-            (pid, indices[game - 1]) for pid, indices in games if len(indices) >= game
-        ]
-        if not contributions:
+    index = result.player_match_index
+    horizon = params["horizon"]
+    games = [index.members(pid)[:horizon].tolist() for pid in cohort]
+    rows = np.array(_metric_rows(result.reports))
+    errors = _member_errors(result.reports)
+    for game in range(1, horizon + 1):
+        members = [entries[game - 1] for entries in games if len(entries) >= game]
+        if not members:
             log.warning(
                 "set-up %s: no cohort player has a game %d, trend truncated",
                 setup,
                 game,
             )
             break
-        sums = dict.fromkeys(METRIC_NAMES + ("new_player_fraction",), 0.0)
-        focal_total = 0.0
-        for pid, index in contributions:
-            report = result.reports[index]
-            for name in METRIC_NAMES:
-                sums[name] += getattr(report.metrics, name)
-            sums["new_player_fraction"] += report.new_player_fraction
-            focal_total += _team_error_of(report, pid)
-        count = len(contributions)
+        count = len(members)
         points.append(
             TrendPoint(
-                position_index=game,
+                game,
+                *_column_means(rows[index.match_of(members)]),
                 match_count=count,
-                focal_team_error=focal_total / count,
-                **{name: sums[name] / count for name in sums},
+                focal_team_error=errors[members].sum().item() / count,
             )
         )
     return ExperimentTrend(setup, params, points)
@@ -896,6 +882,8 @@ def setup_best_players(
 ) -> tuple[ExperimentTrend, ReplayResult]:
     """Early games of the players who ended up rated best."""
     _require_positive(top_k=top_k, horizon=horizon)
+    if not math.isfinite(conservative_k):
+        raise DomainError(f"conservative_k must be finite, got {conservative_k}")
     params = {
         "top_k": top_k,
         "min_games": min_games,

@@ -146,6 +146,16 @@ class TestSynthCommand:
         assert exc.value.code == 2
         assert "expected a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--team-size", "--matches"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_size_is_exit_two(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "gen"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--players", "24", flag, value, "--output-dir", str(out)])
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReplayCommand:
     def test_end_to_end(self, capsys, tmp_path):

@@ -9,9 +9,9 @@ repeated team id, placements below 1 or not a permutation, fewer than
 two teams), and the two must give equal records or the same error.
 
 ``RatingTable.insert`` adds many new rows at once; the reference is one
-``table[p] = rating`` per player.  The focal team error of a cohort
-trend finds a player's team from the layout; the reference scans the
-teams' rosters.
+``table[p] = rating`` per player.  The focal team errors of a cohort
+trend are one column aligned with the replay's member array, built from
+each match's layout; the reference scans the teams' rosters.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from royale_ratings.core import (
     TeamEntry,
     build_match,
 )
-from royale_ratings.replay import MatchReport, _team_error_of
+from royale_ratings.replay import MatchReport, _member_errors
 from royale_ratings.systems import RatingTable, rating_columns
 
 from conftest import quick_match
@@ -173,12 +173,14 @@ class TestFocalTeamError:
         rng.shuffle(order)
         ranking = PredictedRanking(order=tuple(order), tie_groups=(), seed_used=0)
         report = MatchReport(match, ranking, metrics=None, new_player_fraction=0.0)
+        expected = []
         for team in match.teams:
-            expected = abs(ranking.rank_of(team.team_id) - team.observed_rank)
+            error = abs(ranking.rank_of(team.team_id) - team.observed_rank)
             for player in team.members:
-                assert _team_error_of(report, player) == expected
-        with pytest.raises(DomainError, match="not in match 'm1'"):
-            _team_error_of(report, "nobody")
+                expected.append(error)
+        assert _member_errors([report]).tolist() == expected
+        # the column runs on from match to match
+        assert _member_errors([report, report]).tolist() == expected * 2
 
 
 RATINGS = st.builds(

@@ -625,6 +625,15 @@ def test_non_positive_cohort_size_rejected(setup, keyword, value):
         setup(synth_matches(match_count=2), EloSystem(), **{keyword: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_conservative_k_rejected(value):
+    # a NaN sorts the qualifiers in arbitrary order; an infinity ties them all
+    with pytest.raises(DomainError, match="conservative_k must be finite"):
+        setup_best_players(
+            synth_matches(match_count=2), EloSystem(), conservative_k=value
+        )
+
+
 def three_player_history():
     """a plays 3 games, b plays 2, c plays 1, all singleton teams."""
     return [
