@@ -8,6 +8,11 @@ the trend and the run summary (minus its ``input`` and ``output_dir``,
 which name the machine's paths).  A refactor that changes a single
 output bit fails here.
 
+The ``synth`` command that wrote the log is gated the same way: it must
+reproduce ``tests/golden/matches.csv`` and the frozen files under
+``tests/golden/synth/`` (the latent skills and the run summary minus its
+``output_dir``).
+
 Regenerate the files only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,6 +29,10 @@ from royale_ratings.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 LOG = GOLDEN / "matches.csv"
+SYNTH_ARGV = [
+    "synth", "--players", "40", "--team-size", "2", "--teams", "6",
+    "--matches", "60", "--noise-spread", "1.0", "--seed", "3",
+]
 COHORT_FLAGS = ["--min-games", "5", "--horizon", "5"]
 
 RUNS = {
@@ -71,6 +80,33 @@ def _artifacts(run: str, out: Path) -> dict[str, bytes]:
     return files
 
 
+def _synth_artifacts(out: Path) -> dict[str, bytes]:
+    """Run the ``synth`` command that wrote the golden log into ``out``;
+    its files by golden path, relative to ``GOLDEN``."""
+    if main(SYNTH_ARGV + ["--output-dir", str(out)]) != 0:
+        raise AssertionError("synth failed")
+    summary = json.loads((out / "run_summary.json").read_text(encoding="utf-8"))
+    del summary["output_dir"]
+    return {
+        LOG.name: (out / "matches.csv").read_bytes(),
+        "synth/latent_skills.csv": (out / "latent_skills.csv").read_bytes(),
+        "synth/run_summary.json": (
+            json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        ).encode("utf-8"),
+    }
+
+
+def test_synth_matches_golden_bytes(tmp_path, capsys):
+    produced = _synth_artifacts(tmp_path)
+    capsys.readouterr()
+    assert sorted(path.name for path in (GOLDEN / "synth").iterdir()) == [
+        "latent_skills.csv",
+        "run_summary.json",
+    ]
+    for name, data in produced.items():
+        assert data == (GOLDEN / name).read_bytes(), f"synth {name} differs from the golden file"
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_outputs_match_golden_bytes(run, tmp_path, capsys):
     produced = _artifacts(run, tmp_path)
@@ -82,6 +118,12 @@ def test_outputs_match_golden_bytes(run, tmp_path, capsys):
 
 
 if __name__ == "__main__":
+    import tempfile
+
+    (GOLDEN / "synth").mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, data in _synth_artifacts(Path(scratch)).items():
+            (GOLDEN / name).write_bytes(data)
     for run in RUNS:
         target = GOLDEN / run
         target.mkdir(exist_ok=True)
