@@ -9,7 +9,17 @@ of the latent sums, which gives a convergence oracle: a rating system
 replayed over the stream should recover the latent ordering.
 
 Everything is driven by one seed through numpy's Generator, so a config
-reproduces its stream exactly.
+reproduces its stream exactly.  A match's team sums are one row sum of
+its roster's latents laid out as a (teams x team_size) array, which adds
+each team's members as a sum over that team alone would.  A latent skill
+or team performance past the largest double raises a ``DomainError``
+naming the player, or the match and team.
+
+The writers emit CSV as ``csv.writer`` does.  A match's rows, or a run
+of latent-table rows, whose fields hold no comma, double quote, CR or LF
+(the characters ``csv.writer`` quotes a field for) are written as lines
+joined by hand and ended in ``\r\n``; any others go through
+``csv.writer``, so quoting follows it.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -76,59 +87,103 @@ def generate(config: SynthConfig) -> tuple[list[MatchRecord], dict[str, float]]:
     rng = np.random.default_rng(config.seed)
     width = max(4, len(str(config.player_count - 1)))
     player_ids = [f"p{i:0{width}d}" for i in range(config.player_count)]
-    latents = config.skill_mean + config.skill_spread * rng.standard_normal(
-        config.player_count
-    )
-
     n_teams = config.teams_per_match
     size = config.team_size
     team_ids = [f"t{k + 1:02d}" for k in range(n_teams)]
-    spans = [slice(k * size, (k + 1) * size) for k in range(n_teams)]
     matches: list[MatchRecord] = []
-    for m in range(config.match_count):
-        chosen = rng.choice(config.player_count, size=n_teams * size, replace=False)
-        performance = np.array(
-            [latents[chosen[span]].sum() for span in spans]
-        ) + config.noise_spread * rng.standard_normal(n_teams)
-        # placements follow descending performance; stable order breaks the
-        # measure-zero exact ties deterministically
-        by_perf = np.argsort(-performance, kind="stable")
-        placement = np.empty(n_teams, dtype=int)
-        placement[by_perf] = np.arange(1, n_teams + 1)
-        members = [player_ids[p] for p in chosen.tolist()]
-        matches.append(
-            build_match(
-                f"m{m + 1:06d}",
-                _EPOCH + timedelta(minutes=m),
-                team_ids,
-                [members[span] for span in spans],
-                placement.tolist(),
-            )
+    # overflow is checked for by value below, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        latents = config.skill_mean + config.skill_spread * rng.standard_normal(
+            config.player_count
         )
+        finite = np.isfinite(latents)
+        if not finite.all():
+            raise DomainError(
+                f"player {player_ids[int(finite.argmin())]!r} latent skill "
+                f"overflows (skill_mean {config.skill_mean!r}, skill_spread "
+                f"{config.skill_spread!r})"
+            )
+        for m in range(config.match_count):
+            match_id = f"m{m + 1:06d}"
+            chosen = rng.choice(config.player_count, size=n_teams * size, replace=False)
+            performance = latents[chosen].reshape(n_teams, size).sum(
+                axis=1
+            ) + config.noise_spread * rng.standard_normal(n_teams)
+            finite = np.isfinite(performance)
+            if not finite.all():
+                raise DomainError(
+                    f"match {match_id!r}: team {team_ids[int(finite.argmin())]!r} "
+                    "performance overflows"
+                )
+            # placements follow descending performance; stable order breaks the
+            # measure-zero exact ties deterministically
+            by_perf = np.argsort(-performance, kind="stable")
+            placement = np.empty(n_teams, dtype=int)
+            placement[by_perf] = np.arange(1, n_teams + 1)
+            members = map(player_ids.__getitem__, chosen.tolist())
+            matches.append(
+                build_match(
+                    match_id,
+                    _EPOCH + timedelta(minutes=m),
+                    team_ids,
+                    list(zip(*[members] * size)),  # runs of `size` members
+                    placement.tolist(),
+                )
+            )
     skills = {pid: float(s) for pid, s in zip(player_ids, latents)}
     return matches, skills
 
 
+# csv.writer's default dialect quotes a field holding any of these
+_QUOTED = (",", '"', "\r", "\n")
+# latent-table rows joined per write, so a write holds one run, not the table
+_SKILL_ROWS = 512
+
+
+def _plain(fields: Iterable[str]) -> bool:
+    """Whether ``csv.writer`` writes every one of the fields as it is."""
+    text = "".join(fields)
+    return not any(map(text.__contains__, _QUOTED))
+
+
+def _each(values: Iterable[object], counts: Iterable[int]) -> Iterator[object]:
+    """Each value repeated its count times."""
+    return chain.from_iterable(map(repeat, values, counts))
+
+
 def write_match_log(path: str | Path, matches: list[MatchRecord]) -> None:
     """Write matches in the flat match-log layout, one row per player,
-    from each match's layout."""
+    from each match's layout, a match at a time: its joined lines when
+    its ids hold nothing to quote, else its rows through ``csv.writer``."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(MATCH_LOG_COLUMNS)
         for match in matches:
-            sizes = match.sizes
-            team_ids = chain.from_iterable(map(repeat, match.team_ids, sizes))
-            ranks = chain.from_iterable(map(repeat, match.ranks, sizes))
-            first = repeat(match.match_id), repeat(format_timestamp(match.timestamp))
-            writer.writerows(zip(*first, team_ids, match.roster, ranks))
+            sizes, roster, team_ids = match.sizes, match.roster, match.team_ids
+            match_id, stamp = match.match_id, format_timestamp(match.timestamp)
+            if _plain(chain((match_id, stamp), team_ids, roster)):
+                heads = [f"{match_id},{stamp},{team_id}," for team_id in team_ids]
+                tails = [f",{rank}\r\n" for rank in match.ranks]
+                lines = zip(_each(heads, sizes), roster, _each(tails, sizes))
+                handle.write("".join(chain.from_iterable(lines)))
+            else:
+                columns = _each(team_ids, sizes), roster, _each(match.ranks, sizes)
+                writer.writerows(zip(repeat(match_id), repeat(stamp), *columns))
 
 
 def write_latent_skills(path: str | Path, skills: dict[str, float]) -> None:
+    """Write the latent-skill table sorted by player id, each skill as the
+    ``repr`` of its float, ``_SKILL_ROWS`` rows at a time."""
+    player_ids = sorted(skills)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["player_id", "latent_skill"])
-        for player_id in sorted(skills):
-            writer.writerow([player_id, repr(skills[player_id])])
+        for start in range(0, len(player_ids), _SKILL_ROWS):
+            run = player_ids[start : start + _SKILL_ROWS]
+            if _plain(run):
+                handle.write("".join([f"{pid},{skills[pid]!r}\r\n" for pid in run]))
+            else:
+                writer.writerows([pid, repr(skills[pid])] for pid in run)
 
 
 def config_dict(config: SynthConfig) -> dict[str, float | int]:

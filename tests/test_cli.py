@@ -3,7 +3,10 @@ from __future__ import annotations
 import csv
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,8 @@ from royale_ratings.systems import SYSTEM_NAMES, make_system
 from royale_ratings.trueskill import MEMBER_SHARES
 
 GOLDEN_LOG = Path(__file__).resolve().parent / "golden" / "matches.csv"
+SRC = Path(__file__).resolve().parent.parent / "src"
+PERFORMANCE_OVERFLOW = r"match 'm00000[1-3]': team 't0[1-3]' performance overflows"
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +150,38 @@ class TestSynthCommand:
             )
         assert exc.value.code == 2
         assert "expected a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, error",
+        [
+            (["--skill-mean", "1.7e308"], PERFORMANCE_OVERFLOW),
+            (["--skill-spread", "1e308", "--noise-spread", "1e308"], PERFORMANCE_OVERFLOW),
+            (
+                ["--skill-mean", "1e308", "--skill-spread", "1e308"],
+                r"player 'p0001' latent skill overflows .*",
+            ),
+        ],
+        ids=["team-sum", "nan-performance", "latent-skill"],
+    )
+    def test_overflowing_draw_is_exit_one(self, tmp_path, flags, error):
+        # a fresh interpreter, so a numpy warning would reach stderr as a user sees it
+        out = tmp_path / "gen"
+        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "royale_ratings.cli", "synth", "--players", "12",
+                "--team-size", "2", "--teams", "3", "--matches", "3", "--seed", "1",
+                *flags, "--output-dir", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert re.fullmatch(f"error: {error}\n", done.stderr), done.stderr
+        assert done.stdout == ""
+        assert not (out / "matches.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--team-size", "--matches"])
     @pytest.mark.parametrize("value", ["0", "-1"])

@@ -104,7 +104,7 @@ def test_synth_matches_golden_bytes(tmp_path, capsys):
         "run_summary.json",
     ]
     for name, data in produced.items():
-        assert data == (GOLDEN / name).read_bytes(), f"synth {name} differs from the golden file"
+        assert data == (GOLDEN / name).read_bytes(), f"synth {name} differs from golden"
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))

@@ -115,6 +115,46 @@ class TestGeneration:
             assert ranks == list(range(1, 11))
 
 
+class TestOverflow:
+    """A draw past the largest double raises a DomainError naming the
+    player or the match and team, and numpy warns of nothing (the suite
+    turns a RuntimeWarning into an error)."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"skill_mean": 1.7e308},  # team sums overflow to inf
+            {"skill_spread": 1e308, "noise_spread": 1e308},  # inf - inf is NaN
+        ],
+    )
+    def test_team_performance_overflow_names_match_and_team(self, overrides):
+        config = small_config(
+            player_count=12, teams_per_match=3, match_count=3, seed=1, **overrides
+        )
+        message = r"^match 'm00000[1-3]': team 't0[1-3]' performance overflows$"
+        with pytest.raises(DomainError, match=message):
+            generate(config)
+
+    def test_latent_skill_overflow_names_the_player(self):
+        config = small_config(
+            player_count=12,
+            teams_per_match=3,
+            match_count=3,
+            skill_mean=1e308,
+            skill_spread=1e308,
+            seed=1,
+        )
+        with pytest.raises(DomainError, match=r"^player 'p0001' latent skill overflows"):
+            generate(config)
+
+    def test_largest_finite_performances_still_generate(self):
+        matches, skills = generate(
+            small_config(team_size=1, skill_mean=1e307, skill_spread=1e300, seed=1)
+        )
+        assert len(matches) == 25
+        assert all(math.isfinite(skill) for skill in skills.values())
+
+
 class TestRoundTrip:
     def test_written_log_ingests_to_the_same_matches(self, tmp_path):
         matches, _ = generate(small_config())
