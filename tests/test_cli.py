@@ -848,3 +848,24 @@ class TestNonFiniteFlags:
             assert "Traceback" not in captured.err
         for path in tmp_path.rglob("*.json"):
             _strict_json(path.read_text(encoding="utf-8"))
+
+
+class TestImportHeap:
+    def test_import_leaves_only_later_objects_to_the_collector(self):
+        # a fresh interpreter, so the counts are what importing the CLI leaves
+        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import gc, royale_ratings.cli; "
+                "print(gc.get_freeze_count(), len(gc.get_objects()))",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        frozen, tracked = map(int, done.stdout.split())
+        assert frozen > 10 * tracked, (frozen, tracked)
