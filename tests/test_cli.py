@@ -772,6 +772,76 @@ class TestInspectCommand:
         assert set(tmp_path.rglob("*")) == before
 
 
+SYNTH_ARGV = [
+    "synth", "--players", "6", "--team-size", "2", "--teams", "3", "--matches", "3"
+]
+
+
+class TestOutputDirectory:
+    """The output directory is made just before the first artifact is
+    written, so a run that fails leaves none behind."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--system", "elo"],
+            ["experiment", "--setup", "all", "--system", "glicko"],
+        ],
+        ids=["replay", "experiment"],
+    )
+    def test_missing_input_leaves_no_directory(self, capsys, tmp_path, argv):
+        out = tmp_path / "run"
+        missing = str(tmp_path / "missing.csv")
+        code, captured = run_cli(
+            capsys, *argv, "--input", missing, "--output-dir", str(out)
+        )
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
+
+    def test_failed_replay_leaves_no_directory(self, capsys, tmp_path):
+        log = make_log(capsys, tmp_path, matches="4")
+        out = tmp_path / "run"
+        code, captured = run_cli(
+            capsys, "replay", "--system", "elo", "--default-rating", "1e308",
+            "--input", str(log), "--output-dir", str(out),
+        )
+        assert code == 1
+        assert "elo prediction failed" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--players", "3"], ["--skill-mean", "1.7e308"]],
+        ids=["too-few-players", "overflowing-skill"],
+    )
+    def test_failed_synth_leaves_no_directory(self, capsys, tmp_path, flags):
+        out = tmp_path / "gen"
+        code, captured = run_cli(capsys, *SYNTH_ARGV, *flags, "--output-dir", str(out))
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["nested", "existing"])
+    def test_nested_or_existing_directory_is_used(self, capsys, tmp_path, existing):
+        gen = tmp_path / "a" / "b" / "gen"
+        run = tmp_path / "c" / "d" / "run"
+        if existing:
+            gen.mkdir(parents=True)
+            run.mkdir(parents=True)
+        run_json(capsys, *SYNTH_ARGV, "--output-dir", str(gen))
+        assert {p.name for p in gen.iterdir()} == {
+            "matches.csv", "latent_skills.csv", "run_summary.json"
+        }
+        log = str(gen / "matches.csv")
+        run_json(
+            capsys, "replay", "--system", "elo", "--input", log, "--output-dir", str(run)
+        )
+        assert {p.name for p in run.iterdir()} == {
+            "per_match_metrics.csv", "rating_store.txt", "run_summary.json"
+        }
+
+
 def _float_flags():
     """(command, flag) for every float-valued flag; a flag that replay and
     experiment share is listed under replay only."""
