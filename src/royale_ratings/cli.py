@@ -212,14 +212,6 @@ def _system_overrides(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _output_dir(args: argparse.Namespace) -> Path:
-    """``--output-dir``, made (with its parents) just before the first
-    artifact is written, so a run that fails before it leaves no directory."""
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _emit_summary(summary: dict[str, Any], output_dir: Path | None) -> None:
     text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
     if output_dir is not None:
@@ -229,12 +221,14 @@ def _emit_summary(summary: dict[str, Any], output_dir: Path | None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """``replay`` and ``experiment``: one replay, its artifacts, one summary."""
+    out = Path(args.output_dir)
     system = make_system(args.system, **_system_overrides(args))
     stats = IngestStats()
     matches = ingest(args.input, team_size=args.team_size, stats=stats)
     if args.command == "replay":
         result = replay(matches, system, **_keywords(replay, args))
-        out = _output_dir(args)
+        # made just before the first write, so a failed run leaves none
+        out.mkdir(parents=True, exist_ok=True)
         write_match_metrics_csv(out / "per_match_metrics.csv", result.reports)
         outputs = {"per_match_metrics": "per_match_metrics.csv"}
         setup_summary: dict[str, Any] = {}
@@ -246,7 +240,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "frequent": setup_frequent_players,
         }[args.setup]
         trend, result = setup(matches, system, **_keywords(setup, args))
-        out = _output_dir(args)
+        out.mkdir(parents=True, exist_ok=True)
         write_trend_csv(out / "trend.csv", trend)
         outputs = {"trend": "trend.csv"}
         setup_summary = {
@@ -293,7 +287,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     fields = (field.name for field in dataclasses.fields(synth.SynthConfig))
     config = synth.SynthConfig(**_given(args, fields))
     matches, skills = synth.generate(config)
-    out = _output_dir(args)
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     synth.write_match_log(out / "matches.csv", matches)
     synth.write_latent_skills(out / "latent_skills.csv", skills)
     summary = {

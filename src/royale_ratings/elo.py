@@ -20,8 +20,8 @@ d_scale = 400 the two differ by a factor ln(10)/1 in the exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -31,6 +31,7 @@ from .systems import (
     MatchBlock,
     Posterior,
     RatingSystem,
+    check_fields,
     member_shares,
     normalized_results,
     row_sums,
@@ -47,12 +48,7 @@ class EloParams:
     default_rating: float = 1500.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k_factor) and self.k_factor > 0):
-            raise DomainError(f"k_factor must be finite and > 0, got {self.k_factor}")
-        if not (math.isfinite(self.d_scale) and self.d_scale > 0):
-            raise DomainError(f"d_scale must be finite and > 0, got {self.d_scale}")
-        if not math.isfinite(self.default_rating):
-            raise DomainError("default_rating must be finite")
+        check_fields(self, k_factor="> 0", d_scale="> 0", default_rating="finite")
 
 
 def win_probabilities(team_ratings: Sequence[float], params: EloParams) -> np.ndarray:
@@ -77,16 +73,10 @@ def win_probabilities(team_ratings: Sequence[float], params: EloParams) -> np.nd
 
 class EloSystem(RatingSystem):
     name = "elo"
+    Params = EloParams
 
-    def __init__(self, params: EloParams | None = None) -> None:
-        self.params = params or EloParams()
-        self._initial = PlayerRating(mu=self.params.default_rating, sigma=None)
-
-    def params_dict(self) -> dict[str, Any]:
-        return asdict(self.params)
-
-    def initial_rating(self) -> PlayerRating:
-        return self._initial
+    def _new_player(self) -> PlayerRating:
+        return PlayerRating(mu=self.params.default_rating)
 
     def _apply(self, block: MatchBlock) -> Posterior:
         team_mu = row_sums(block.mu)

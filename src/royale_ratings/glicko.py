@@ -44,9 +44,9 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -56,6 +56,7 @@ from .systems import (
     MatchBlock,
     Posterior,
     RatingSystem,
+    check_fields,
     member_shares,
     normalized_results,
     require_finite_variances,
@@ -84,16 +85,7 @@ class GlickoParams:
     q_constant: float = _LN10 / 400.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.default_mu):
-            raise DomainError("default_mu must be finite")
-        if not (math.isfinite(self.default_sigma) and self.default_sigma > 0):
-            raise DomainError(
-                f"default_sigma must be finite and > 0, got {self.default_sigma}"
-            )
-        if not (math.isfinite(self.q_constant) and self.q_constant > 0):
-            raise DomainError(
-                f"q_constant must be finite and > 0, got {self.q_constant}"
-            )
+        check_fields(self, default_mu="finite", default_sigma="> 0", q_constant="> 0")
 
 
 def team_mu_sigma(
@@ -162,18 +154,10 @@ def _require_finite_pair_sums(team_ids: Sequence[str], team_squares: list[float]
 
 class GlickoSystem(RatingSystem):
     name = "glicko"
+    Params = GlickoParams
 
-    def __init__(self, params: GlickoParams | None = None) -> None:
-        self.params = params or GlickoParams()
-        self._initial = PlayerRating(
-            mu=self.params.default_mu, sigma=self.params.default_sigma
-        )
-
-    def params_dict(self) -> dict[str, Any]:
-        return asdict(self.params)
-
-    def initial_rating(self) -> PlayerRating:
-        return self._initial
+    def _new_player(self) -> PlayerRating:
+        return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
 
     def _apply(self, block: MatchBlock) -> Posterior:
         q = self.params.q_constant

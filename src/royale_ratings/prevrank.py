@@ -10,17 +10,19 @@ system is expected to beat.
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DomainError, PlayerRating
 from .systems import MatchBlock, Posterior, RatingState, RatingSystem, row_sums
 
-__all__ = ["PreviousRankSystem", "player_prev_rank"]
+__all__ = ["PreviousRankParams", "PreviousRankSystem", "player_prev_rank"]
 
-# mu is unused by this baseline; kept at 0 so stores stay uniform
-_NEWCOMER = PlayerRating(mu=0.0, sigma=None)
+
+@dataclass(frozen=True, slots=True)
+class PreviousRankParams:
+    """The baseline has no parameters."""
 
 
 def player_prev_rank(state: RatingState, player_id: str, team_count: int) -> float:
@@ -39,12 +41,11 @@ def player_prev_rank(state: RatingState, player_id: str, team_count: int) -> flo
 
 class PreviousRankSystem(RatingSystem):
     name = "prevrank"
+    Params = PreviousRankParams
 
-    def params_dict(self) -> dict[str, Any]:
-        return {}
-
-    def initial_rating(self) -> PlayerRating:
-        return _NEWCOMER
+    def _new_player(self) -> PlayerRating:
+        # mu is unused by this baseline; kept at 0 so stores stay uniform
+        return PlayerRating(mu=0.0)
 
     def team_scores(self, block: MatchBlock) -> np.ndarray:
         # player_prev_rank of every member; the lowest sum should rank

@@ -28,12 +28,13 @@ rank of each member's team, aligned with the replay's member array.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import chain, compress, pairwise, repeat
 from pathlib import Path
@@ -122,22 +123,9 @@ class _Unchecked(Exception):
     again with ``csv.reader``."""
 
 
-class _Parsed(dict):
-    """text -> parse(text), each distinct text parsed once; the parser's
-    ValueError propagates."""
-
-    def __init__(self, parse: Callable[[str], Any]) -> None:
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text: str) -> Any:
-        value = self[text] = self.parse(text)
-        return value
-
-
-def _parse_all(parsed: _Parsed, texts: Iterable[str]) -> list[Any]:
+def _parse_all(parse: Callable[[str], Any], texts: Iterable[str]) -> list[Any]:
     try:
-        return list(map(parsed.__getitem__, texts))
+        return list(map(parse, texts))
     except ValueError:
         raise _Unchecked from None
 
@@ -261,8 +249,8 @@ class _ColumnPass:
 
     def __init__(self, kept: _Kept) -> None:
         self.kept = kept
-        self.stamps = _Parsed(parse_timestamp)
-        self.placements = _Parsed(int)
+        self.stamps = functools.cache(parse_timestamp)
+        self.placements = functools.cache(int)
         self.seen: set[str] = set()
         self.rows = 0
 
@@ -374,8 +362,8 @@ def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
     counted, not grouped.
     """
     grouped: dict[str, list[Any]] = {}
-    stamps = _Parsed(parse_timestamp)
-    placements = _Parsed(int)
+    stamps = functools.cache(parse_timestamp)
+    placements = functools.cache(int)
     rows = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -400,13 +388,13 @@ def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
                     )
                 match_id, ts_text, team_id, player_id, placement_text = values
                 try:
-                    stamp = stamps[ts_text]
+                    stamp = stamps(ts_text)
                 except ValueError:
                     raise DataError(
                         f"{path}:{reader.line_num}: bad timestamp {ts_text!r}"
                     ) from None
                 try:
-                    placement = placements[placement_text]
+                    placement = placements(placement_text)
                 except ValueError:
                     raise DataError(
                         f"{path}:{reader.line_num}: bad team_placement "
@@ -915,40 +903,35 @@ def setup_frequent_players(
     return _game_indexed_trend(result, cohort, "frequent", params), result
 
 
-def write_match_metrics_csv(path: str | Path, reports: Sequence[MatchReport]) -> None:
+def _write_csv(
+    path: str | Path, header: Iterable[str], rows: Iterable[Iterable[Any]]
+) -> None:
+    """One header row and the rows through ``csv.writer``: a float as its
+    ``repr``, None as an empty field."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["match_id", "timestamp", "team_count", "new_player_fraction"]
-            + list(METRIC_NAMES)
-        )
-        for report in reports:
-            writer.writerow(
-                [
-                    report.match.match_id,
-                    report.match.timestamp.isoformat(),
-                    report.match.team_count,
-                    repr(report.new_player_fraction),
-                ]
-                + [repr(getattr(report.metrics, name)) for name in METRIC_NAMES]
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_match_metrics_csv(path: str | Path, reports: Sequence[MatchReport]) -> None:
+    _write_csv(
+        path,
+        ("match_id", "timestamp", "team_count", "new_player_fraction", *METRIC_NAMES),
+        (
+            (
+                report.match.match_id,
+                report.match.timestamp.isoformat(),
+                report.match.team_count,
+                report.new_player_fraction,
+                *_metric_values(report.metrics),
             )
+            for report in reports
+        ),
+    )
 
 
 def write_trend_csv(path: str | Path, trend: ExperimentTrend) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["position_index"]
-            + list(METRIC_NAMES)
-            + ["new_player_fraction", "match_count", "focal_team_error"]
-        )
-        for point in trend.points:
-            writer.writerow(
-                [point.position_index]
-                + [repr(getattr(point, name)) for name in METRIC_NAMES]
-                + [
-                    repr(point.new_player_fraction),
-                    point.match_count,
-                    "" if point.focal_team_error is None else repr(point.focal_team_error),
-                ]
-            )
+    # attrgetter, not astuple: astuple deep-copies every value, 60x slower
+    columns = [f.name for f in fields(TrendPoint)]
+    _write_csv(path, columns, map(operator.attrgetter(*columns), trend.points))

@@ -5,6 +5,16 @@ score, and a belief update.  ``update_match`` glues them together in the
 order the replay harness relies on: predict strictly from pre-match
 state, then update.
 
+System skeleton
+---------------
+A system declares its ``name``, its ``Params`` dataclass, the rating of
+a player never seen before (``_new_player``) and ``_apply``, and may
+declare ``team_scores``.  ``RatingSystem`` owns the rest: construction
+from ``params or Params()``, the cached ``initial_rating``,
+``params_dict`` (``asdict``), predict and update.  Each ``Params``
+checks its numeric fields with one ``check_fields`` call, and
+``make_system`` finds a system by its ``name``.
+
 State layout
 ------------
 State is owned by the caller and ``update_match`` is the only code that
@@ -15,6 +25,8 @@ amortized steps.  The table is also a ``MutableMapping[str,
 PlayerRating]``: ``table[p]`` builds a validated view and ``table[p] =
 rating`` writes one row, so stores, cohort selection and library callers
 see the familiar mapping.  The per-match path never builds a view.
+``table[p] = rating`` and ``insert`` share one row write, the only code
+that turns a ``PlayerRating`` into a row.
 
 ``RatingTable.insert`` adds many rows at once and grows the columns in
 the same steps as one ``table[p] = rating`` at a time; ``replay``
@@ -31,9 +43,9 @@ are built once per distinct team-size tuple and kept by the table.
 function returning the posterior ``(mu, sigma)`` matrices of the same
 shape, ``sigma`` None for systems that carry none.  Then
 ``RatingTable.scatter`` checks every posterior at once (mu finite,
-sigma > 0, with ``PlayerRating``'s error text) and only then writes mu,
-sigma, ``games + 1`` and the team placement as the last rank in one
-scatter, so an update that raises (a certain Glicko outcome, an invalid
+sigma > 0; the first bad member's ``PlayerRating`` is built to raise
+that class's error) and only then writes mu, sigma, ``games + 1`` and
+the team placement as the last rank in one scatter, so an update that raises (a certain Glicko outcome, an invalid
 posterior) leaves state exactly as it was.  The table keeps the last
 block until its next write, so ``predict`` and ``_apply`` share one
 gather.
@@ -94,9 +106,10 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import filterfalse
 from typing import Any, Sequence
 
@@ -119,6 +132,7 @@ __all__ = [
     "MatchBlock",
     "Posterior",
     "make_system",
+    "check_fields",
     "member_weights",
     "member_shares",
     "normalized_results",
@@ -138,6 +152,9 @@ Posterior = tuple[np.ndarray, "np.ndarray | None"]
 SYSTEM_NAMES = ("elo", "glicko", "trueskill", "prevrank")
 
 _COLUMNS = ("_mu", "_sigma", "_games", "_last_rank")
+
+# the bounds check_fields knows besides "finite"
+_BOUNDS = {"> 0": operator.gt, ">= 0": operator.ge}
 
 # distinct team-size tuples whose block shape a table keeps
 _SHAPES_KEPT = 256
@@ -227,14 +244,9 @@ class RatingTable(MutableMapping[str, PlayerRating]):
     def __setitem__(self, player_id: str, rating: PlayerRating) -> None:
         row = self._rows.get(player_id)
         if row is None:
-            row = len(self._rows)
-            self._reserve(row + 1)
-            self._rows[player_id] = row
-        self._mu[row] = rating.mu
-        self._sigma[row] = math.nan if rating.sigma is None else rating.sigma
-        self._games[row] = rating.games_played
-        self._last_rank[row] = rating.last_observed_rank or 0
-        self._block = None
+            self.insert((player_id,), (rating,))
+        else:
+            self._write(row, (rating,))
 
     def insert(self, players: Sequence[str], ratings: Sequence[PlayerRating]) -> None:
         """Rows for players the table does not hold yet, in the order
@@ -250,6 +262,11 @@ class RatingTable(MutableMapping[str, PlayerRating]):
             raise DomainError("insert takes one rating per new, distinct player id")
         self._reserve(end)
         rows.update(zip(players, range(start, end)))
+        self._write(start, ratings)
+
+    def _write(self, start: int, ratings: Sequence[PlayerRating]) -> None:
+        """The ratings into the rows from ``start`` on."""
+        end = start + len(ratings)
         self._mu[start:end] = [r.mu for r in ratings]
         self._sigma[start:end] = [
             math.nan if r.sigma is None else r.sigma for r in ratings
@@ -338,11 +355,10 @@ class RatingTable(MutableMapping[str, PlayerRating]):
             bad |= ~(new_sigma > 0)
         if bad.any():
             first = int(bad.argmax())
-            value = float(new_mu[first])
-            if not math.isfinite(value):
-                raise DomainError(f"player mu must be finite, got {value!r}")
-            raise DomainError(
-                f"player sigma must be positive, got {float(new_sigma[first])!r}"
+            # the first bad member's rating raises PlayerRating's own error
+            PlayerRating(
+                float(new_mu[first]),
+                None if new_sigma is None else float(new_sigma[first]),
             )
         rows = block.rows
         self._mu[rows] = new_mu
@@ -441,13 +457,26 @@ def normalized_results(block: MatchBlock) -> np.ndarray:
 
 
 class RatingSystem(ABC):
-    """Interface every rating system implements."""
+    """The skeleton every rating system fills in (see the module docstring)."""
 
     name: str = ""
+    Params: type[Any]
+
+    def __init__(self, params: Any = None) -> None:
+        self.params = params or self.Params()
+        self._initial = self._new_player()
 
     @abstractmethod
+    def _new_player(self) -> PlayerRating:
+        """Belief assigned to a player never seen before, from ``params``."""
+
     def initial_rating(self) -> PlayerRating:
-        """Belief assigned to a player never seen before."""
+        """Belief assigned to a player never seen before, built once."""
+        return self._initial
+
+    def params_dict(self) -> dict[str, Any]:
+        """The system's full parameterization, for run summaries and snapshots."""
+        return asdict(self.params)
 
     def team_scores(self, block: MatchBlock) -> np.ndarray:
         """Pre-match strength score of every team; higher predicts better.
@@ -461,10 +490,6 @@ class RatingSystem(ABC):
         """Posterior (mu, sigma) matrices of every member, from the
         pre-match block; reads and writes no state.  A system whose
         beliefs never change returns ``block.mu`` itself."""
-
-    @abstractmethod
-    def params_dict(self) -> dict[str, Any]:
-        """The system's full parameterization, for run summaries and snapshots."""
 
     def predict(
         self, state: RatingState, match: MatchRecord, rng_seed: int
@@ -531,14 +556,27 @@ def make_system(name: str, **overrides: Any) -> RatingSystem:
     """Build a rating system by name with keyword parameter overrides."""
     from . import elo, glicko, prevrank, trueskill
 
-    if name == "elo":
-        return elo.EloSystem(elo.EloParams(**overrides))
-    if name == "glicko":
-        return glicko.GlickoSystem(glicko.GlickoParams(**overrides))
-    if name == "trueskill":
-        return trueskill.TrueSkillSystem(trueskill.TrueSkillParams(**overrides))
-    if name == "prevrank":
-        if overrides:
-            raise ValueError("prevrank takes no parameters")
-        return prevrank.PreviousRankSystem()
+    for system in (
+        elo.EloSystem,
+        glicko.GlickoSystem,
+        trueskill.TrueSkillSystem,
+        prevrank.PreviousRankSystem,
+    ):
+        if system.name == name:
+            if overrides and not fields(system.Params):
+                raise ValueError(f"{name} takes no parameters")
+            return system(system.Params(**overrides))
     raise ValueError(f"unknown rating system {name!r}, expected one of {SYSTEM_NAMES}")
+
+
+def check_fields(params: object, **rules: str) -> None:
+    """Raise a DomainError naming the first field, in the order given,
+    that breaks its rule: ``"finite"``, or finite and ``"> 0"`` or
+    ``">= 0"``."""
+    for name, rule in rules.items():
+        value = getattr(params, name)
+        if rule == "finite":
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite")
+        elif not (math.isfinite(value) and _BOUNDS[rule](value, 0)):
+            raise DomainError(f"{name} must be finite and {rule}, got {value}")

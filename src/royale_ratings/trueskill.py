@@ -49,9 +49,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Any
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -61,6 +60,7 @@ from .systems import (
     MatchBlock,
     Posterior,
     RatingSystem,
+    check_fields,
     member_weights,
     require_finite_variances,
     squares,
@@ -96,18 +96,9 @@ class TrueSkillParams:
     member_share: str = "sigma_sq"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.default_mu):
-            raise DomainError("default_mu must be finite")
-        if not (math.isfinite(self.default_sigma) and self.default_sigma > 0):
-            raise DomainError(
-                f"default_sigma must be finite and > 0, got {self.default_sigma}"
-            )
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise DomainError(f"beta must be finite and > 0, got {self.beta}")
-        if not (math.isfinite(self.tau_dynamics) and self.tau_dynamics >= 0):
-            raise DomainError(
-                f"tau_dynamics must be finite and >= 0, got {self.tau_dynamics}"
-            )
+        check_fields(
+            self, default_mu="finite", default_sigma="> 0", beta="> 0", tau_dynamics=">= 0"
+        )
         if self.member_share not in MEMBER_SHARES:
             raise DomainError(
                 f"member_share must be one of {MEMBER_SHARES}, got {self.member_share!r}"
@@ -202,18 +193,10 @@ def update_pair(
 
 class TrueSkillSystem(RatingSystem):
     name = "trueskill"
+    Params = TrueSkillParams
 
-    def __init__(self, params: TrueSkillParams | None = None) -> None:
-        self.params = params or TrueSkillParams()
-        self._initial = PlayerRating(
-            mu=self.params.default_mu, sigma=self.params.default_sigma
-        )
-
-    def params_dict(self) -> dict[str, Any]:
-        return asdict(self.params)
-
-    def initial_rating(self) -> PlayerRating:
-        return self._initial
+    def _new_player(self) -> PlayerRating:
+        return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
 
     def _apply(self, block: MatchBlock) -> Posterior:
         params = self.params
