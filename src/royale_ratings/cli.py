@@ -227,10 +227,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     matches = ingest(args.input, team_size=args.team_size, stats=stats)
     if args.command == "replay":
         result = replay(matches, system, **_keywords(replay, args))
-        # made just before the first write, so a failed run leaves none
-        out.mkdir(parents=True, exist_ok=True)
-        write_match_metrics_csv(out / "per_match_metrics.csv", result.reports)
-        outputs = {"per_match_metrics": "per_match_metrics.csv"}
+        name, write, data = "per_match_metrics", write_match_metrics_csv, result.reports
         setup_summary: dict[str, Any] = {}
     else:
         # looked up when the command runs, so a rebound cli.setup_* is called
@@ -240,14 +237,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "frequent": setup_frequent_players,
         }[args.setup]
         trend, result = setup(matches, system, **_keywords(setup, args))
-        out.mkdir(parents=True, exist_ok=True)
-        write_trend_csv(out / "trend.csv", trend)
-        outputs = {"trend": "trend.csv"}
+        name, write, data = "trend", write_trend_csv, trend
         setup_summary = {
             "setup": args.setup,
             "setup_params": trend.params,
             "trend_points": len(trend.points),
         }
+    # made just before the first write, so a run that failed leaves none
+    out.mkdir(parents=True, exist_ok=True)
+    write(out / f"{name}.csv", data)
     result.store.save(out / "rating_store.txt")
     (other_index,) = set(POSITION_INDICES) - {args.position_index}
     summary = {
@@ -274,7 +272,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         },
         **setup_summary,
         "outputs": {
-            **outputs,
+            name: f"{name}.csv",
             "rating_store": "rating_store.txt",
             "run_summary": "run_summary.json",
         },

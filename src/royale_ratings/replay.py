@@ -903,9 +903,7 @@ def setup_frequent_players(
     return _game_indexed_trend(result, cohort, "frequent", params), result
 
 
-def _write_csv(
-    path: str | Path, header: Iterable[str], rows: Iterable[Iterable[Any]]
-) -> None:
+def _write_csv(path: str | Path, header: Iterable[str], rows: Iterable[tuple]) -> None:
     """One header row and the rows through ``csv.writer``: a float as its
     ``repr``, None as an empty field."""
     with open(path, "w", newline="", encoding="utf-8") as handle:

@@ -1,19 +1,14 @@
 """Common machinery for replaying one match through a rating system.
 
-A rating system owns a ``PlayerRating`` default, a per-team prediction
-score, and a belief update.  ``update_match`` glues them together in the
-order the replay harness relies on: predict strictly from pre-match
-state, then update.
-
-System skeleton
----------------
-A system declares its ``name``, its ``Params`` dataclass, the rating of
-a player never seen before (``_new_player``) and ``_apply``, and may
-declare ``team_scores``.  ``RatingSystem`` owns the rest: construction
-from ``params or Params()``, the cached ``initial_rating``,
-``params_dict`` (``asdict``), predict and update.  Each ``Params``
-checks its numeric fields with one ``check_fields`` call, and
-``make_system`` finds a system by its ``name``.
+A rating system declares its ``name``, its ``Params`` dataclass, the
+rating of a player never seen before (``_new_player``), its belief
+update (``_apply``) and, unless it sums member mu, its per-team
+prediction score.  The ``RatingSystem`` skeleton owns the rest: the
+construction from ``params or Params()``, the cached ``initial_rating``,
+``params_dict`` (``asdict``), and ``update_match``, which predicts
+strictly from pre-match state, then updates, the order the replay
+harness relies on.  Each ``Params`` checks its numeric fields in one
+``check_fields`` call, and ``make_system`` finds a system by ``name``.
 
 State layout
 ------------
@@ -45,10 +40,10 @@ shape, ``sigma`` None for systems that carry none.  Then
 ``RatingTable.scatter`` checks every posterior at once (mu finite,
 sigma > 0; the first bad member's ``PlayerRating`` is built to raise
 that class's error) and only then writes mu, sigma, ``games + 1`` and
-the team placement as the last rank in one scatter, so an update that raises (a certain Glicko outcome, an invalid
-posterior) leaves state exactly as it was.  The table keeps the last
-block until its next write, so ``predict`` and ``_apply`` share one
-gather.
+the team placement as the last rank in one scatter, so an update that
+raises (a certain Glicko outcome, an invalid posterior) leaves state
+exactly as it was.  The table keeps the last block until its next
+write, so ``predict`` and ``_apply`` share one gather.
 
 A plain dict of ``PlayerRating`` is accepted too: the update runs on a
 table of the match's members and is written back to the dict only after
@@ -153,7 +148,6 @@ SYSTEM_NAMES = ("elo", "glicko", "trueskill", "prevrank")
 
 _COLUMNS = ("_mu", "_sigma", "_games", "_last_rank")
 
-# the bounds check_fields knows besides "finite"
 _BOUNDS = {"> 0": operator.gt, ">= 0": operator.ge}
 
 # distinct team-size tuples whose block shape a table keeps
@@ -570,9 +564,8 @@ def make_system(name: str, **overrides: Any) -> RatingSystem:
 
 
 def check_fields(params: object, **rules: str) -> None:
-    """Raise a DomainError naming the first field, in the order given,
-    that breaks its rule: ``"finite"``, or finite and ``"> 0"`` or
-    ``">= 0"``."""
+    """Raise a DomainError for the first field, in the order given, that
+    breaks its rule: "finite", or finite and "> 0" or ">= 0"."""
     for name, rule in rules.items():
         value = getattr(params, name)
         if rule == "finite":
