@@ -1,5 +1,9 @@
 """Chronological match replay, dataset ingestion, and evaluation set-ups.
 
+Ingest has two tokenizers, a column pass for quote-free logs and a
+``csv.reader`` pass for any other, and one builder that turns each
+match's rows into a MatchRecord.
+
 The harness replays matches in timestamp order through one rating
 system: unseen players get the system default, the match is predicted
 from pre-match ratings only, the prediction is scored with all six
@@ -34,6 +38,7 @@ import logging
 import math
 import operator
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import chain, compress, pairwise, repeat
@@ -130,161 +135,57 @@ def _parse_all(parse: Callable[[str], Any], texts: Iterable[str]) -> list[Any]:
         raise _Unchecked from None
 
 
-def _group_row(
-    grouped: dict[str, list[Any]],
-    match_id: str,
-    stamp: datetime,
-    team_id: str,
-    player_id: str,
-    placement: int,
-) -> None:
-    """Add one parsed row to its team in its match.
+def _header_columns(header: Sequence[str]) -> tuple[list[int], list[str]]:
+    """The position of each of the five columns in a header row (a repeated
+    column counts at its last position, as in DictReader), and the names of
+    those it lacks."""
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c for c in MATCH_LOG_COLUMNS if c not in position]
+    return [position.get(c, -1) for c in MATCH_LOG_COLUMNS], missing
 
-    A match is ``[stamp, teams, reason]``: the timestamp of its first row,
-    team_id -> ``[placement, *members]`` in first-appearance order (one
-    list per team, the fewest objects the collector has to track), and None,
-    or the reason its first bad row rejects it: a timestamp that differs
-    from the first row's or a placement that differs from the team's
-    first row's.  Rows after the first bad one are not grouped.
-    """
-    match = grouped.get(match_id)
-    if match is None:
-        grouped[match_id] = [stamp, {team_id: [placement, player_id]}, None]
-        return
-    first, teams, bad_reason = match
-    if bad_reason is not None:
-        return
-    if stamp is not first and stamp != first:
-        match[2] = (
-            f"rows carry different timestamps ({first.isoformat()} "
-            f"and {stamp.isoformat()})"
-        )
-        return
-    team = teams.get(team_id)
-    if team is None:
-        teams[team_id] = [placement, player_id]
-    elif team[0] != placement:
-        match[2] = f"team {team_id!r} has inconsistent placements"
-    else:
-        team.append(player_id)
+
+def _group(
+    stamps: Sequence[datetime],
+    team_ids: Sequence[str],
+    players: Sequence[str],
+    places: Sequence[int],
+) -> tuple[datetime, dict[str, list[Any]]] | str:
+    """One match's parsed rows, in file order, as the first row's timestamp
+    and team_id -> ``[placement, *members]`` in first-appearance order; or
+    the reason its first bad row rejects it: a timestamp that differs from
+    the first row's or a placement that differs from the team's first row's."""
+    first = stamps[0]
+    teams: dict[str, list[Any]] = {}
+    for stamp, team_id, player_id, placement in zip(stamps, team_ids, players, places):
+        if stamp is not first and stamp != first:
+            return (
+                f"rows carry different timestamps ({first.isoformat()} "
+                f"and {stamp.isoformat()})"
+            )
+        team = teams.get(team_id)
+        if team is None:
+            teams[team_id] = [placement, player_id]
+        elif team[0] != placement:
+            return f"team {team_id!r} has inconsistent placements"
+        else:
+            team.append(player_id)
+    return first, teams
 
 
 class _Kept:
     """The matches one ingest pass keeps, with the counts of those it
     reads, filters and rejects; ``commit`` hands them to an
-    ``IngestStats`` and logs each rejection once the pass has finished."""
+    ``IngestStats`` and logs each rejection once the pass has finished.
+    Each distinct timestamp and placement string is parsed once."""
 
     def __init__(self, team_size: int | None) -> None:
         self.team_size = team_size
+        self.stamps = functools.cache(parse_timestamp)
+        self.placements = functools.cache(int)
         self.matches: list[MatchRecord] = []
         self.read = 0
         self.filtered = 0
         self.rejected: list[tuple[str, str]] = []
-
-    def add(
-        self,
-        match_id: str,
-        stamp: datetime,
-        team_ids: Sequence[str],
-        rosters: Iterable[Iterable[str]],
-        ranks: Sequence[int],
-        sizes: Iterable[int],
-    ) -> None:
-        """One match as per-team columns; ``sizes`` holds every team size
-        that occurs.  A match the ``team_size`` filter drops is not built."""
-        self.read += 1
-        size = self.team_size
-        if size is not None and any(s != size for s in sizes):
-            self.filtered += 1
-            return
-        try:
-            self.matches.append(build_match(match_id, stamp, team_ids, rosters, ranks))
-        except DomainError as exc:
-            self.rejected.append((match_id, str(exc)))
-
-    def add_grouped(
-        self,
-        match_id: str,
-        stamp: datetime,
-        teams: dict[str, list[Any]],
-        bad_reason: str | None,
-    ) -> None:
-        """One match as ``_group_row`` grouped it."""
-        if bad_reason is not None:
-            self.read += 1
-            self.rejected.append((match_id, bad_reason))
-            return
-        entries = teams.values()
-        self.add(
-            match_id,
-            stamp,
-            tuple(teams),
-            [entry[1:] for entry in entries],
-            [entry[0] for entry in entries],
-            [len(entry) - 1 for entry in entries],
-        )
-
-    def commit(self, stats: IngestStats) -> list[MatchRecord]:
-        stats.matches_read += self.read
-        stats.filtered += self.filtered
-        stats.rejected.extend(self.rejected)
-        for match_id, reason in self.rejected:
-            log.warning("rejected match %s: %s", match_id, reason)
-        # stable, equal stamps keep file order
-        self.matches.sort(key=operator.attrgetter("timestamp"))
-        return self.matches
-
-
-class _ColumnPass:
-    """The column pass of ``ingest`` over a quote-free log.
-
-    Each chunk of lines becomes the five columns in one split, the columns
-    are cut into runs of one match id, and a run whose rows share one
-    timestamp string, whose teams are contiguous and of one size, and
-    whose teams each have one placement string is built from its column
-    slices.  A run of another shape is grouped row by row by
-    ``_group_row``.  Whatever it cannot check the way the ``csv.reader``
-    pass would raises ``_Unchecked``.
-    """
-
-    def __init__(self, kept: _Kept) -> None:
-        self.kept = kept
-        self.stamps = functools.cache(parse_timestamp)
-        self.placements = functools.cache(int)
-        self.seen: set[str] = set()
-        self.rows = 0
-
-    def read(self, path: Path) -> None:
-        limit = csv.field_size_limit()
-        try:
-            with open(path, encoding="utf-8") as handle:
-                head = handle.readline()
-                if '"' in head or "\0" in head or len(head) > limit:
-                    raise _Unchecked
-                header = head.rstrip("\n").split(",")
-                # a repeated column counts at its last position, as in DictReader
-                position = {name: i for i, name in enumerate(header)}
-                if not position.keys() >= set(MATCH_LOG_COLUMNS):
-                    raise _Unchecked
-                picks = [position[c] for c in MATCH_LOG_COLUMNS]
-                carry: list[list[str]] = [[] for _ in picks]
-                while lines := handle.readlines(_CHUNK_CHARS):
-                    columns = _chunk_columns(lines, len(header), picks, limit)
-                    self.rows += len(columns[0])
-                    # the last run may go on in the next chunk
-                    columns = [old + new for old, new in zip(carry, columns)]
-                    ids, stamps, teams, players, places = columns
-                    changes = map(operator.ne, ids, ids[1:])
-                    starts = [0, *compress(range(1, len(ids)), changes)]
-                    for i, j in pairwise(starts):
-                        self.add_run(
-                            ids[i], stamps[i:j], teams[i:j], players[i:j], places[i:j]
-                        )
-                    carry = [column[starts[-1] :] for column in columns]
-                if carry[0]:
-                    self.add_run(carry[0][0], *carry[1:])
-        except UnicodeDecodeError:
-            raise _Unchecked from None
 
     def add_run(
         self,
@@ -294,10 +195,12 @@ class _ColumnPass:
         players: list[str],
         places: list[str],
     ) -> None:
-        """One match's rows, in file order."""
-        if match_id in self.seen:
-            raise _Unchecked  # the match's rows are not contiguous
-        self.seen.add(match_id)
+        """One match's rows, in file order.  A run whose rows share one
+        timestamp string, whose teams are contiguous and of one size and
+        each have one placement string is built from its column slices; any
+        other is grouped by ``_group``.  A match the ``team_size`` filter
+        drops is not built; a string that does not parse raises ``_Unchecked``."""
+        self.read += 1
         rows = len(team_ids)
         size = team_ids.count(team_ids[0])
         teams = team_ids[::size]
@@ -313,18 +216,87 @@ class _ColumnPass:
         ):
             (stamp,) = _parse_all(self.stamps, stamps[:1])
             ranks = _parse_all(self.placements, ranks)
-            rosters = zip(*[iter(players)] * size)
-            self.kept.add(match_id, stamp, teams, rosters, ranks, (size,))
+            rosters: Iterable[Iterable[str]] = zip(*[iter(players)] * size)
+            sizes: Iterable[int] = (size,)
+        else:
+            grouped = _group(
+                _parse_all(self.stamps, stamps),
+                team_ids,
+                players,
+                _parse_all(self.placements, places),
+            )
+            if isinstance(grouped, str):
+                self.rejected.append((match_id, grouped))
+                return
+            stamp, entries = grouped
+            teams = list(entries)
+            ranks = [entry[0] for entry in entries.values()]
+            rosters = [entry[1:] for entry in entries.values()]
+            sizes = map(len, rosters)
+        if self.team_size is not None and any(s != self.team_size for s in sizes):
+            self.filtered += 1
             return
-        grouped: dict[str, list[Any]] = {}
-        for row in zip(
-            _parse_all(self.stamps, stamps),
-            team_ids,
-            players,
-            _parse_all(self.placements, places),
-        ):
-            _group_row(grouped, match_id, *row)
-        self.kept.add_grouped(match_id, *grouped[match_id])
+        try:
+            self.matches.append(build_match(match_id, stamp, teams, rosters, ranks))
+        except DomainError as exc:
+            self.rejected.append((match_id, str(exc)))
+
+    def commit(self, stats: IngestStats) -> list[MatchRecord]:
+        stats.matches_read += self.read
+        stats.filtered += self.filtered
+        stats.rejected.extend(self.rejected)
+        for match_id, reason in self.rejected:
+            log.warning("rejected match %s: %s", match_id, reason)
+        # stable, equal stamps keep file order
+        self.matches.sort(key=operator.attrgetter("timestamp"))
+        return self.matches
+
+
+def _read_columns(path: Path, kept: _Kept, stats: IngestStats) -> None:
+    """The column pass of ``ingest`` over a quote-free log.
+
+    Each chunk of lines becomes the five columns in one split, the columns
+    are cut into runs of one match id, and each run goes to
+    ``kept.add_run`` as column slices.  Whatever it cannot check the way
+    the ``csv.reader`` pass would, a match whose rows are not contiguous
+    included, raises ``_Unchecked``.
+    """
+    limit = csv.field_size_limit()
+    seen: set[str] = set()
+    rows = 0
+
+    def add_run(match_id: str, *columns: list[str]) -> None:
+        if match_id in seen:
+            raise _Unchecked  # the match's rows are not contiguous
+        seen.add(match_id)
+        kept.add_run(match_id, *columns)
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            head = handle.readline()
+            if '"' in head or "\0" in head or len(head) > limit:
+                raise _Unchecked
+            header = head.rstrip("\n").split(",")
+            picks, missing = _header_columns(header)
+            if missing:
+                raise _Unchecked
+            carry: list[list[str]] = [[] for _ in picks]
+            while lines := handle.readlines(_CHUNK_CHARS):
+                columns = _chunk_columns(lines, len(header), picks, limit)
+                rows += len(columns[0])
+                # the last run may go on in the next chunk
+                columns = [old + new for old, new in zip(carry, columns)]
+                ids, stamps, teams, players, places = columns
+                changes = map(operator.ne, ids, ids[1:])
+                starts = [0, *compress(range(1, len(ids)), changes)]
+                for i, j in pairwise(starts):
+                    add_run(ids[i], stamps[i:j], teams[i:j], players[i:j], places[i:j])
+                carry = [column[starts[-1] :] for column in columns]
+            if carry[0]:
+                add_run(carry[0][0], *carry[1:])
+    except UnicodeDecodeError:
+        raise _Unchecked from None
+    stats.rows += rows
 
 
 def _chunk_columns(
@@ -355,15 +327,12 @@ def _chunk_columns(
     return columns
 
 
-def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
-    """The ``csv.reader`` pass of ``ingest``: each row, checked and parsed,
-    joins its team in its match through ``_group_row``; matches keep
-    first-appearance order.  Rows after a match's first bad one are
-    counted, not grouped.
-    """
-    grouped: dict[str, list[Any]] = {}
-    stamps = functools.cache(parse_timestamp)
-    placements = functools.cache(int)
+def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
+    """The ``csv.reader`` pass of ``ingest``: every row is checked and parsed
+    in file order and its five fields go on its match's one flat list; then
+    each match, in first-appearance order, goes to ``kept.add_run`` as
+    column slices of that list."""
+    grouped: defaultdict[str, list[str]] = defaultdict(list)
     rows = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -371,12 +340,9 @@ def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file, expected a header row")
-            # a repeated column counts at its last position, as in DictReader
-            position = {name: i for i, name in enumerate(header)}
-            missing = [c for c in MATCH_LOG_COLUMNS if c not in position]
+            columns, missing = _header_columns(header)
             if missing:
                 raise DataError(f"{path}: header is missing column(s) {missing}")
-            columns = [position[c] for c in MATCH_LOG_COLUMNS]
             pick = operator.itemgetter(*columns)
             width = max(columns) + 1
             for row in reader:
@@ -386,29 +352,30 @@ def _read_grouped(path: Path, stats: IngestStats) -> dict[str, list[Any]]:
                     raise DataError(
                         f"{path}:{reader.line_num}: row is missing a required field"
                     )
-                match_id, ts_text, team_id, player_id, placement_text = values
+                match_id, ts_text, _, _, placement_text = values
                 try:
-                    stamp = stamps(ts_text)
+                    kept.stamps(ts_text)
                 except ValueError:
                     raise DataError(
                         f"{path}:{reader.line_num}: bad timestamp {ts_text!r}"
                     ) from None
                 try:
-                    placement = placements(placement_text)
+                    kept.placements(placement_text)
                 except ValueError:
                     raise DataError(
                         f"{path}:{reader.line_num}: bad team_placement "
                         f"{placement_text!r}"
                     ) from None
                 rows += 1
-                _group_row(grouped, match_id, stamp, team_id, player_id, placement)
+                grouped[match_id].extend(values)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
     finally:
         stats.rows += rows
-    return grouped
+    for match_id, flat in grouped.items():
+        kept.add_run(match_id, flat[1::5], flat[2::5], flat[3::5], flat[4::5])
 
 
 def ingest(
@@ -424,22 +391,23 @@ def ingest(
     ignored; blank lines are skipped), and each distinct timestamp and
     placement string is parsed once per call.
 
-    Every log starts on the column pass: it is read with universal
-    newlines about ``_CHUNK_CHARS`` characters at a time, each chunk is
-    split into its columns at once, and each match is built from its
-    column slices.  A double quote, a NUL (which ``csv.reader`` rejects
-    before Python 3.11), a line over the csv module's field size limit, a
-    line with another number of fields than the header, an empty field,
-    an unparsable timestamp or placement, bytes that are not UTF-8, or a
-    match whose rows are not contiguous ends that pass, and the whole file
-    is read again, row by row, with ``csv.reader``.  So quote-free logs
-    whose matches each sit in one run of rows (``synth`` writes them so)
-    take the column pass, and quoted logs give the results of their
-    unquoted twins.  Only the ``csv.reader`` pass raises: structurally
-    malformed rows (missing fields, bad timestamp, non-integer placement)
-    and csv-level errors (a field over the csv module's size limit, ...)
-    raise a DataError naming file and line, at the first bad line in file
-    order; bytes that are not UTF-8 raise a DataError naming the file.
+    Two tokenizers feed one match builder, which gets each match's rows in
+    file order.  Every log starts on the column pass: it is read with
+    universal newlines about ``_CHUNK_CHARS`` characters at a time, and
+    each chunk is split into its columns at once.  A double quote, a NUL
+    (which ``csv.reader`` rejects before Python 3.11), a line over the csv
+    module's field size limit, a line with another number of fields than
+    the header, an empty field, an unparsable timestamp or placement, bytes
+    that are not UTF-8, or a match whose rows are not contiguous ends that
+    pass, and the whole file is read again, row by row, with ``csv.reader``.
+    So quote-free logs whose matches each sit in one run of rows (``synth``
+    writes them so) take the column pass, and quoted logs give the results
+    of their unquoted twins.  Only the ``csv.reader`` pass raises:
+    structurally malformed rows (missing fields, bad timestamp, non-integer
+    placement) and csv-level errors (a field over the csv module's size
+    limit, ...) raise a DataError naming file and line, at the first bad
+    line in file order; bytes that are not UTF-8 raise a DataError naming
+    the file.
 
     Semantically invalid matches (rows that disagree on the timestamp,
     placements not a permutation, duplicated players, placement < 1) are
@@ -454,15 +422,11 @@ def ingest(
     path = Path(path)
     stats = stats if stats is not None else IngestStats()
     kept = _Kept(team_size)
-    column_pass = _ColumnPass(kept)
     try:
-        column_pass.read(path)
+        _read_columns(path, kept, stats)
     except _Unchecked:
         kept = _Kept(team_size)
-        for match_id, match in _read_grouped(path, stats).items():
-            kept.add_grouped(match_id, *match)
-    else:
-        stats.rows += column_pass.rows
+        _read_grouped(path, kept, stats)
     return kept.commit(stats)
 
 

@@ -25,7 +25,6 @@ joined by hand and ended in ``\r\n``; any others go through
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
@@ -36,6 +35,7 @@ import numpy as np
 
 from .core import DomainError, MatchRecord, build_match
 from .replay import MATCH_LOG_COLUMNS, format_timestamp
+from .systems import check_fields
 
 __all__ = ["SynthConfig", "generate", "write_match_log", "write_latent_skills"]
 
@@ -68,16 +68,7 @@ class SynthConfig:
                 f"player_count {self.player_count} cannot fill "
                 f"{self.teams_per_match} teams of {self.team_size}"
             )
-        if not math.isfinite(self.skill_mean):
-            raise DomainError(f"skill_mean must be finite, got {self.skill_mean}")
-        if not (math.isfinite(self.skill_spread) and self.skill_spread > 0):
-            raise DomainError(
-                f"skill_spread must be finite and > 0, got {self.skill_spread}"
-            )
-        if not (math.isfinite(self.noise_spread) and self.noise_spread >= 0):
-            raise DomainError(
-                f"noise_spread must be finite and >= 0, got {self.noise_spread}"
-            )
+        check_fields(self, skill_mean="finite", skill_spread="> 0", noise_spread=">= 0")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 

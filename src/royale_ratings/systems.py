@@ -547,7 +547,8 @@ def _missed_yet_unmoved(
 
 
 def make_system(name: str, **overrides: Any) -> RatingSystem:
-    """Build a rating system by name with keyword parameter overrides."""
+    """Build a rating system by name with keyword parameter overrides; an
+    unknown name or parameter raises a DomainError."""
     from . import elo, glicko, prevrank, trueskill
 
     for system in (
@@ -557,10 +558,16 @@ def make_system(name: str, **overrides: Any) -> RatingSystem:
         prevrank.PreviousRankSystem,
     ):
         if system.name == name:
-            if overrides and not fields(system.Params):
-                raise ValueError(f"{name} takes no parameters")
+            names = tuple(f.name for f in fields(system.Params))
+            if overrides and not names:
+                raise DomainError(f"{name} takes no parameters")
+            unknown = [key for key in overrides if key not in names]
+            if unknown:
+                raise DomainError(
+                    f"unknown {name} parameter(s) {unknown}, expected any of {names}"
+                )
             return system(system.Params(**overrides))
-    raise ValueError(f"unknown rating system {name!r}, expected one of {SYSTEM_NAMES}")
+    raise DomainError(f"unknown rating system {name!r}, expected one of {SYSTEM_NAMES}")
 
 
 def check_fields(params: object, **rules: str) -> None:

@@ -528,3 +528,20 @@ def test_synth_and_benchmark_logs_take_the_column_pass(
     monkeypatch.setattr(replay_module, "_read_grouped", csv_pass)
     for (path, size), reference in zip(fast_path_logs, expected):
         assert outcome(ingest, path, size) == reference, (path, size)
+
+
+def test_synth_and_benchmark_logs_through_the_csv_reader_pass(
+    fast_path_logs, monkeypatch
+):
+    # the same logs, regular runs, rejects and the size filter together,
+    # read by the csv.reader pass alone
+    def column_pass(*args, **kwargs):
+        raise replay_module._Unchecked
+
+    monkeypatch.setattr(replay_module, "_read_columns", column_pass)
+    outcomes = []
+    for path, size in fast_path_logs:
+        outcomes.append(outcome(ingest, path, size))
+        assert outcomes[-1] == outcome(reference_ingest, path, size), (path, size)
+    assert any(stats.rejected for _, _, stats, _ in outcomes)
+    assert any(stats.filtered for _, _, stats, _ in outcomes)

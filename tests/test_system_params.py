@@ -121,8 +121,28 @@ def test_make_system_texts():
     with pytest.raises(DomainError) as exc:
         make_system("elo", k_factor=-1.0)
     assert str(exc.value) == "k_factor must be finite and > 0, got -1.0"
-    with pytest.raises(TypeError):
+    with pytest.raises(DomainError, match="'beta'.*'k_factor', 'd_scale'"):
         make_system("elo", beta=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("glicko2", {}),
+        ("prevrank", {"k_factor": 1.0}),
+        ("elo", {"beta": 1.0}),
+        ("trueskill", {"mu0": 1.0, "beta": 2.0, "k": 3.0}),
+    ],
+)
+def test_make_system_raises_domain_errors(name, overrides):
+    # a library caller catches RatingsError for every bad name or override
+    with pytest.raises(DomainError) as exc:
+        make_system(name, **overrides)
+    if name == "trueskill":
+        assert str(exc.value) == (
+            "unknown trueskill parameter(s) ['mu0', 'k'], expected any of "
+            f"{tuple(f.name for f in fields(TrueSkillParams))}"
+        )
 
 
 def spoiled(system_class, column: str, member: int, value: float):
