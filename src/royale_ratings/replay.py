@@ -32,7 +32,6 @@ rank of each member's team, aligned with the replay's member array.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import logging
 import math
@@ -128,9 +127,22 @@ class _Unchecked(Exception):
     again with ``csv.reader``."""
 
 
-def _parse_all(parse: Callable[[str], Any], texts: Iterable[str]) -> list[Any]:
+class _Parsed(dict):
+    """Each distinct string parsed once: a missing key is parsed and kept;
+    a string that does not parse raises the parser's ValueError."""
+
+    def __init__(self, parse: Callable[[str], Any]) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str) -> Any:
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _parse_all(parsed: _Parsed, texts: Iterable[str]) -> list[Any]:
     try:
-        return list(map(parse, texts))
+        return list(map(parsed.__getitem__, texts))
     except ValueError:
         raise _Unchecked from None
 
@@ -180,8 +192,8 @@ class _Kept:
 
     def __init__(self, team_size: int | None) -> None:
         self.team_size = team_size
-        self.stamps = functools.cache(parse_timestamp)
-        self.placements = functools.cache(int)
+        self.stamps = _Parsed(parse_timestamp)
+        self.placements = _Parsed(int)
         self.matches: list[MatchRecord] = []
         self.read = 0
         self.filtered = 0
@@ -354,13 +366,13 @@ def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
                     )
                 match_id, ts_text, _, _, placement_text = values
                 try:
-                    kept.stamps(ts_text)
+                    kept.stamps[ts_text]
                 except ValueError:
                     raise DataError(
                         f"{path}:{reader.line_num}: bad timestamp {ts_text!r}"
                     ) from None
                 try:
-                    kept.placements(placement_text)
+                    kept.placements[placement_text]
                 except ValueError:
                     raise DataError(
                         f"{path}:{reader.line_num}: bad team_placement "

@@ -56,8 +56,10 @@ The array code must give the bits the scalar code gave.  Row sums use
 ``ndarray.sum``, which adds pairwise.  A square that the scalar code took
 with Python's ``**`` stays a Python ``**``: CPython's ``x**2`` calls C
 ``pow``, which rounds some squares differently from numpy's ``x*x``.
-TrueSkill's chain is scalar Python on team sums, and only the final
-member split, a divide, a multiply and an add per member, is array code.
+TrueSkill's chain is one scalar kernel call per adjacent pair on team
+sums, and a middle team's losing split is scalar Python on its member
+lists; only each team's last split, a divide, a multiply and an add per
+member, is array code.
 
 numpy reports a float fault by a warning or not at all, where Python
 raises or stays silent, so each numpy step states what it does:
@@ -105,7 +107,7 @@ import operator
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping
 from dataclasses import asdict, dataclass, fields
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import Any, Sequence
 
 import numpy as np
@@ -179,7 +181,7 @@ class MatchBlock:
     def pad(self, teams: list[list[float]]) -> np.ndarray:
         """Per-team member lists as a zero-padded matrix of the block's shape."""
         out = np.zeros(self.mask.shape)
-        out[self.mask] = [value for team in teams for value in team]
+        out[self.mask] = list(chain.from_iterable(teams))
         return out
 
 

@@ -29,15 +29,17 @@ team's shrink factor sigma_t'/sigma_t, so the team aggregate follows the
 pair update.  With two single-player teams the chain is exactly one pair
 update.
 
-The chain runs on team aggregates: a team's (mu, sigma) sums are Python
-scalars, taken from its members once each time it enters a pair.  A
-team in the middle of the order is split twice.  Its split as a loser
-is applied to its member lists at once, because its next pair, as the
-winner, reads the sums of the updated members; every team's last split
-is applied to the ``MatchBlock`` matrices in one array step after the
-chain.  The member sums, squares and splits are the same float
-operations, in the same order, as a per-pair member update, and
-``member_weights`` is called (and warns) in chain order.
+The chain runs on team aggregates: each team's (mu, variance) sums are
+Python scalars, taken from its members once as the chain starts, and
+each adjacent pair is one call of a scalar kernel, the one
+``update_pair`` also calls.  A team in the middle of the order is split
+twice.  Its split as a loser is applied to its member lists in place,
+and the sums of the updated members carry over as the next pair's
+winner; every team's last split is applied to the ``MatchBlock``
+matrices in one array step after the chain.  The member sums, squares
+and splits are the same float operations, in the same order, as a
+per-pair member update, and ``member_weights`` is called (and warns) in
+chain order.
 
 The default dynamics noise tau = 0.833 is deliberately large, ten times
 the usual sigma0/100 choice for mu0 = 25; it is kept as a parameter so
@@ -163,32 +165,50 @@ def update_pair(
     x = -40 the sigma factor 1 - (sigma^2/c^2) w is formed without its
     subtraction, so it stays positive where w rounds to 1.
     """
-    mu_w, sigma_w = winner
-    mu_l, sigma_l = loser
+    mu_w, sigma_w, mu_l, sigma_l = _pair(*winner, *loser, 2.0 * params.beta**2)
+    return (mu_w, sigma_w), (mu_l, sigma_l)
+
+
+def _pair(
+    mu_w: float, sigma_w: float, mu_l: float, sigma_l: float, rest: float
+) -> tuple[float, float, float, float]:
+    """``update_pair`` on scalars, with ``rest`` = 2 beta^2: the posterior
+    mu_w, sigma_w, mu_l, sigma_l.  Above x = -40 it forms v and w as
+    ``_moments`` does, without the call."""
     if not sigma_w > 0 or not sigma_l > 0:
         raise DomainError("sigmas must be positive")
-    c_sq = 2.0 * params.beta**2 + sigma_w**2 + sigma_l**2
+    sq_w = sigma_w**2
+    sq_l = sigma_l**2
+    c_sq = rest + sq_w + sq_l
     if c_sq == math.inf:
         # x and both corrections would be 0: the priors come back unchanged
         raise OverflowError("c^2 = 2 beta^2 + sigma_w^2 + sigma_l^2 overflows")
     c = math.sqrt(c_sq)
     x = (mu_w - mu_l) / c
-    v, w, slack = _moments(x)
-    new_mu_w = mu_w + (sigma_w**2 / c) * v
-    new_mu_l = mu_l - (sigma_l**2 / c) * v
-    if x < _DEEP_TAIL:
-        # w is within 1/x^2 of 1, where 1 - (sigma^2/c^2) w cancels to 0
-        # or below once sigma^2 is most of c^2; the same factor is formed
-        # as (c^2 - sigma^2)/c^2 + (sigma^2/c^2)(1 - w), a sum of positives
-        rest = 2.0 * params.beta**2
-        shrink_w = (rest + sigma_l**2) / c_sq + (sigma_w**2 / c_sq) * slack
-        shrink_l = (rest + sigma_w**2) / c_sq + (sigma_l**2 / c_sq) * slack
+    if _DEEP_TAIL <= x < math.inf:
+        # max(v, _TINY) and max(w, _TINY), without the calls
+        v = math.exp(-0.5 * x * x - _LOG_SQRT_2PI - float(log_ndtr(x)))
+        if v < _TINY:
+            v = _TINY
+        w = v * (v + x)
+        if w < _TINY:
+            w = _TINY
+        shrink_w = 1.0 - (sq_w / c_sq) * w
+        shrink_l = 1.0 - (sq_l / c_sq) * w
     else:
-        shrink_w = 1.0 - (sigma_w**2 / c_sq) * w
-        shrink_l = 1.0 - (sigma_l**2 / c_sq) * w
-    new_sigma_w = sigma_w * shrink_w
-    new_sigma_l = sigma_l * shrink_l
-    return (new_mu_w, new_sigma_w), (new_mu_l, new_sigma_l)
+        # x is below -40 (or not finite, which _moments rejects), where w
+        # is within 1/x^2 of 1 and 1 - (sigma^2/c^2) w cancels to 0 or
+        # below once sigma^2 is most of c^2; the same factor is formed as
+        # (c^2 - sigma^2)/c^2 + (sigma^2/c^2)(1 - w), a sum of positives
+        v, _, slack = _moments(x)
+        shrink_w = (rest + sq_l) / c_sq + (sq_w / c_sq) * slack
+        shrink_l = (rest + sq_w) / c_sq + (sq_l / c_sq) * slack
+    return (
+        mu_w + (sq_w / c) * v,
+        sigma_w * shrink_w,
+        mu_l - (sq_l / c) * v,
+        sigma_l * shrink_l,
+    )
 
 
 class TrueSkillSystem(RatingSystem):
@@ -203,71 +223,73 @@ class TrueSkillSystem(RatingSystem):
         by_mu = params.member_share == "mu"
         team_ids = block.match.team_ids
         n = len(team_ids)
-        sizes = block.match.sizes
-        ends = list(accumulate(sizes))
+        ends = list(accumulate(block.match.sizes))
         member_sigmas = block.sigma[block.mask].tolist()
         tau_sq = params.tau_dynamics**2
         if tau_sq > 0:
             member_sigmas = [math.sqrt(q + tau_sq) for q in squares(member_sigmas)]
-        # per-team member lists, sliced from the members in record order
-        spans = [slice(end - size, end) for end, size in zip(ends, sizes)]
-        member_mus = block.mu[block.mask].tolist()
-        mus = [member_mus[span] for span in spans]
-        sigmas = [member_sigmas[span] for span in spans]
-        # each team's member variances and their sum as it enters the chain;
-        # an infinite sum would turn the chain's sigmas to NaN
         member_squares = squares(member_sigmas)
-        team_squares = [member_squares[span] for span in spans]
+        # per-team member lists, sliced from the members in record order; a
+        # team that loses a pair before its last is updated in them in place
+        spans = list(map(slice, [0, *ends], ends))
+        member_mus = block.mu[block.mask].tolist()
+        mus = list(map(member_mus.__getitem__, spans))
+        sigmas = list(map(member_sigmas.__getitem__, spans))
+        team_squares = list(map(member_squares.__getitem__, spans))
+        # each team's (mu, variance) sums as it enters the chain; an
+        # infinite variance would turn the chain's sigmas to NaN
         variances = list(map(sum, team_squares))
         require_finite_variances(team_ids, variances)
+        team_mus = list(map(sum, mus))
         # a member's share of its team's mu delta is weight / total: its
-        # member_weights entry over 1.0, or its variance over the team's
-        weights: list[list[float]] = [[]] * n
-        totals = [1.0] * n
+        # member_weights entry over 1.0, or its variance over the team's,
+        # which are the lists above as each team's last split reads them
+        if by_mu:
+            weights: list[list[float]] = [[]] * n
+            totals = [1.0] * n
+        else:
+            weights, totals = team_squares, variances
         # each team's last split, applied to the matrices after the chain:
         # the weights above, the team mu delta and the sigma shrink factor
         deltas = [0.0] * n
         shrinks = [0.0] * n
+        rest = 2.0 * params.beta**2
         by_rank = np.argsort(block.ranks).tolist()
         last = by_rank[-1]
         win = by_rank[0]
-        squares_w, var_w = team_squares[win], variances[win]
-        mu_w, sigma_w = sum(mus[win]), math.sqrt(var_w)
+        sqrt = math.sqrt
+        mu_w, var_w = team_mus[win], variances[win]
         for lose in by_rank[1:]:
-            squares_l, var_l = team_squares[lose], variances[lose]
-            mu_l, sigma_l = sum(mus[lose]), math.sqrt(var_l)
+            mu_l, var_l = team_mus[lose], variances[lose]
+            sigma_w, sigma_l = sqrt(var_w), sqrt(var_l)
             try:
-                post_w, post_l = update_pair((mu_w, sigma_w), (mu_l, sigma_l), params)
+                post_mu_w, post_sigma_w, post_mu_l, post_sigma_l = _pair(
+                    mu_w, sigma_w, mu_l, sigma_l, rest
+                )
             except OverflowError:
                 raise DomainError(
                     f"teams {team_ids[win]!r} and {team_ids[lose]!r} deviations "
                     "overflow when combined"
                 ) from None
-            deltas[win] = post_w[0] - mu_w
-            shrinks[win] = post_w[1] / sigma_w
-            delta = deltas[lose] = post_l[0] - mu_l
-            shrink = shrinks[lose] = post_l[1] / sigma_l
+            deltas[win] = post_mu_w - mu_w
+            shrinks[win] = post_sigma_w / sigma_w
+            delta = deltas[lose] = post_mu_l - mu_l
+            shrink = shrinks[lose] = post_sigma_l / sigma_l
             if by_mu:
                 weights[win] = member_weights(mus[win], team_ids[win])
                 weights[lose] = member_weights(mus[lose], team_ids[lose])
-            else:
-                weights[win], totals[win] = squares_w, var_w
-                weights[lose], totals[lose] = squares_l, var_l
             if lose == last:
                 break
             # the loser's updated members enter the next pair as the winner
-            total = totals[lose]
-            mus_w: list[float] = []
-            sigmas_w: list[float] = []
-            squares_w = []
-            for m, s, weight in zip(mus[lose], sigmas[lose], weights[lose]):
-                mus_w.append(m + weight / total * delta)
-                s *= shrink
-                sigmas_w.append(s)
-                squares_w.append(s**2)
-            mus[lose], sigmas[lose], win = mus_w, sigmas_w, lose
-            var_w = sum(squares_w)
-            mu_w, sigma_w = sum(mus_w), math.sqrt(var_w)
+            mu_t, sigma_t, square_t = mus[lose], sigmas[lose], team_squares[lose]
+            weight_t, total = weights[lose], totals[lose]
+            for k, weight in enumerate(weight_t):
+                mu_t[k] += weight / total * delta
+                sigma_t[k] = s = sigma_t[k] * shrink
+                square_t[k] = s**2
+            win = lose
+            mu_w, var_w = sum(mu_t), sum(square_t)
+            variances[lose] = var_w
         # Python float arithmetic raises no flag, and neither may this
         with np.errstate(all="ignore"):
             shares = block.pad(weights) / np.array(totals)[:, None]
