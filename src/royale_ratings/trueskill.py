@@ -280,7 +280,9 @@ class TrueSkillSystem(RatingSystem):
                 weights[lose] = member_weights(mus[lose], team_ids[lose])
             if lose == last:
                 break
-            # the loser's updated members enter the next pair as the winner
+            # the loser's updated members enter the next pair as the winner;
+            # with variance shares weight_t is square_t, and each weight is
+            # read before its square is replaced
             mu_t, sigma_t, square_t = mus[lose], sigmas[lose], team_squares[lose]
             weight_t, total = weights[lose], totals[lose]
             for k, weight in enumerate(weight_t):

@@ -1,0 +1,57 @@
+"""Schema of ``tools/bench_layers.py``'s BENCH file, at a tiny scale.
+
+Only the shape is checked: timings are host noise, so no value of one is
+asserted beyond being a non-negative number.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+LAYERS = ["generate", "write", "ingest"] + [
+    f"{layer}.{system}"
+    for system in ("elo", "glicko", "trueskill", "prevrank")
+    for layer in ("replay", "apply", "write")
+]
+
+
+def test_bench_file_schema(tmp_path):
+    subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "tools" / "bench_layers.py"),
+            "--scale", "0.002",
+            "--repeats", "2",
+            "--bench-out", str(tmp_path),
+        ],
+        check=True,
+        capture_output=True,
+        timeout=300,
+    )
+    (path,) = tmp_path.glob("BENCH_*.json")
+    report = json.loads(path.read_text())
+    assert path.name == f"BENCH_{report['commit']}.json"
+    assert re.fullmatch(r"[0-9a-f]{4,}(-dirty)?|unknown", report["commit"])
+    workload = report["workload"]
+    assert workload["name"] == "L" and workload["scale"] == 0.002
+    assert workload["config"]["match_count"] == 10
+    assert report["matches"] == 10 and report["repeats"] == 2
+    assert workload["rows"] == 10 * 48 * 2
+    assert set(report["environment"]) == {
+        "python", "numpy", "scipy", "cpu_count", "machine"
+    }
+    assert report["import_s"] > 0 and report["peak_rss_mb"] > 0
+    assert list(report["layers"]) == LAYERS
+    for name, layer in report["layers"].items():
+        assert layer["unit"] == "s"
+        assert len(layer["runs"]) == 2 and min(layer["runs"]) >= 0, name
+        assert layer["q1"] <= layer["median"] <= layer["q3"], name
+        assert layer["iqr"] == layer["q3"] - layer["q1"], name
+        assert isinstance(layer["ncalls"], int) and layer["ncalls"] > 0, name
+        assert layer["tracemalloc_peak_mb"] >= 0, name

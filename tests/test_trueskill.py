@@ -115,6 +115,22 @@ class TestUpdatePair:
         # the loser keeps (c^2 - sigma_l^2)/c^2 + (1 - w) of its sigma
         assert new_l / sigma_l == pytest.approx(1e-20 + 1.0 / x**2, rel=1e-2)
 
+    @pytest.mark.parametrize("gap", [-39.5, -5.0, 0.0, 0.7, 8.0, 39.5])
+    def test_v_and_w_are_those_of_v_exceeds_and_w_exceeds(self, gap):
+        # above x = -40 the pair forms v and w inline; they must be the
+        # public functions' values to the bit
+        params = TrueSkillParams()
+        sigma_w, sigma_l = 3.0, 4.0
+        c_sq = 2.0 * params.beta**2 + sigma_w**2 + sigma_l**2
+        c = math.sqrt(c_sq)
+        mu_w = gap * c
+        x = (mu_w - 0.0) / c
+        v, w = v_exceeds(x), w_exceeds(x)
+        assert update_pair((mu_w, sigma_w), (0.0, sigma_l), params) == (
+            (mu_w + (sigma_w**2 / c) * v, sigma_w * (1.0 - (sigma_w**2 / c_sq) * w)),
+            (0.0 - (sigma_l**2 / c) * v, sigma_l * (1.0 - (sigma_l**2 / c_sq) * w)),
+        )
+
     def test_equal_priors_golden(self):
         params = TrueSkillParams()
         (mu_w, sg_w), (mu_l, sg_l) = update_pair(
@@ -332,6 +348,30 @@ class TestMatchUpdate:
         with caplog.at_level(logging.WARNING):
             system.update_match(state, match, 0)
         assert any("uniform member weights" in r.message for r in caplog.records)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 7: a middle team's winning split takes uniform "
+        "weights once its losing split drove a member to mu <= 0",
+    )
+    def test_mu_share_middle_team_members_move_together(self):
+        # t2 loses to the weaker t1, which drives both members to mu <= 0, then
+        # beats the stronger t3 with uniform weights: t2_p1 ends below its
+        # prior and t2_p2 above it
+        system = TrueSkillSystem(TrueSkillParams(tau_dynamics=0.0, member_share="mu"))
+        match = quick_match([1, 2, 3], team_size=2)
+        mus = {
+            "t1_p1": 1.0,
+            "t1_p2": 1.0,
+            "t2_p1": 2.0,
+            "t2_p2": 1.0,
+            "t3_p1": 10.0,
+            "t3_p2": 10.0,
+        }
+        state = {p: PlayerRating(mu=mu, sigma=10.0) for p, mu in mus.items()}
+        system.update_match(state, match, 0)
+        moves = {np.sign(state[p].mu - mus[p]) for p in ("t2_p1", "t2_p2")}
+        assert moves != {1.0, -1.0}
 
     def test_params_validated(self):
         with pytest.raises(DomainError):

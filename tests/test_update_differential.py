@@ -25,7 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from royale_ratings import trueskill
 from royale_ratings.core import (
+    DomainError,
     MatchRecord,
     PlayerRating,
     RatingsError,
@@ -329,3 +331,90 @@ def test_team_sigma_squared_as_python_squares_it(layout, system, team_size, beli
     want = reference_update_match(system, expected, match, 5)
     assert system.update_match(state, match, 5) == want
     assert state == expected
+
+
+# teams of 1-4 members in record order, placed 3, 1, 4, 2; each case gives
+# the team at each placement a (mu, sigma), which its j-th member (from 0)
+# takes as (mu + j, sigma (1 + j/8))
+CHAIN_SIZES = (1, 2, 3, 4)
+CHAIN_RANKS = (3, 1, 4, 2)
+CHAIN_BELIEFS = {
+    # the 2nd-placed team, rated far below the 3rd, wins the middle pair at
+    # x near -400, where v and w come from the continued fraction
+    "deep-tail": [(25.0, 3.0), (-500.0, 1.0), (500.0, 1.0), (130.0, 5.0)],
+    # the 1st-placed team wins the first pair so surely that the 2nd keeps
+    # its sigma; then the 2nd's and 3rd's variances, 1.4e308 and 1e308,
+    # overflow c^2
+    "c2-overflow": [(1e156, 1.0), (0.0, 5e153), (1.0, 1e154), (20.0, 5.0)],
+}
+TRUESKILL_SYSTEMS = sorted(name for name in SYSTEMS if name.startswith("trueskill"))
+
+
+def chain_case(case):
+    """The case's match and start state."""
+    players = iter(f"p{i}" for i in range(sum(CHAIN_SIZES)))
+    teams = tuple(
+        TeamEntry(
+            team_id=f"t{i}",
+            members=tuple(next(players) for _ in range(size)),
+            observed_rank=rank,
+        )
+        for i, (size, rank) in enumerate(zip(CHAIN_SIZES, CHAIN_RANKS))
+    )
+    match = MatchRecord(match_id="m1", timestamp=BASE_TIME, teams=teams)
+    beliefs = CHAIN_BELIEFS[case]
+    state = {}
+    for team in teams:
+        mu, sigma = beliefs[team.observed_rank - 1]
+        for j, player in enumerate(team.members):
+            state[player] = PlayerRating(mu + j, sigma * (1 + j / 8))
+    return match, state
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("name", TRUESKILL_SYSTEMS)
+def test_deep_tail_mid_chain_matches_the_reference(layout, name, monkeypatch):
+    xs = []
+    moments = trueskill._moments
+
+    def recorded(x):
+        xs.append(x)
+        return moments(x)
+
+    monkeypatch.setattr(trueskill, "_moments", recorded)
+    system = SYSTEMS[name]
+    match, expected = chain_case("deep-tail")
+    state = LAYOUTS[layout](expected)
+    with WarningLog() as warned:
+        want = reference_update_match(system, expected, match, 5)
+    tails = [x for x in xs if x < -40]
+    assert len(tails) == 1  # the middle pair, and only it, took the tail
+    del xs[:]
+    with WarningLog() as logged:
+        got = system.update_match(state, match, 5)
+    assert [x for x in xs if x < -40] == tails
+    assert logged == warned
+    assert got == want
+    assert state == expected
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("name", TRUESKILL_SYSTEMS)
+def test_c_squared_overflow_mid_chain_names_both_teams(layout, name):
+    system = SYSTEMS[name]
+    match, expected = chain_case("c2-overflow")
+    state = LAYOUTS[layout](expected)
+    before = dict(state)
+    with WarningLog() as warned:
+        with pytest.raises(OverflowError):
+            reference_update_match(system, dict(expected), match, 5)
+    with WarningLog() as logged:
+        with pytest.raises(DomainError) as raised:
+            system.update_match(state, match, 5)
+    # the 2nd-placed team, t3, wins the failing pair against the 3rd, t0
+    assert str(raised.value) == (
+        "match 'm1': trueskill update failed "
+        "(teams 't3' and 't0' deviations overflow when combined)"
+    )
+    assert logged == warned
+    assert state == before
