@@ -27,7 +27,7 @@ paper's duo shape (480k rows); ``--scale`` multiplies its player and
 match counts (at least one match, and players enough to fill one).
 ``--bench-out DIR`` writes everything to ``DIR/BENCH_<short-sha>.json``,
 named after the commit of the ``--src`` checkout (``-dirty`` appended
-when its tracked files differ from that commit).  The log and the
+when tracked files under ``--src`` differ from that commit).  The log and the
 artifacts go to a temporary directory.
 """
 
@@ -74,8 +74,8 @@ def workload_config(scale: float) -> dict[str, Any]:
 
 
 def commit_of(src: Path) -> str:
-    """Short sha of the checkout holding ``src``, "-dirty" when its
-    tracked files differ from that commit; "unknown" outside git."""
+    """Short sha of the checkout holding ``src``, "-dirty" when tracked
+    files under ``src`` differ from that commit; "unknown" outside git."""
     def git(*args: str) -> str:
         return subprocess.run(
             ["git", "-C", str(src), *args], capture_output=True, text=True, check=True
@@ -83,7 +83,7 @@ def commit_of(src: Path) -> str:
 
     try:
         sha = git("rev-parse", "--short", "HEAD")
-        dirty = git("status", "--porcelain", "--untracked-files=no")
+        dirty = git("status", "--porcelain", "--untracked-files=no", "--", ".")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return sha + ("-dirty" if dirty else "")
