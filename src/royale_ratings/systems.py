@@ -57,9 +57,7 @@ The array code must give the bits the scalar code gave.  Row sums use
 with Python's ``**`` stays a Python ``**``: CPython's ``x**2`` calls C
 ``pow``, which rounds some squares differently from numpy's ``x*x``.
 TrueSkill's chain is one scalar kernel call per adjacent pair on team
-sums, and a middle team's losing split is scalar Python on its member
-lists; only each team's last split, a divide, a multiply and an add per
-member, is array code.
+sums, and its member splits are scalar Python on member lists.
 
 numpy reports a float fault by a warning or not at all, where Python
 raises or stays silent, so each numpy step states what it does:
@@ -86,8 +84,8 @@ raises or stays silent, so each numpy step states what it does:
   nothing.  A system whose beliefs never change (prevrank) returns the
   prior ``block.mu`` itself and is exempt.
 - Array steps that stand in for Python float arithmetic, which
-  overflows to inf silently, ignore that flag (TrueSkill's split, the
-  ``best`` cohort's conservative scores).
+  overflows to inf silently, ignore that flag (the ``best`` cohort's
+  conservative scores).
 
 Member shares
 -------------

@@ -32,14 +32,17 @@ update.
 The chain runs on team aggregates: each team's (mu, variance) sums are
 Python scalars, taken from its members once as the chain starts, and
 each adjacent pair is one call of a scalar kernel, the one
-``update_pair`` also calls.  A team in the middle of the order is split
-twice.  Its split as a loser is applied to its member lists in place,
-and the sums of the updated members carry over as the next pair's
-winner; every team's last split is applied to the ``MatchBlock``
-matrices in one array step after the chain.  The member sums, squares
-and splits are the same float operations, in the same order, as a
-per-pair member update, and ``member_weights`` is called (and warns) in
-chain order.
+``update_pair`` also calls.  Right after each pair the winner's members,
+then the loser's, take their team's split in place in per-team member
+lists: a member's mu gains weight / total of the team's mu delta (its
+``member_weights`` entry over 1.0, or its variance over the team's
+variance, read before the member's sigma changes), and its sigma scales
+by the team's shrink factor.  The sums of the loser's updated members
+carry over as the next pair's winner, so a team in the middle of the
+order is split twice, and the posterior is the member lists padded to
+the block's shape.  The member sums, squares and splits are the same
+float operations, in the same order, as a per-pair member update, and
+``member_weights`` is called (and warns) in chain order.
 
 The default dynamics noise tau = 0.833 is deliberately large, ten times
 the usual sigma0/100 choice for mu0 = 25; it is kept as a parameter so
@@ -222,15 +225,14 @@ class TrueSkillSystem(RatingSystem):
         params = self.params
         by_mu = params.member_share == "mu"
         team_ids = block.match.team_ids
-        n = len(team_ids)
         ends = list(accumulate(block.match.sizes))
         member_sigmas = block.sigma[block.mask].tolist()
         tau_sq = params.tau_dynamics**2
         if tau_sq > 0:
             member_sigmas = [math.sqrt(q + tau_sq) for q in squares(member_sigmas)]
         member_squares = squares(member_sigmas)
-        # per-team member lists, sliced from the members in record order; a
-        # team that loses a pair before its last is updated in them in place
+        # per-team member lists, sliced from the members in record order and
+        # split in place
         spans = list(map(slice, [0, *ends], ends))
         member_mus = block.mu[block.mask].tolist()
         mus = list(map(member_mus.__getitem__, spans))
@@ -241,21 +243,8 @@ class TrueSkillSystem(RatingSystem):
         variances = list(map(sum, team_squares))
         require_finite_variances(team_ids, variances)
         team_mus = list(map(sum, mus))
-        # a member's share of its team's mu delta is weight / total: its
-        # member_weights entry over 1.0, or its variance over the team's,
-        # which are the lists above as each team's last split reads them
-        if by_mu:
-            weights: list[list[float]] = [[]] * n
-            totals = [1.0] * n
-        else:
-            weights, totals = team_squares, variances
-        # each team's last split, applied to the matrices after the chain:
-        # the weights above, the team mu delta and the sigma shrink factor
-        deltas = [0.0] * n
-        shrinks = [0.0] * n
         rest = 2.0 * params.beta**2
         by_rank = np.argsort(block.ranks).tolist()
-        last = by_rank[-1]
         win = by_rank[0]
         sqrt = math.sqrt
         mu_w, var_w = team_mus[win], variances[win]
@@ -271,31 +260,23 @@ class TrueSkillSystem(RatingSystem):
                     f"teams {team_ids[win]!r} and {team_ids[lose]!r} deviations "
                     "overflow when combined"
                 ) from None
-            deltas[win] = post_mu_w - mu_w
-            shrinks[win] = post_sigma_w / sigma_w
-            delta = deltas[lose] = post_mu_l - mu_l
-            shrink = shrinks[lose] = post_sigma_l / sigma_l
-            if by_mu:
-                weights[win] = member_weights(mus[win], team_ids[win])
-                weights[lose] = member_weights(mus[lose], team_ids[lose])
-            if lose == last:
-                break
-            # the loser's updated members enter the next pair as the winner;
-            # with variance shares weight_t is square_t, and each weight is
-            # read before its square is replaced
-            mu_t, sigma_t, square_t = mus[lose], sigmas[lose], team_squares[lose]
-            weight_t, total = weights[lose], totals[lose]
-            for k, weight in enumerate(weight_t):
-                mu_t[k] += weight / total * delta
-                sigma_t[k] = s = sigma_t[k] * shrink
-                square_t[k] = s**2
+            # winner, then loser: a member takes weight / total of its team's
+            # mu delta, the member_weights entry over 1.0 or its variance
+            # over the team's (each weight read before its square is
+            # replaced), and its sigma scales by the team's shrink factor
+            for team, delta, shrink, total in (
+                (win, post_mu_w - mu_w, post_sigma_w / sigma_w, var_w),
+                (lose, post_mu_l - mu_l, post_sigma_l / sigma_l, var_l),
+            ):
+                mu_t, sigma_t, square_t = mus[team], sigmas[team], team_squares[team]
+                weight_t = square_t
+                if by_mu:
+                    weight_t, total = member_weights(mu_t, team_ids[team]), 1.0
+                for k, weight in enumerate(weight_t):
+                    mu_t[k] += weight / total * delta
+                    sigma_t[k] = s = sigma_t[k] * shrink
+                    square_t[k] = s**2
+            # the loser's updated members enter the next pair as the winner
             win = lose
-            mu_w, var_w = sum(mu_t), sum(square_t)
-            variances[lose] = var_w
-        # Python float arithmetic raises no flag, and neither may this
-        with np.errstate(all="ignore"):
-            shares = block.pad(weights) / np.array(totals)[:, None]
-            return (
-                block.pad(mus) + shares * np.array(deltas)[:, None],
-                block.pad(sigmas) * np.array(shrinks)[:, None],
-            )
+            mu_w, var_w = sum(mus[lose]), sum(team_squares[lose])
+        return block.pad(mus), block.pad(sigmas)

@@ -21,7 +21,8 @@ LAYERS = ["generate", "write", "ingest"] + [
 ]
 
 
-def test_bench_file_schema(tmp_path):
+def bench(tmp_path, *flags):
+    """The BENCH file of one run at scale 0.002, 2 repeats."""
     subprocess.run(
         [
             sys.executable,
@@ -29,6 +30,7 @@ def test_bench_file_schema(tmp_path):
             "--scale", "0.002",
             "--repeats", "2",
             "--bench-out", str(tmp_path),
+            *flags,
         ],
         check=True,
         capture_output=True,
@@ -37,6 +39,18 @@ def test_bench_file_schema(tmp_path):
     (path,) = tmp_path.glob("BENCH_*.json")
     report = json.loads(path.read_text())
     assert path.name == f"BENCH_{report['commit']}.json"
+    return report
+
+
+def check_timings(layer, name):
+    assert layer["unit"] == "s"
+    assert len(layer["runs"]) == 2 and min(layer["runs"]) >= 0, name
+    assert layer["q1"] <= layer["median"] <= layer["q3"], name
+    assert layer["iqr"] == layer["q3"] - layer["q1"], name
+
+
+def test_bench_file_schema(tmp_path):
+    report = bench(tmp_path)
     assert re.fullmatch(r"[0-9a-f]{4,}(-dirty)?|unknown", report["commit"])
     workload = report["workload"]
     assert workload["name"] == "L" and workload["scale"] == 0.002
@@ -48,10 +62,22 @@ def test_bench_file_schema(tmp_path):
     }
     assert report["import_s"] > 0 and report["peak_rss_mb"] > 0
     assert list(report["layers"]) == LAYERS
+    assert "baseline" not in report
     for name, layer in report["layers"].items():
-        assert layer["unit"] == "s"
-        assert len(layer["runs"]) == 2 and min(layer["runs"]) >= 0, name
-        assert layer["q1"] <= layer["median"] <= layer["q3"], name
-        assert layer["iqr"] == layer["q3"] - layer["q1"], name
+        check_timings(layer, name)
         assert isinstance(layer["ncalls"], int) and layer["ncalls"] > 0, name
         assert layer["tracemalloc_peak_mb"] >= 0, name
+
+
+def test_baseline_block_schema(tmp_path):
+    """The same package as its own baseline: one more set of samples per
+    layer, from the same rounds, and the ratio of the two medians."""
+    report = bench(tmp_path, "--baseline-src", str(ROOT / "src"))
+    baseline = report["baseline"]
+    assert set(baseline) == {"commit", "layers"}
+    assert baseline["commit"] == report["commit"]
+    assert list(baseline["layers"]) == list(report["layers"]) == LAYERS
+    for name, layer in baseline["layers"].items():
+        check_timings(layer, name)
+        assert set(layer) == {"unit", "runs", "median", "q1", "q3", "iqr", "ratio"}
+        assert layer["ratio"] == report["layers"][name]["median"] / layer["median"], name

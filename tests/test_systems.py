@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 from dataclasses import fields, replace
+
+import numpy as np
 
 import pytest
 
@@ -19,7 +22,8 @@ from royale_ratings.core import (
 )
 from royale_ratings.elo import EloParams, EloSystem
 from royale_ratings.glicko import GlickoParams, GlickoSystem
-from royale_ratings.systems import SYSTEM_NAMES, RatingTable, make_system
+from royale_ratings.replay import replay
+from royale_ratings.systems import _SHAPES_KEPT, SYSTEM_NAMES, RatingTable, make_system
 from royale_ratings.trueskill import TrueSkillParams, TrueSkillSystem
 
 from conftest import BASE_TIME, quick_match
@@ -322,3 +326,54 @@ class TestRatingTable:
         assert table == as_dict
         assert table["t2_p1"].games_played == 3
         assert table["t2_p1"].last_observed_rank == 1
+
+
+def two_team_matches(largest):
+    """A match per (a, b) team-size pair in 1..largest, each a distinct
+    block shape; the teams draw members from two shared pools, so ratings
+    carry over from match to match."""
+    matches = []
+    for a in range(1, largest + 1):
+        for b in range(1, largest + 1):
+            teams = (
+                TeamEntry("t1", tuple(f"a{j}" for j in range(a)), 1 + (a + b) % 2),
+                TeamEntry("t2", tuple(f"b{j}" for j in range(b)), 2 - (a + b) % 2),
+            )
+            matches.append(MatchRecord(f"m{a}_{b}", BASE_TIME, teams))
+    return matches
+
+
+class TestShapeCache:
+    MATCHES = two_team_matches(20)
+
+    def test_blocks_keep_their_shape_across_the_eviction(self):
+        assert len(self.MATCHES) > _SHAPES_KEPT
+        system = EloSystem()
+        players = sorted({p for match in self.MATCHES for p in match.roster})
+        table = RatingTable({p: system.initial_rating() for p in players})
+        # the second pass rebuilds the shapes that the first pass evicted
+        for index, match in enumerate(self.MATCHES * 2):
+            block = table.gather(match)
+            assert len(table._shapes) == index % _SHAPES_KEPT + 1
+            assert block.sizes.tolist() == list(match.sizes)
+            width = max(match.sizes)
+            expected = [[j < size for j in range(width)] for size in match.sizes]
+            assert block.mask.tolist() == expected
+            assert not block.sizes.flags.writeable and not block.mask.flags.writeable
+            assert np.array_equal(block.mu[~block.mask], np.zeros((~block.mask).sum()))
+
+    @pytest.mark.parametrize("name", SYSTEM_NAMES)
+    def test_replay_across_the_eviction_matches_fresh_tables(self, name):
+        # a dict state runs each update on a fresh table of the match's
+        # members, whose shape cache never fills
+        result = replay(self.MATCHES, make_system(name), seed=5)
+        assert len(result.store.ratings._shapes) == len(self.MATCHES) - _SHAPES_KEPT
+        system = make_system(name)
+        state = {}
+        rng = random.Random(5)
+        for match, report in zip(self.MATCHES, result.reports, strict=True):
+            for player in match.roster:
+                state.setdefault(player, system.initial_rating())
+            ranking = system.update_match(state, match, rng.randrange(2**63))
+            assert report.ranking == ranking, match.match_id
+        assert dict(result.store.ratings) == state

@@ -1,7 +1,7 @@
 """Per-layer timings and counters of the pipeline, in process, on workload L.
 
-    python3 tools/bench_layers.py [--src src] [--repeats 5] [--scale 1.0]
-                                  [--bench-out DIR]
+    python3 tools/bench_layers.py [--src src] [--baseline-src DIR]
+                                  [--repeats 5] [--scale 1.0] [--bench-out DIR]
 
 Imports the package from ``--src`` and runs, in this order, each round:
 ``generate`` and ``write`` (``synth.generate`` and ``write_match_log`` of
@@ -12,6 +12,15 @@ store).  ``apply.<system>`` is the time the replay spent in the system's
 Every layer runs once per round, so its ``--repeats`` samples are
 interleaved with the other layers'; each layer reports the median and
 the quartiles of its samples.
+
+``--baseline-src DIR`` times a second checkout's package in the same
+process, imported as ``royale_ratings_baseline``: each round runs every
+layer on both packages back to back, the side that goes first
+alternating from round to round, so the two sets of samples share the
+host's drift.  The report gains a ``baseline`` block with that
+checkout's commit, its samples, medians and quartiles per layer, and
+each layer's ``ratio``, the ``--src`` median over the baseline's.
+Timings from two separate runs do not compare; these do.
 
 Two more rounds, untimed, count per layer what host noise does not move:
 one under ``cProfile`` gives the Python calls made (``ncalls``; for
@@ -27,8 +36,8 @@ paper's duo shape (480k rows); ``--scale`` multiplies its player and
 match counts (at least one match, and players enough to fill one).
 ``--bench-out DIR`` writes everything to ``DIR/BENCH_<short-sha>.json``,
 named after the commit of the ``--src`` checkout (``-dirty`` appended
-when tracked files under ``--src`` differ from that commit).  The log and the
-artifacts go to a temporary directory.
+when tracked files under ``--src`` differ from that commit).  The logs and
+the artifacts go to a temporary directory.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -48,7 +58,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,6 +99,22 @@ def commit_of(src: Path) -> str:
     return sha + ("-dirty" if dirty else "")
 
 
+def load_baseline(src: Path) -> str:
+    """Import the package under ``src`` as ``royale_ratings_baseline``
+    (its imports are relative, so it runs apart from ``royale_ratings``)."""
+    name = "royale_ratings_baseline"
+    package = src / "royale_ratings"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    if spec is None or spec.loader is None:
+        raise SystemExit(f"no royale_ratings package under {src}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return name
+
+
 class Layers:
     """The pipeline on one workload, one call per layer."""
 
@@ -97,9 +123,12 @@ class Layers:
         self.replay_module = importlib.import_module(f"{package}.replay")
         self.systems = importlib.import_module(f"{package}.systems")
         self.config = self.synth.SynthConfig(**config)
+        work.mkdir(exist_ok=True)
         self.work = work
         self.log = work / "matches.csv"
+        self.generated: list[Any] = []
         self.matches: list[Any] = []
+        self.result: Any = None
 
     def names(self) -> list[str]:
         names = ["generate", "write", "ingest"]
@@ -107,21 +136,35 @@ class Layers:
             names += [f"replay.{system}", f"apply.{system}", f"write.{system}"]
         return names
 
-    def run(self, measure: Callable[[str, Callable[[], Any]], Any], hook: Any) -> None:
-        """One round: ``measure(name, call)`` runs each layer's call and
-        returns its result; ``hook(name, apply)`` wraps a system's
-        ``_apply`` for the ``apply.<system>`` layer."""
-        matches, _ = measure("generate", lambda: self.synth.generate(self.config))
-        measure("write", lambda: self.synth.write_match_log(self.log, matches))
-        self.matches = measure("ingest", lambda: self.replay_module.ingest(self.log))
+    def steps(self, hook: Any) -> Iterator[tuple[str, Callable[[], None]]]:
+        """One round, as each layer's ``(name, call)`` in order; a call
+        keeps its result for the later ones, so each runs before the next
+        is drawn.  ``hook(name, apply)`` wraps a system's ``_apply`` for
+        the ``apply.<system>`` layer."""
+
+        def generate() -> None:
+            self.generated = self.synth.generate(self.config)[0]
+
+        def ingest() -> None:
+            self.matches = self.replay_module.ingest(self.log)
+
+        yield "generate", generate
+        yield "write", lambda: self.synth.write_match_log(self.log, self.generated)
+        yield "ingest", ingest
         for name in SYSTEMS:
             system = self.systems.make_system(name)
             system._apply = hook(f"apply.{name}", system._apply)
-            result = measure(
-                f"replay.{name}",
-                lambda: self.replay_module.replay(self.matches, system, seed=1),
-            )
-            measure(f"write.{name}", lambda: self.write(name, result))
+
+            def replay() -> None:
+                self.result = self.replay_module.replay(self.matches, system, seed=1)
+
+            yield f"replay.{name}", replay
+            yield f"write.{name}", lambda: self.write(name, self.result)
+
+    def run(self, measure: Callable[[str, Callable[[], None]], None], hook: Any) -> None:
+        """One round, each layer's call run by ``measure(name, call)``."""
+        for name, call in self.steps(hook):
+            measure(name, call)
 
     def write(self, name: str, result: Any) -> None:
         self.replay_module.write_match_metrics_csv(
@@ -130,31 +173,36 @@ class Layers:
         result.store.save(self.work / f"{name}_store.txt")
 
 
-def timed_round(layers: Layers, samples: dict[str, list[float]]) -> None:
+def timed_round(sides: list[tuple[Layers, dict[str, list[float]]]]) -> None:
+    """One round of every side, layer by layer: each layer runs on the
+    sides in the order given, and lands in that side's samples."""
     clock = time.perf_counter
-    spent: dict[str, float] = {}
+    spent: list[dict[str, float]] = [{} for _ in sides]
 
-    def measure(name: str, call: Callable[[], Any]) -> Any:
-        start = clock()
-        out = call()
-        samples[name].append(clock() - start)
-        return out
+    def hook(side: int) -> Callable[[str, Callable[[Any], Any]], Callable[[Any], Any]]:
+        def wrap(name: str, apply: Callable[[Any], Any]) -> Callable[[Any], Any]:
+            spent[side][name] = 0.0
 
-    def hook(name: str, apply: Callable[[Any], Any]) -> Callable[[Any], Any]:
-        spent[name] = 0.0
+            def timed(block: Any) -> Any:
+                start = clock()
+                try:
+                    return apply(block)
+                finally:
+                    spent[side][name] += clock() - start
 
-        def timed(block: Any) -> Any:
+            return timed
+
+        return wrap
+
+    rounds = [layers.steps(hook(side)) for side, (layers, _) in enumerate(sides)]
+    for steps in zip(*rounds):
+        for (name, call), (_, samples) in zip(steps, sides):
             start = clock()
-            try:
-                return apply(block)
-            finally:
-                spent[name] += clock() - start
-
-        return timed
-
-    layers.run(measure, hook)
-    for name, seconds in spent.items():
-        samples[name].append(seconds)
+            call()
+            samples[name].append(clock() - start)
+    for seconds, (_, samples) in zip(spent, sides):
+        for name, value in seconds.items():
+            samples[name].append(value)
 
 
 def _count(profile: cProfile.Profile) -> int:
@@ -164,11 +212,10 @@ def _count(profile: cProfile.Profile) -> int:
 def profiled_round(layers: Layers) -> dict[str, int]:
     calls: dict[str, int] = {}
 
-    def measure(name: str, call: Callable[[], Any]) -> Any:
+    def measure(name: str, call: Callable[[], None]) -> None:
         profile = cProfile.Profile()
-        out = profile.runcall(call)
+        profile.runcall(call)
         calls[name] = _count(profile)
-        return out
 
     layers.run(measure, lambda name, apply: apply)
     # one profiler at a time: the calls inside _apply come from one more
@@ -188,14 +235,13 @@ def traced_round(layers: Layers) -> dict[str, float]:
     # the enclosing layer's peak, saved before each _apply resets the peak
     enclosing = [0]
 
-    def measure(name: str, call: Callable[[], Any]) -> Any:
+    def measure(name: str, call: Callable[[], None]) -> None:
         enclosing[0] = 0
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = call()
+        call()
         peak = max(enclosing[0], tracemalloc.get_traced_memory()[1])
         peaks[name] = (peak - start) / 2**20
-        return out
 
     def hook(name: str, apply: Callable[[Any], Any]) -> Callable[[Any], Any]:
         peaks[name] = 0.0
@@ -226,9 +272,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def summary(values: list[float]) -> dict[str, Any]:
+    q1, median, q3 = quartiles(values)
+    return {"unit": "s", "runs": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--baseline-src", type=Path)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--bench-out", type=Path)
@@ -246,12 +298,18 @@ def main() -> None:
 
     config = workload_config(args.scale)
     with tempfile.TemporaryDirectory() as work:
-        layers = Layers("royale_ratings", config, Path(work))
-        samples: dict[str, list[float]] = {name: [] for name in layers.names()}
-        for _ in range(args.repeats):
-            timed_round(layers, samples)
+        layers = Layers("royale_ratings", config, Path(work) / "src")
+        sides = [(layers, {name: [] for name in layers.names()})]
+        if args.baseline_src is not None:
+            baseline_src = args.baseline_src.resolve()
+            package = load_baseline(baseline_src)
+            base = Layers(package, config, Path(work) / "baseline")
+            sides.append((base, {name: [] for name in base.names()}))
+        for repeat in range(args.repeats):
+            timed_round(sides if repeat % 2 == 0 else sides[::-1])
         calls = profiled_round(layers)
         peaks = traced_round(layers)
+    samples = sides[0][1]
 
     rows = config["team_size"] * config["teams_per_match"] * config["match_count"]
     report: dict[str, Any] = {
@@ -274,19 +332,23 @@ def main() -> None:
     line = "{:<18}{:>10}{:>10}{:>12}{:>11}"
     print(line.format("layer", "median s", "IQR s", "ncalls", "peak MiB"))
     for name, values in samples.items():
-        q1, median, q3 = quartiles(values)
-        report["layers"][name] = {
-            "unit": "s",
-            "runs": values,
-            "median": median,
-            "q1": q1,
-            "q3": q3,
-            "iqr": q3 - q1,
-            "ncalls": calls[name],
-            "tracemalloc_peak_mb": peaks[name],
+        layer = report["layers"][name] = summary(values)
+        layer.update(ncalls=calls[name], tracemalloc_peak_mb=peaks[name])
+        figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}", calls[name])
+        print(line.format(name, *figures, f"{peaks[name]:.2f}"))
+    if args.baseline_src is not None:
+        baseline = report["baseline"] = {
+            "commit": commit_of(baseline_src),
+            "layers": {},
         }
-        figures = (f"{median:.4f}", f"{q3 - q1:.4f}", calls[name], f"{peaks[name]:.2f}")
-        print(line.format(name, *figures))
+        print(f"baseline {baseline['commit']} from {baseline_src}, in the same rounds")
+        line = "{:<18}{:>10}{:>10}{:>12}"
+        print(line.format("layer", "median s", "IQR s", "src/base"))
+        for name, values in sides[1][1].items():
+            layer = baseline["layers"][name] = summary(values)
+            layer["ratio"] = report["layers"][name]["median"] / layer["median"]
+            figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}")
+            print(line.format(name, *figures, f"{layer['ratio']:.3f}"))
     print(f"import {import_s:.3f} s, peak RSS {report['peak_rss_mb']:.1f} MiB")
     if args.bench_out is not None:
         args.bench_out.mkdir(parents=True, exist_ok=True)
