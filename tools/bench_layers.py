@@ -126,9 +126,7 @@ class Layers:
         work.mkdir(exist_ok=True)
         self.work = work
         self.log = work / "matches.csv"
-        self.generated: list[Any] = []
         self.matches: list[Any] = []
-        self.result: Any = None
 
     def names(self) -> list[str]:
         names = ["generate", "write", "ingest"]
@@ -140,26 +138,30 @@ class Layers:
         """One round, as each layer's ``(name, call)`` in order; a call
         keeps its result for the later ones, so each runs before the next
         is drawn.  ``hook(name, apply)`` wraps a system's ``_apply`` for
-        the ``apply.<system>`` layer."""
+        the ``apply.<system>`` layer.  The generated matches and the
+        replay results live until the round ends."""
+        generated: list[Any] = []
+        result: Any = None
 
         def generate() -> None:
-            self.generated = self.synth.generate(self.config)[0]
+            nonlocal generated
+            generated = self.synth.generate(self.config)[0]
 
         def ingest() -> None:
             self.matches = self.replay_module.ingest(self.log)
 
+        def replay(system: Any) -> None:
+            nonlocal result
+            result = self.replay_module.replay(self.matches, system, seed=1)
+
         yield "generate", generate
-        yield "write", lambda: self.synth.write_match_log(self.log, self.generated)
+        yield "write", lambda: self.synth.write_match_log(self.log, generated)
         yield "ingest", ingest
         for name in SYSTEMS:
             system = self.systems.make_system(name)
             system._apply = hook(f"apply.{name}", system._apply)
-
-            def replay() -> None:
-                self.result = self.replay_module.replay(self.matches, system, seed=1)
-
-            yield f"replay.{name}", replay
-            yield f"write.{name}", lambda: self.write(name, self.result)
+            yield f"replay.{name}", lambda: replay(system)
+            yield f"write.{name}", lambda: self.write(name, result)
 
     def run(self, measure: Callable[[str, Callable[[], None]], None], hook: Any) -> None:
         """One round, each layer's call run by ``measure(name, call)``."""
