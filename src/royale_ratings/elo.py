@@ -13,6 +13,11 @@ term updates the whole team and members absorb it by the shared rule
 rating, or evenly when any member is rated <= 0.  The update is array
 code over the match's ``MatchBlock``, all teams at once.
 
+``win_probabilities`` and the update check the team ratings, each its
+own way, then share one kernel, ``_pooled``: the n x n steps run in
+place on one buffer, the same float operations in the same order as the
+expression they replace, so no step allocates a matrix of its own.
+
 Note the kernel is base e, not the classical base-10 curve; with
 d_scale = 400 the two differ by a factor ln(10)/1 in the exponent.
 """
@@ -61,14 +66,25 @@ def win_probabilities(team_ratings: Sequence[float], params: EloParams) -> np.nd
     if n < 2:
         raise DomainError(f"need >= 2 teams, got {n}")
     r = np.asarray(team_ratings, dtype=np.float64)
-    if not np.all(np.isfinite(r)):
+    _require_finite(r)
+    return _pooled(r, params.d_scale)
+
+
+def _require_finite(team_ratings: np.ndarray) -> None:
+    if not np.isfinite(team_ratings).all():
         raise DomainError("team ratings must be finite")
+
+
+def _pooled(r: np.ndarray, d_scale: float) -> np.ndarray:
+    """``win_probabilities`` of finite team ratings, at least two."""
+    n = len(r)
     # pairwise[i, j] = p(i beats j); zero the self-pairs before pooling so
     # a vanishing off-diagonal term is not cancelled away by the 1/2
-    pairwise = expit((r[:, None] - r[None, :]) / params.d_scale)
-    np.fill_diagonal(pairwise, 0.0)
-    pooled = pairwise.sum(axis=1) / math.comb(n, 2)
-    return pooled
+    pairwise = np.subtract.outer(r, r)
+    pairwise /= d_scale
+    expit(pairwise, out=pairwise)
+    pairwise.flat[:: n + 1] = 0.0
+    return np.add.reduce(pairwise, axis=1) / math.comb(n, 2)
 
 
 class EloSystem(RatingSystem):
@@ -80,10 +96,11 @@ class EloSystem(RatingSystem):
 
     def _apply(self, block: MatchBlock) -> Posterior:
         team_mu = row_sums(block.mu)
-        pooled = win_probabilities(team_mu, self.params)
+        _require_finite(team_mu)
+        pooled = _pooled(team_mu, self.params.d_scale)
         surprise = normalized_results(block) - pooled
         delta_team = self.params.k_factor * surprise
         shares, lowest = member_shares(block, team_mu)
-        for i in np.flatnonzero(lowest <= 0).tolist():
+        for i in (lowest <= 0).nonzero()[0].tolist():
             warn_uniform_weights(block.match.team_ids[i], float(lowest[i]))
         return block.mu + shares * delta_team[:, None], None

@@ -28,6 +28,13 @@ in index order: a cumulative sum over the squares with the team's own
 entry zeroed, which rounds like the scalar loop (total minus own would
 not).  The squares themselves stay Python ``**``.
 
+``win_probabilities`` and the update check the team beliefs, each its
+own way, then share one kernel, ``_pooled``, whose n x n steps run in
+place on one buffer, the same float operations in the same order as the
+expression they replace.  The update first sums the opponents' squares
+in that buffer, row i holding the squares with its own entry zeroed,
+and keeps the last column before the kernel takes the buffer over.
+
 Squared deviations that are each finite can still overflow when they
 are added: a pair of team squares in the kernel, or a team's opponents'
 squares in its RMS.  The update then raises a DomainError naming the
@@ -41,7 +48,6 @@ of the teams before it.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -57,6 +63,7 @@ from .systems import (
     Posterior,
     RatingSystem,
     check_fields,
+    left_sum,
     member_shares,
     normalized_results,
     require_finite_variances,
@@ -98,7 +105,7 @@ def team_mu_sigma(
         raise DomainError("team has no members")
     if any(not s > 0 for s in member_sigmas):
         raise DomainError("member sigmas must be positive")
-    return float(sum(member_mus)), float(sum(member_sigmas))
+    return float(left_sum(member_mus)), float(left_sum(member_sigmas))
 
 
 def g_weight(sigma: float, q: float = _LN10 / 400.0) -> float:
@@ -125,24 +132,45 @@ def win_probabilities(
         raise DomainError("mu and sigma lists differ in length")
     mu = np.asarray(team_mus, dtype=np.float64)
     sg = np.asarray(team_sigmas, dtype=np.float64)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sg)) and np.all(sg > 0)):
+    _require_beliefs(mu, sg)
+    return _pooled(mu, sg, params.q_constant, np.empty((n, n)))
+
+
+def _require_beliefs(mu: np.ndarray, sigma: np.ndarray) -> None:
+    if not (np.isfinite(mu) & (sigma > 0) & (sigma < math.inf)).all():
         raise DomainError("team beliefs must be finite with positive sigma")
-    q = params.q_constant
-    combined = np.sqrt(sg[:, None] ** 2 + sg[None, :] ** 2)
-    g = 1.0 / np.sqrt(1.0 + 3.0 * q * q * combined**2 / math.pi**2)
-    # E_ij = 1/(1+10^(-g (mu_i - mu_j)/400)) written through the stable logistic
-    diff = mu[:, None] - mu[None, :]
-    pairwise = expit(_LN10 * g * diff / 400.0)
-    np.fill_diagonal(pairwise, 0.0)
-    pooled = pairwise.sum(axis=1) / math.comb(n, 2)
-    return pooled
+
+
+def _pooled(mu: np.ndarray, sigma: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
+    """``win_probabilities`` of finite team beliefs with positive sigma, at
+    least two teams, computed in ``out``, an n x n buffer."""
+    n = len(mu)
+    square = sigma**2
+    # g of the combined deviation sqrt(sigma_i^2 + sigma_j^2), squared
+    # again, then E_ij = 1/(1+10^(-g (mu_i - mu_j)/400)) written through
+    # the stable logistic
+    np.add.outer(square, square, out=out)
+    np.sqrt(out, out=out)
+    np.square(out, out=out)
+    out *= 3.0 * q * q
+    out /= math.pi**2
+    out += 1.0
+    np.sqrt(out, out=out)
+    np.divide(1.0, out, out=out)
+    out *= _LN10
+    out *= np.subtract.outer(mu, mu)
+    out /= 400.0
+    expit(out, out=out)
+    out.flat[:: n + 1] = 0.0
+    return np.add.reduce(out, axis=1) / math.comb(n, 2)
 
 
 def _require_finite_pair_sums(team_ids: Sequence[str], team_squares: list[float]) -> None:
     """Raise a DomainError naming the first pair of teams, in index order,
     whose squared deviations, each finite, sum past the largest double:
     the pairwise kernel pools every pair's deviations."""
-    if sum(heapq.nlargest(2, team_squares)) < math.inf:
+    # no pair sums past twice the largest square
+    if 2.0 * max(team_squares) < math.inf:
         return
     for i, j in combinations(range(len(team_squares)), 2):
         if team_squares[i] + team_squares[j] == math.inf:
@@ -164,25 +192,24 @@ class GlickoSystem(RatingSystem):
         team_ids = block.match.team_ids
         n = len(team_ids)
         team_mu = row_sums(block.mu)
-        # a sum past the largest double is named below, with the squares
+        buffer = np.empty((n, n))
+        # sums past the largest double are named below, with the squares
         with np.errstate(over="ignore"):
             team_sigma = row_sums(block.sigma)
-        # Python's ** rounds some squares differently from numpy's x*x
-        team_squares = squares(team_sigma.tolist())
+            # Python's ** rounds some squares differently from numpy's x*x
+            team_squares = squares(team_sigma.tolist())
+            # row i holds the other teams' squares in index order, 0 at i
+            buffer[:] = team_squares
+            buffer.flat[:: n + 1] = 0.0
+            buffer.cumsum(axis=1, out=buffer)
+        opponent_squares = buffer[:, -1].copy()
         require_finite_variances(team_ids, team_squares)
         _require_finite_pair_sums(team_ids, team_squares)
-        team_squares = np.array(team_squares)
-        pooled = win_probabilities(team_mu, team_sigma, self.params)
+        _require_beliefs(team_mu, team_sigma)
+        pooled = _pooled(team_mu, team_sigma, q, buffer)
         residual = normalized_results(block) - pooled
-        # row i holds the other teams' squares in index order, 0 at i
-        others = np.tile(team_squares, (n, 1))
-        np.fill_diagonal(others, 0.0)
-        # a sum past the largest double is named here
-        with np.errstate(over="ignore"):
-            opponent_squares = row_sums(others)
-        overflows = np.isinf(opponent_squares)
-        if overflows.any():
-            team_id = team_ids[int(overflows.argmax())]
+        if math.inf in opponent_squares:
+            team_id = team_ids[int(opponent_squares.argmax())]
             raise DomainError(
                 f"team {team_id!r} opponents' deviations overflow when combined"
             )
@@ -190,15 +217,16 @@ class GlickoSystem(RatingSystem):
         # g_weight(opp_rms, q) of every team
         g_opp = 1.0 / np.sqrt(1.0 + 3.0 * q * q * opp_rms * opp_rms / math.pi**2)
         information = q * q * g_opp * g_opp * pooled * (1.0 - pooled)
-        certain = np.flatnonzero(~(information > 0))
+        certain = (~(information > 0)).nonzero()[0]
         # the teams before the first certain outcome, whose warnings are logged
         stop = int(certain[0]) if certain.size else n
-        precision = 1.0 / team_squares[:stop] + 1.0 / (1.0 / information[:stop])
+        variances = np.array(team_squares[:stop])
+        precision = 1.0 / variances + 1.0 / (1.0 / information[:stop])
         sigma_t_new = np.sqrt(1.0 / precision)
         shares, lowest = member_shares(block, team_mu)
         collapsed = sigma_t_new < 1.0
         uniform = lowest[:stop] <= 0
-        for i in np.flatnonzero(collapsed | uniform).tolist():
+        for i in (collapsed | uniform).nonzero()[0].tolist():
             if collapsed[i]:
                 log.warning(
                     "match %s: team %s sigma collapsed to %.4g",

@@ -21,9 +21,12 @@ imperfect predictions.
 ``score_match`` computes all six in one pass over the teams and one walk
 over the positions; each single-metric function reads its field.  The
 same walk scores AP and NDCG under the other convention too, kept in
-``alt_ap`` and ``alt_ndcg`` (not in ``as_dict``).  The position weights,
-the ideal DCG and the triangle mask Kendall's count reads are built once
-per team count.
+``alt_ap`` and ``alt_ndcg`` (not in ``as_dict``).  An exact hit sits at
+the same position in both leaderboards, so one hit count serves both
+conventions, and AP adds its first term at the first hit: every term
+before it is exactly 0.0.  The position weights, the ideal DCG, the
+triangle mask Kendall's count reads and the relevance 1 / (1 + e) of
+every error e are built once per team count.
 """
 
 from __future__ import annotations
@@ -81,11 +84,12 @@ def rank_pairs(ranking: PredictedRanking, match: MatchRecord) -> list[RankPair]:
     """Pair up predicted and observed ranks for one match's teams."""
     predicted = ranking.ranks
     team_ids = match.team_ids
-    if len(ranking.order) != len(team_ids) or not predicted.keys() >= set(team_ids):
-        raise DomainError(
-            f"match {match.match_id!r}: prediction does not cover its teams"
-        )
-    return list(zip(team_ids, map(predicted.__getitem__, team_ids), match.ranks))
+    if len(ranking.order) == len(team_ids):
+        try:
+            return list(zip(team_ids, map(predicted.__getitem__, team_ids), match.ranks))
+        except KeyError:
+            pass
+    raise DomainError(f"match {match.match_id!r}: prediction does not cover its teams")
 
 
 def accuracy(pairs: Sequence[RankPair]) -> float:
@@ -123,10 +127,13 @@ def ndcg(pairs: Sequence[RankPair], position_index: str = "observed") -> float:
 
 
 @lru_cache(maxsize=256)
-def _position_tables(n: int) -> tuple[tuple[float, ...], float, np.ndarray]:
+def _position_tables(
+    n: int,
+) -> tuple[tuple[float, ...], float, np.ndarray, tuple[float, ...]]:
     """For n teams: the NDCG weight 1 / log2(i + 1) of positions 1..n,
-    the ideal DCG (their sum, added left to right) and the strict upper
-    triangle of an n x n matrix, read-only."""
+    the ideal DCG (their sum, added left to right), the strict upper
+    triangle of an n x n matrix, read-only, and the relevance 1 / (1 + e)
+    of the errors e = 0..n-1."""
     # not math.log2: it differs in the last bit at some i, which would
     # change the written metric bytes
     weights = tuple(1.0 / math.log(i + 1, 2.0) for i in range(1, n + 1))
@@ -135,7 +142,8 @@ def _position_tables(n: int) -> tuple[tuple[float, ...], float, np.ndarray]:
         ideal += weight
     upper = np.triu(np.ones((n, n), bool), 1)
     upper.flags.writeable = False
-    return weights, ideal, upper
+    relevances = tuple(1.0 / (1 + err) for err in range(n))
+    return weights, ideal, upper, relevances
 
 
 def score_match(
@@ -161,36 +169,36 @@ def score_match(
         raise DomainError("predicted ranks are not a permutation of 1..N")
     if sorted(observed) != full:
         raise DomainError("observed ranks are not a permutation of 1..N")
+    weights, ideal, upper, relevances = _position_tables(n)
     observed_in_predicted_order = [0] * n
-    errors_by_observed = [0] * n
-    errors_by_predicted = [0] * n
+    relevance_by_observed = [0.0] * n
+    relevance_by_predicted = [0.0] * n
     error_sum = 0
     reciprocal_sum = 0.0
     for p, o in zip(predicted, observed):
-        err = abs(p - o)
+        err = p - o if p > o else o - p
         error_sum += err
-        reciprocal_sum += 1.0 / (1 + err)
+        relevance = relevances[err]
+        reciprocal_sum += relevance
         observed_in_predicted_order[p - 1] = o
-        errors_by_observed[o - 1] = err
-        errors_by_predicted[p - 1] = err
+        relevance_by_observed[o - 1] = relevance
+        relevance_by_predicted[p - 1] = relevance
 
-    # one walk over the positions scores both conventions
-    weights, ideal, upper = _position_tables(n)
-    hits_o = hits_p = 0
+    # one walk over the positions scores both conventions; a hit (relevance
+    # 1.0, error 0) at position i is a hit in both
+    hits = 0
     ap_o = ap_p = dcg_o = dcg_p = 0.0
-    for i, weight, err_o, err_p in zip(
-        range(1, n + 1), weights, errors_by_observed, errors_by_predicted
+    for i, weight, relevance_o, relevance_p in zip(
+        range(1, n + 1), weights, relevance_by_observed, relevance_by_predicted
     ):
-        relevance = 1.0 / (1 + err_o)
-        if err_o == 0:
-            hits_o += 1
-        ap_o += (hits_o / i) * relevance
-        dcg_o += weight * relevance
-        relevance = 1.0 / (1 + err_p)
-        if err_p == 0:
-            hits_p += 1
-        ap_p += (hits_p / i) * relevance
-        dcg_p += weight * relevance
+        dcg_o += weight * relevance_o
+        dcg_p += weight * relevance_p
+        if relevance_o == 1.0:
+            hits += 1
+        if hits:
+            precision = hits / i
+            ap_o += precision * relevance_o
+            ap_p += precision * relevance_p
 
     ranks = np.array(observed_in_predicted_order)
     inversions = int(np.count_nonzero((ranks[:, None] > ranks) & upper))
@@ -200,7 +208,7 @@ def score_match(
     else:
         ap, dcg, alt_ap, alt_dcg = ap_p, dcg_p, ap_o, dcg_o
     return MetricReport(
-        accuracy=hits_o / n,
+        accuracy=hits / n,
         mae=error_sum / n,
         kendall_tau=(total - 2 * inversions) / total,
         mrr=reciprocal_sum / n,

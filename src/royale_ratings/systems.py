@@ -52,8 +52,12 @@ it succeeds.
 Floating point
 --------------
 The array code must give the bits the scalar code gave.  Row sums use
-``row_sums`` (a cumulative sum, adding left to right like ``sum``), never
-``ndarray.sum``, which adds pairwise.  A square that the scalar code took
+``row_sums`` (a cumulative sum, adding left to right), never
+``ndarray.sum``, which adds pairwise.  Scalar sums of floats use
+``left_sum``, the same left-to-right additions from 0, never the builtin
+``sum``: from Python 3.12 on it adds floats with compensated summation,
+which rounds some sums differently, so the bits would depend on the
+interpreter.  A square that the scalar code took
 with Python's ``**`` stays a Python ``**``: CPython's ``x**2`` calls C
 ``pow``, which rounds some squares differently from numpy's ``x*x``.
 TrueSkill's chain is one scalar kernel call per adjacent pair on team
@@ -132,6 +136,7 @@ __all__ = [
     "member_shares",
     "normalized_results",
     "rating_columns",
+    "left_sum",
     "row_sums",
     "SYSTEM_NAMES",
 ]
@@ -155,8 +160,17 @@ _SHAPES_KEPT = 256
 
 
 def row_sums(matrix: np.ndarray) -> np.ndarray:
-    """Each row's sum, added left to right like Python's ``sum``."""
-    return np.cumsum(matrix, axis=1)[:, -1]
+    """Each row's sum, added left to right like ``left_sum``."""
+    return matrix.cumsum(axis=1)[:, -1]
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0: the builtin ``sum`` up to
+    Python 3.11, whose float sums 3.12 on round differently."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -424,7 +438,7 @@ def member_weights(member_mus: Sequence[float], team_id: str) -> list[float]:
     if lowest <= 0:
         warn_uniform_weights(team_id, lowest)
         return [1.0 / len(member_mus)] * len(member_mus)
-    total = float(sum(member_mus))
+    total = float(left_sum(member_mus))
     return [m / total for m in member_mus]
 
 
@@ -437,6 +451,9 @@ def member_shares(
     <= 0 with ``warn_uniform_weights``, in team order."""
     lowest = np.where(block.mask, block.mu, np.inf).min(axis=1)
     uniform = lowest <= 0
+    if not uniform.any():
+        # what the fallback below gives when no team takes uniform shares
+        return block.mu / team_mu[:, None], lowest
     total = np.where(uniform, 1.0, team_mu)[:, None]
     shares = np.where(
         uniform[:, None], block.mask / block.sizes[:, None], block.mu / total
@@ -538,9 +555,9 @@ def _missed_yet_unmoved(
     """Whether a posterior equals the prior although the prediction missed
     the observed order, so the update computed a change that rounding
     (absorption into a large rating, or underflow) lost entirely."""
-    if not np.array_equal(mu, block.mu):
+    if not (mu == block.mu).all():
         return False
-    if sigma is not None and not np.array_equal(sigma, block.sigma):
+    if sigma is not None and not (sigma == block.sigma).all():
         return False
     team_ids = block.match.team_ids
     return list(ranking.order) != [team_ids[i] for i in np.argsort(block.ranks).tolist()]

@@ -30,7 +30,8 @@ pair update.  With two single-player teams the chain is exactly one pair
 update.
 
 The chain runs on team aggregates: each team's (mu, variance) sums are
-Python scalars, taken from its members once as the chain starts, and
+Python scalars, taken from its members once as the chain starts (added
+left to right by ``systems.left_sum``, on every Python version), and
 each adjacent pair is one call of a scalar kernel, the one
 ``update_pair`` also calls.  Right after each pair the winner's members,
 then the loser's, take their team's split in place in per-team member
@@ -66,6 +67,7 @@ from .systems import (
     Posterior,
     RatingSystem,
     check_fields,
+    left_sum,
     member_weights,
     require_finite_variances,
     squares,
@@ -240,9 +242,9 @@ class TrueSkillSystem(RatingSystem):
         team_squares = list(map(member_squares.__getitem__, spans))
         # each team's (mu, variance) sums as it enters the chain; an
         # infinite variance would turn the chain's sigmas to NaN
-        variances = list(map(sum, team_squares))
+        variances = list(map(left_sum, team_squares))
         require_finite_variances(team_ids, variances)
-        team_mus = list(map(sum, mus))
+        team_mus = list(map(left_sum, mus))
         rest = 2.0 * params.beta**2
         by_rank = np.argsort(block.ranks).tolist()
         win = by_rank[0]
@@ -272,11 +274,15 @@ class TrueSkillSystem(RatingSystem):
                 weight_t = square_t
                 if by_mu:
                     weight_t, total = member_weights(mu_t, team_ids[team]), 1.0
+                mu_sum = square_sum = 0
                 for k, weight in enumerate(weight_t):
-                    mu_t[k] += weight / total * delta
+                    mu_t[k] = m = mu_t[k] + weight / total * delta
                     sigma_t[k] = s = sigma_t[k] * shrink
-                    square_t[k] = s**2
-            # the loser's updated members enter the next pair as the winner
+                    square_t[k] = square = s**2
+                    mu_sum += m
+                    square_sum += square
+            # the loser's updated members enter the next pair as the winner,
+            # their sums added left to right from 0 as left_sum adds
             win = lose
-            mu_w, var_w = sum(mus[lose]), sum(team_squares[lose])
+            mu_w, var_w = mu_sum, square_sum
         return block.pad(mus), block.pad(sigmas)

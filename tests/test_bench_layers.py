@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERS = ["generate", "write", "ingest"] + [
     f"{layer}.{system}"
     for system in ("elo", "glicko", "trueskill", "prevrank")
-    for layer in ("replay", "apply", "write")
+    for layer in ("replay", "apply", "score", "write")
 ]
 
 
@@ -71,7 +72,8 @@ def test_bench_file_schema(tmp_path):
 
 def test_baseline_block_schema(tmp_path):
     """The same package as its own baseline: one more set of samples per
-    layer, from the same rounds, and the ratio of the two medians."""
+    layer, from the same rounds, and the median and quartiles of the
+    per-round ratios."""
     report = bench(tmp_path, "--baseline-src", str(ROOT / "src"))
     baseline = report["baseline"]
     assert set(baseline) == {"commit", "layers"}
@@ -79,5 +81,13 @@ def test_baseline_block_schema(tmp_path):
     assert list(baseline["layers"]) == list(report["layers"]) == LAYERS
     for name, layer in baseline["layers"].items():
         check_timings(layer, name)
-        assert set(layer) == {"unit", "runs", "median", "q1", "q3", "iqr", "ratio"}
-        assert layer["ratio"] == report["layers"][name]["median"] / layer["median"], name
+        assert set(layer) == {
+            "unit", "runs", "median", "q1", "q3", "iqr", "ratio", "ratio_q1", "ratio_q3"
+        }
+        # the per-round ratios, each round's two samples paired
+        ratios = [
+            new / old for new, old in zip(report["layers"][name]["runs"], layer["runs"])
+        ]
+        quartiles = statistics.quantiles(ratios, n=4, method="inclusive")
+        assert [layer["ratio_q1"], layer["ratio"], layer["ratio_q3"]] == quartiles, name
+        assert layer["ratio"] == statistics.median(ratios), name

@@ -26,6 +26,7 @@ from royale_ratings.metrics import (
     ndcg,
     score_match,
 )
+from royale_ratings.systems import left_sum
 
 RankPair = tuple[str, int, int]
 
@@ -90,7 +91,7 @@ def oracle_kendall_tau(pairs: Sequence[RankPair]) -> float:
 
 def oracle_mrr(pairs: Sequence[RankPair]) -> float:
     n = _validate(pairs)
-    return sum(1.0 / (1 + abs(p - o)) for _, p, o in pairs) / n
+    return left_sum(1.0 / (1 + abs(p - o)) for _, p, o in pairs) / n
 
 
 def _errors_by_position(pairs: Sequence[RankPair], position_index: str) -> list[int]:

@@ -12,6 +12,9 @@ import numpy as np
 
 import pytest
 
+from royale_ratings import glicko as glicko_module
+from royale_ratings import systems as systems_module
+from royale_ratings import trueskill as trueskill_module
 from royale_ratings.core import (
     DomainError,
     MatchRecord,
@@ -23,7 +26,15 @@ from royale_ratings.core import (
 from royale_ratings.elo import EloParams, EloSystem
 from royale_ratings.glicko import GlickoParams, GlickoSystem
 from royale_ratings.replay import replay
-from royale_ratings.systems import _SHAPES_KEPT, SYSTEM_NAMES, RatingTable, make_system
+from royale_ratings.systems import (
+    _SHAPES_KEPT,
+    SYSTEM_NAMES,
+    RatingTable,
+    make_system,
+    member_shares,
+    member_weights,
+    row_sums,
+)
 from royale_ratings.trueskill import TrueSkillParams, TrueSkillSystem
 
 from conftest import BASE_TIME, quick_match
@@ -377,3 +388,158 @@ class TestShapeCache:
             ranking = system.update_match(state, match, rng.randrange(2**63))
             assert report.ranking == ranking, match.match_id
         assert dict(result.store.ratings) == state
+
+
+def neumaier_sum(values, start=0):
+    """Compensated float summation, the way the builtin ``sum`` adds
+    floats from Python 3.12 on."""
+    total = start
+    compensation = 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+def added_left_to_right(values):
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
+def squad_state(seed, teams=25, size=4):
+    """A squad match and a dict state of positive ratings on spread-out
+    scales, so that many team sums round."""
+    rng = random.Random(seed)
+    match = quick_match(rng.sample(range(1, teams + 1), teams), team_size=size)
+    state = {
+        p: PlayerRating(
+            mu=rng.uniform(1.0, 9.0) * 10.0 ** rng.randint(0, 2),
+            sigma=rng.uniform(0.1, 9.0),
+        )
+        for p in match.players()
+    }
+    return match, state
+
+
+def rating_bits(state):
+    return {p: (r.mu.hex(), r.sigma.hex()) for p, r in state.items()}
+
+
+class TestFloatSums:
+    """Scalar float sums add left to right from 0, whatever the
+    interpreter's ``sum`` does: 3.12 on compensates, and rounds some sums
+    differently."""
+
+    @pytest.mark.parametrize("member_share", ["sigma_sq", "mu"])
+    def test_squad_posterior_does_not_follow_the_builtin_sum(
+        self, monkeypatch, member_share
+    ):
+        system = TrueSkillSystem(TrueSkillParams(member_share=member_share))
+        match, state = squad_state(3)
+        team_sums = [
+            [state[p].mu for p in team.members] for team in match.teams
+        ] + [[state[p].sigma ** 2 for p in team.members] for team in match.teams]
+        # the compensated sum rounds some of this match's team sums otherwise
+        assert any(neumaier_sum(v) != added_left_to_right(v) for v in team_sums)
+        expected = dict(state)
+        system.update_match(expected, match, 0)
+        for module in (trueskill_module, systems_module, glicko_module):
+            monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+        patched = dict(state)
+        system.update_match(patched, match, 0)
+        assert rating_bits(patched) == rating_bits(expected)
+
+    def test_glicko_team_beliefs_do_not_follow_the_builtin_sum(self, monkeypatch):
+        rng = random.Random(4)
+        teams = [
+            ([rng.uniform(1.0, 9.0) * 10.0 ** rng.randint(0, 3) for _ in range(4)],
+             [rng.uniform(1.0, 350.0) for _ in range(4)])
+            for _ in range(200)
+        ]
+        expected = [glicko_module.team_mu_sigma(*team) for team in teams]
+        monkeypatch.setattr(glicko_module, "sum", neumaier_sum, raising=False)
+        patched = [glicko_module.team_mu_sigma(*team) for team in teams]
+        assert [tuple(map(float.hex, b)) for b in patched] == [
+            tuple(map(float.hex, b)) for b in expected
+        ]
+        assert patched == [
+            (added_left_to_right(mus), added_left_to_right(sigmas))
+            for mus, sigmas in teams
+        ]
+
+
+def shares_block(sizes, low=None, seed=0):
+    """A table block of teams with these sizes, members rated 1..2000 at
+    random; with ``low``, the second member of every odd team (or its
+    only member) is rated ``low`` instead."""
+    rng = random.Random(seed)
+    teams = tuple(
+        TeamEntry(f"t{i}", tuple(f"t{i}_p{j}" for j in range(size)), i + 1)
+        for i, size in enumerate(sizes)
+    )
+    match = MatchRecord("shares", BASE_TIME, teams)
+    ratings = {p: PlayerRating(mu=rng.uniform(1.0, 2000.0)) for p in match.roster}
+    if low is not None:
+        for team in teams[1::2]:
+            ratings[team.members[min(1, len(team.members) - 1)]] = PlayerRating(mu=low)
+    return RatingTable(ratings).gather(match), ratings
+
+
+class TestMemberShares:
+    """``member_shares`` against ``member_weights`` team by team, on the
+    path that returns mu / team mu at once (no member at mu <= 0) and on
+    the uniform fallback."""
+
+    CASES = {
+        "uniform widths": ((2, 2, 2, 2), None),
+        "ragged widths": ((1, 3, 2, 4, 1), None),
+        "uniform widths, a zero": ((3, 3, 3, 3), 0.0),
+        "ragged widths, a zero": ((2, 1, 4, 3), 0.0),
+        "uniform widths, a negative zero": ((2, 2, 2), -0.0),
+        "ragged widths, a negative zero": ((4, 2, 1, 3), -0.0),
+        "ragged widths, a negative": ((1, 2, 3, 4), -25.0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_shares_and_lowest_equal_member_weights(self, case, caplog):
+        sizes, low = self.CASES[case]
+        block, ratings = shares_block(sizes, low)
+        shares, lowest = member_shares(block, row_sums(block.mu))
+        for i, team in enumerate(block.match.teams):
+            mus = [ratings[p].mu for p in team.members]
+            with caplog.at_level(logging.WARNING):
+                weights = member_weights(mus, team.team_id)
+            assert [w.hex() for w in weights] == [
+                float(s).hex() for s in shares[i, : len(mus)]
+            ], team.team_id
+            assert [float(s).hex() for s in shares[i, len(mus) :]] == [
+                (0.0).hex()
+            ] * (shares.shape[1] - len(mus))
+            assert float(lowest[i]).hex() == min(mus).hex(), team.team_id
+        assert (lowest <= 0).any() == (low is not None)
+
+    @pytest.mark.parametrize("system", [EloSystem(), GlickoSystem()], ids=["elo", "glicko"])
+    def test_uniform_weight_warnings_keep_team_order(self, system, caplog):
+        block, ratings = shares_block((2, 3, 1, 2, 4, 2), -0.0, seed=1)
+        match = block.match
+        reference = []
+        for team in match.teams:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                member_weights([ratings[p].mu for p in team.members], team.team_id)
+            reference += [record.getMessage() for record in caplog.records]
+        assert len(reference) == 3
+        state = dict(ratings)
+        if isinstance(system, GlickoSystem):
+            state = {p: replace(r, sigma=50.0) for p, r in state.items()}
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            system.update_match(state, match, 0)
+        uniform = [r.getMessage() for r in caplog.records if "uniform" in r.getMessage()]
+        assert uniform == reference

@@ -11,7 +11,9 @@ prediction and every WARNING record, in order, must be exactly equal,
 match after match.  Production runs on a plain dict and on a
 ``RatingTable``; the array code behind both must round exactly like the
 scalar reference, so teams go up to 10 members, where numpy's pairwise
-``sum`` would already differ from Python's.
+``sum`` would already differ from adding left to right.  The reference's
+float sums are ``left_sum``, left to right on every Python, which the
+builtin ``sum`` is not from 3.12 on.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from royale_ratings.elo import win_probabilities as elo_win_probabilities
 from royale_ratings.glicko import GlickoSystem, g_weight, team_mu_sigma
 from royale_ratings.glicko import win_probabilities as glicko_win_probabilities
 from royale_ratings.prevrank import PreviousRankSystem
-from royale_ratings.systems import RatingTable, member_weights
+from royale_ratings.systems import RatingTable, left_sum, member_weights
 from royale_ratings.trueskill import TrueSkillParams, TrueSkillSystem, update_pair
 
 from conftest import BASE_TIME
@@ -49,7 +51,7 @@ POOL = 330  # more players than the largest match (32 teams of 10)
 
 def elo_reference(system, state, match):
     n = match.team_count
-    team_mus = [float(sum([state[p].mu for p in t.members])) for t in match.teams]
+    team_mus = [float(left_sum([state[p].mu for p in t.members])) for t in match.teams]
     pooled = elo_win_probabilities(team_mus, system.params)
     for team, prob in zip(match.teams, pooled):
         surprise = normalized_result(team.observed_rank, n) - float(prob)
@@ -78,7 +80,7 @@ def glicko_reference(system, state, match):
         expected = float(pooled[i])
         residual = normalized_result(team.observed_rank, n) - expected
         opp_rms = math.sqrt(
-            sum(team_sigmas[j] ** 2 for j in range(n) if j != i) / (n - 1)
+            left_sum(team_sigmas[j] ** 2 for j in range(n) if j != i) / (n - 1)
         )
         g_opp = g_weight(opp_rms, q)
         information = q * q * g_opp * g_opp * expected * (1.0 - expected)
@@ -109,8 +111,8 @@ def trueskill_reference(system, state, match):
 
     def team_belief(members):
         return (
-            float(sum(state[p].mu for p in members)),
-            float(sum(state[p].sigma ** 2 for p in members)),
+            float(left_sum(state[p].mu for p in members)),
+            float(left_sum(state[p].sigma ** 2 for p in members)),
         )
 
     def distribute(members, team_id, team_var, delta_mu, shrink):

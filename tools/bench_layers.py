@@ -8,7 +8,9 @@ Imports the package from ``--src`` and runs, in this order, each round:
 workload L), ``ingest`` of that log, then for each rating system its
 ``replay`` and its ``write`` (the per-match metrics CSV and the rating
 store).  ``apply.<system>`` is the time the replay spent in the system's
-``_apply``, summed over its matches (one timing wrapper call per match).
+``_apply``, summed over its matches (one timing wrapper call per match),
+and ``score.<system>`` the time it spent scoring the predictions, in
+``rank_pairs`` plus ``score_match`` (one wrapper call each per match).
 Every layer runs once per round, so its ``--repeats`` samples are
 interleaved with the other layers'; each layer reports the median and
 the quartiles of its samples.
@@ -19,14 +21,19 @@ layer on both packages back to back, the side that goes first
 alternating from round to round, so the two sets of samples share the
 host's drift.  The report gains a ``baseline`` block with that
 checkout's commit, its samples, medians and quartiles per layer, and
-each layer's ``ratio``, the ``--src`` median over the baseline's.
-Timings from two separate runs do not compare; these do.
+each layer's paired ratio: ``ratio`` is the median of the per-round
+ratios of the ``--src`` sample to the baseline's, ``ratio_q1`` and
+``ratio_q3`` their quartiles.  A round's two samples share its drift,
+so their ratio cancels most of it.  Timings from two separate runs do
+not compare; these do.
 
 Two more rounds, untimed, count per layer what host noise does not move:
 one under ``cProfile`` gives the Python calls made (``ncalls``; for
-``apply.<system>`` the calls made inside ``_apply``), one under
-``tracemalloc`` the allocation peak above what the layer started with
-(for ``apply.<system>``, the largest of one call).  The peak RSS of the
+``apply.<system>`` the calls made inside ``_apply``, for
+``score.<system>`` those inside ``rank_pairs`` and ``score_match``), one
+under ``tracemalloc`` the allocation peak above what the layer started
+with (for ``apply.<system>`` and ``score.<system>``, the largest of one
+call).  The peak RSS of the
 process and the time of the first ``import royale_ratings.cli`` are
 recorded once.
 
@@ -43,7 +50,9 @@ the artifacts go to a temporary directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import cProfile
+import functools
 import importlib
 import importlib.util
 import json
@@ -63,6 +72,8 @@ from typing import Any, Callable, Iterator
 ROOT = Path(__file__).resolve().parents[1]
 
 SYSTEMS = ("elo", "glicko", "trueskill", "prevrank")
+# the replay module's per-match scoring calls, the score.<system> layer
+SCORERS = ("rank_pairs", "score_match")
 L_CONFIG = dict(
     player_count=20000,
     team_size=2,
@@ -131,15 +142,19 @@ class Layers:
     def names(self) -> list[str]:
         names = ["generate", "write", "ingest"]
         for system in SYSTEMS:
-            names += [f"replay.{system}", f"apply.{system}", f"write.{system}"]
+            names += [
+                f"{layer}.{system}" for layer in ("replay", "apply", "score", "write")
+            ]
         return names
 
     def steps(self, hook: Any) -> Iterator[tuple[str, Callable[[], None]]]:
         """One round, as each layer's ``(name, call)`` in order; a call
         keeps its result for the later ones, so each runs before the next
-        is drawn.  ``hook(name, apply)`` wraps a system's ``_apply`` for
-        the ``apply.<system>`` layer.  The generated matches and the
-        replay results live until the round ends."""
+        is drawn.  ``hook(name, function)`` wraps a system's ``_apply``
+        for the ``apply.<system>`` layer, and the replay module's
+        ``rank_pairs`` and ``score_match`` for its ``score.<system>``
+        layer.  The generated matches and the replay results live until
+        the round ends."""
         generated: list[Any] = []
         result: Any = None
 
@@ -150,9 +165,10 @@ class Layers:
         def ingest() -> None:
             self.matches = self.replay_module.ingest(self.log)
 
-        def replay(system: Any) -> None:
+        def replay(system: Any, scoring: dict[str, Callable[..., Any]]) -> None:
             nonlocal result
-            result = self.replay_module.replay(self.matches, system, seed=1)
+            with self.scoring(scoring):
+                result = self.replay_module.replay(self.matches, system, seed=1)
 
         yield "generate", generate
         yield "write", lambda: self.synth.write_match_log(self.log, generated)
@@ -160,13 +176,31 @@ class Layers:
         for name in SYSTEMS:
             system = self.systems.make_system(name)
             system._apply = hook(f"apply.{name}", system._apply)
-            yield f"replay.{name}", lambda: replay(system)
+            scoring = {
+                scorer: hook(f"score.{name}", getattr(self.replay_module, scorer))
+                for scorer in SCORERS
+            }
+            yield f"replay.{name}", lambda: replay(system, scoring)
             yield f"write.{name}", lambda: self.write(name, result)
 
     def run(self, measure: Callable[[str, Callable[[], None]], None], hook: Any) -> None:
         """One round, each layer's call run by ``measure(name, call)``."""
         for name, call in self.steps(hook):
             measure(name, call)
+
+    @contextlib.contextmanager
+    def scoring(self, scorers: dict[str, Callable[..., Any]]) -> Iterator[None]:
+        """The replay module's scorers replaced by ``scorers`` while the
+        block runs; the replay looks them up in its own namespace."""
+        module = self.replay_module
+        saved = {name: getattr(module, name) for name in scorers}
+        for name, scorer in scorers.items():
+            setattr(module, name, scorer)
+        try:
+            yield
+        finally:
+            for name, scorer in saved.items():
+                setattr(module, name, scorer)
 
     def write(self, name: str, result: Any) -> None:
         self.replay_module.write_match_metrics_csv(
@@ -181,14 +215,14 @@ def timed_round(sides: list[tuple[Layers, dict[str, list[float]]]]) -> None:
     clock = time.perf_counter
     spent: list[dict[str, float]] = [{} for _ in sides]
 
-    def hook(side: int) -> Callable[[str, Callable[[Any], Any]], Callable[[Any], Any]]:
-        def wrap(name: str, apply: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def hook(side: int) -> Callable[[str, Callable[..., Any]], Callable[..., Any]]:
+        def wrap(name: str, function: Callable[..., Any]) -> Callable[..., Any]:
             spent[side][name] = 0.0
 
-            def timed(block: Any) -> Any:
+            def timed(*args: Any, **kwargs: Any) -> Any:
                 start = clock()
                 try:
-                    return apply(block)
+                    return function(*args, **kwargs)
                 finally:
                     spent[side][name] += clock() - start
 
@@ -219,22 +253,32 @@ def profiled_round(layers: Layers) -> dict[str, int]:
         profile.runcall(call)
         calls[name] = _count(profile)
 
-    layers.run(measure, lambda name, apply: apply)
-    # one profiler at a time: the calls inside _apply come from one more
-    # replay per system, profiled only there
+    layers.run(measure, lambda name, function: function)
+    # one profiler at a time: the calls inside _apply and the scorers come
+    # from one more replay per system, profiled only there, each under its
+    # own profiler (a scorer runs outside _apply)
     for name in SYSTEMS:
+        profiles = {layer: cProfile.Profile() for layer in ("apply", "score")}
+
+        def profiled(layer: str, function: Callable[..., Any]) -> Callable[..., Any]:
+            return functools.partial(profiles[layer].runcall, function)
+
         system = layers.systems.make_system(name)
-        profile = cProfile.Profile()
-        apply = system._apply
-        system._apply = lambda block, apply=apply: profile.runcall(apply, block)
-        layers.replay_module.replay(layers.matches, system, seed=1)
-        calls[f"apply.{name}"] = _count(profile)
+        system._apply = profiled("apply", system._apply)
+        module = layers.replay_module
+        scoring = {
+            scorer: profiled("score", getattr(module, scorer)) for scorer in SCORERS
+        }
+        with layers.scoring(scoring):
+            module.replay(layers.matches, system, seed=1)
+        for layer, profile in profiles.items():
+            calls[f"{layer}.{name}"] = _count(profile)
     return calls
 
 
 def traced_round(layers: Layers) -> dict[str, float]:
     peaks: dict[str, float] = {}
-    # the enclosing layer's peak, saved before each _apply resets the peak
+    # the enclosing layer's peak, saved before each wrapped call resets it
     enclosing = [0]
 
     def measure(name: str, call: Callable[[], None]) -> None:
@@ -245,14 +289,14 @@ def traced_round(layers: Layers) -> dict[str, float]:
         peak = max(enclosing[0], tracemalloc.get_traced_memory()[1])
         peaks[name] = (peak - start) / 2**20
 
-    def hook(name: str, apply: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def hook(name: str, function: Callable[..., Any]) -> Callable[..., Any]:
         peaks[name] = 0.0
 
-        def traced(block: Any) -> Any:
+        def traced(*args: Any, **kwargs: Any) -> Any:
             current, peak = tracemalloc.get_traced_memory()
             enclosing[0] = max(enclosing[0], peak)
             tracemalloc.reset_peak()
-            out = apply(block)
+            out = function(*args, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
             peaks[name] = max(peaks[name], (peak - current) / 2**20)
             return out
@@ -344,13 +388,15 @@ def main() -> None:
             "layers": {},
         }
         print(f"baseline {baseline['commit']} from {baseline_src}, in the same rounds")
-        line = "{:<18}{:>10}{:>10}{:>12}"
-        print(line.format("layer", "median s", "IQR s", "src/base"))
+        line = "{:<18}{:>10}{:>10}{:>10}{:>16}"
+        print(line.format("layer", "median s", "IQR s", "src/base", "quartiles"))
         for name, values in sides[1][1].items():
             layer = baseline["layers"][name] = summary(values)
-            layer["ratio"] = report["layers"][name]["median"] / layer["median"]
+            ratios = [new / old for new, old in zip(samples[name], values)]
+            layer["ratio_q1"], layer["ratio"], layer["ratio_q3"] = quartiles(ratios)
             figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}")
-            print(line.format(name, *figures, f"{layer['ratio']:.3f}"))
+            spread = f"{layer['ratio_q1']:.3f}-{layer['ratio_q3']:.3f}"
+            print(line.format(name, *figures, f"{layer['ratio']:.3f}", spread))
     print(f"import {import_s:.3f} s, peak RSS {report['peak_rss_mb']:.1f} MiB")
     if args.bench_out is not None:
         args.bench_out.mkdir(parents=True, exist_ok=True)
