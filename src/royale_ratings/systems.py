@@ -33,7 +33,8 @@ member's position in its team as its column, zero where a team is
 narrower than the widest.  ``gather`` looks the members' rows up by id,
 or takes them precompiled (``replay`` hands each match its slice of one
 array of member rows); the read-only ``sizes`` and ``mask`` of a block
-are built once per distinct team-size tuple and kept by the table.
+are built once per distinct team-size tuple and cached once per process,
+shared by every table.
 ``predict`` ranks ``team_scores(block)``; ``_apply(block)`` is a pure
 function returning the posterior ``(mu, sigma)`` matrices of the same
 shape, ``sigma`` None for systems that carry none.  Then
@@ -103,6 +104,7 @@ move that member against the match result.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
@@ -155,7 +157,7 @@ _COLUMNS = ("_mu", "_sigma", "_games", "_last_rank")
 
 _BOUNDS = {"> 0": operator.gt, ">= 0": operator.ge}
 
-# distinct team-size tuples whose block shape a table keeps
+# distinct team-size tuples whose block shape the process caches
 _SHAPES_KEPT = 256
 
 
@@ -171,6 +173,16 @@ def left_sum(values: Iterable[float]) -> float:
     for value in values:
         total += value
     return total
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _block_shape(team_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``sizes`` and ``mask`` of a block whose teams have
+    these sizes, built once per distinct sizes tuple."""
+    sizes = np.array(team_sizes)
+    mask = np.arange(max(team_sizes)) < sizes[:, None]
+    sizes.flags.writeable = mask.flags.writeable = False
+    return sizes, mask
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,7 +219,6 @@ class RatingTable(MutableMapping[str, PlayerRating]):
         self._games = np.zeros(0, dtype=np.int64)
         self._last_rank = np.zeros(0, dtype=np.int64)
         self._block: MatchBlock | None = None
-        self._shapes: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         if ratings:
             self.insert(list(ratings), list(ratings.values()))
 
@@ -294,19 +305,6 @@ class RatingTable(MutableMapping[str, PlayerRating]):
                 self._rows[later] = index - 1
         self._block = None
 
-    def _shape(self, team_sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only ``sizes`` and ``mask`` of a block whose teams have
-        these sizes, built once per distinct sizes tuple."""
-        shape = self._shapes.get(team_sizes)
-        if shape is None:
-            if len(self._shapes) == _SHAPES_KEPT:
-                self._shapes.clear()  # a log of many mixed shapes
-            sizes = np.array(team_sizes)
-            mask = np.arange(max(team_sizes)) < sizes[:, None]
-            sizes.flags.writeable = mask.flags.writeable = False
-            shape = self._shapes[team_sizes] = sizes, mask
-        return shape
-
     def gather(self, match: MatchRecord, rows: np.ndarray | None = None) -> MatchBlock:
         """The match's member rows as a ``MatchBlock``; raises
         ``MissingStateError`` when a member has no row.  A caller that
@@ -326,7 +324,7 @@ class RatingTable(MutableMapping[str, PlayerRating]):
                     f"match {match.match_id!r}: no rating entry for "
                     f"{len(missing)} player(s), first {missing[0]!r}"
                 ) from None
-        sizes, mask = self._shape(match.sizes)
+        sizes, mask = _block_shape(match.sizes)
 
         def matrix(column: np.ndarray) -> np.ndarray:
             out = np.zeros(mask.shape, column.dtype)
@@ -449,11 +447,15 @@ def member_shares(
     padding, and each team's lowest member mu; ``team_mu`` is
     ``row_sums(block.mu)``.  The caller logs each team whose lowest mu is
     <= 0 with ``warn_uniform_weights``, in team order."""
-    lowest = np.where(block.mask, block.mu, np.inf).min(axis=1)
+    masked = np.where(block.mask, block.mu, np.inf)
+    lowest = masked.min(axis=1)
     uniform = lowest <= 0
     if not uniform.any():
         # what the fallback below gives when no team takes uniform shares
         return block.mu / team_mu[:, None], lowest
+    # each team's first lowest member, as ``min`` picks it: numpy's min may
+    # return either zero of a team that holds both 0.0 and -0.0
+    lowest = np.take_along_axis(masked, masked.argmin(axis=1)[:, None], axis=1)[:, 0]
     total = np.where(uniform, 1.0, team_mu)[:, None]
     shares = np.where(
         uniform[:, None], block.mask / block.sizes[:, None], block.mu / total

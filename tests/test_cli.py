@@ -463,6 +463,26 @@ class TestReplayCommand:
         assert "expected a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_unparsable_number_is_exit_two(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "replay",
+                    "--input",
+                    str(tmp_path / "unread.csv"),
+                    "--output-dir",
+                    str(tmp_path / "run"),
+                    "--system",
+                    "elo",
+                    "--k-factor",
+                    "abc",
+                ]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --k-factor: expected a finite number, got 'abc'" in err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_flag_is_exit_two(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["replay", "--frobnicate", "yes"])

@@ -119,6 +119,15 @@ class TestWinProbability:
         assert abs(float(probs.sum()) - 1.0) < 1e-9
         assert all(p > 0 for p in probs)
 
+    def test_one_team_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^need >= 2 teams, got 1$"):
+            win_probabilities([1500.0], EloParams())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rating_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match=r"^team ratings must be finite$"):
+            win_probabilities([1500.0, bad, 1400.0], EloParams())
+
 
 class TestEloUpdate:
     def test_three_fresh_duos_split_k_evenly(self):

@@ -116,6 +116,21 @@ class TestWinProbability:
         assert abs(float(probs.sum()) - 1.0) < 1e-9
         assert all(p > 0 for p in probs)
 
+    def test_one_team_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^need >= 2 teams, got 1$"):
+            win_probabilities([1500.0], [350.0], GlickoParams())
+
+    def test_lists_of_different_lengths_are_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^mu and sigma lists differ in length$"):
+            win_probabilities([1500.0, 1400.0], [350.0], GlickoParams())
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf])
+    def test_zero_or_infinite_sigma_is_a_domain_error(self, bad):
+        with pytest.raises(
+            DomainError, match=r"^team beliefs must be finite with positive sigma$"
+        ):
+            win_probabilities([1500.0, 1400.0], [350.0, bad], GlickoParams())
+
 
 class TestGlickoUpdate:
     def test_two_fresh_duo_teams_golden(self):

@@ -530,6 +530,37 @@ def test_synth_and_benchmark_logs_take_the_column_pass(
         assert outcome(ingest, path, size) == reference, (path, size)
 
 
+def test_a_chunk_of_blank_lines_takes_the_column_pass(monkeypatch, tmp_path):
+    # chunks of one or two lines, so that runs of blank lines between and
+    # inside the matches and after the last row make chunks of their own
+    path = tmp_path / "blank.csv"
+    rows = [
+        row
+        for number in range(4)
+        for row in match_of(f"m{number}", f"2020-05-01T12:0{number}:00Z", 3, 2)
+    ]
+    lines = rows_text(rows).splitlines()
+    spaced = "\n".join(line + "\n" * (i % 3) for i, line in enumerate(lines))
+    path.write_text(spaced + "\n\n\n", encoding="utf-8", newline="")
+    expected = outcome(reference_ingest, path, None)
+    chunks = []
+    column_chunk = replay_module._chunk_columns
+
+    def recorded(lines, *args):
+        chunks.append(lines)
+        return column_chunk(lines, *args)
+
+    def csv_pass(*args, **kwargs):
+        raise AssertionError("the csv.reader pass was reached")
+
+    monkeypatch.setattr(replay_module, "_CHUNK_CHARS", 1)
+    monkeypatch.setattr(replay_module, "_chunk_columns", recorded)
+    monkeypatch.setattr(replay_module, "_read_grouped", csv_pass)
+    assert outcome(ingest, path, None) == expected
+    assert len(expected[0]) == 4
+    assert any(set(chunk) == {"\n"} for chunk in chunks)
+
+
 def test_synth_and_benchmark_logs_through_the_csv_reader_pass(
     fast_path_logs, monkeypatch
 ):

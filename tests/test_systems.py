@@ -318,6 +318,28 @@ class TestRatingTable:
         with pytest.raises(KeyError):
             table["p1"]
 
+    def test_overwriting_a_player_writes_only_its_row(self):
+        match = quick_match([2, 1, 3], team_size=2)
+        ratings = {
+            p: PlayerRating(mu=100.0 + i, sigma=1.0 + i, games_played=i)
+            for i, p in enumerate(match.roster)
+        }
+        table = RatingTable(ratings)
+        before = table.gather(match)
+        assert table.gather(match) is before
+        new = PlayerRating(mu=7.5, sigma=0.25, games_played=9, last_observed_rank=3)
+        table["t2_p1"] = new
+        ratings["t2_p1"] = new
+        assert len(table) == 6
+        assert list(table) == list(ratings) == list(match.roster)
+        assert table == ratings
+        after = table.gather(match)
+        assert after is not before
+        assert before.mu[1].tolist() == [102.0, 103.0]
+        assert after.mu.tolist() == [[100.0, 101.0], [7.5, 103.0], [104.0, 105.0]]
+        assert after.sigma.tolist() == [[1.0, 2.0], [0.25, 4.0], [5.0, 6.0]]
+        assert after.last_rank.tolist() == [[0, 0], [3, 0], [0, 0]]
+
     def test_missing_member_is_a_missing_state_error(self):
         table = RatingTable({"t1_p1": PlayerRating(mu=1500.0)})
         with pytest.raises(MissingStateError, match="1 player\\(s\\), first 't2_p1'"):
@@ -362,10 +384,13 @@ class TestShapeCache:
         system = EloSystem()
         players = sorted({p for match in self.MATCHES for p in match.roster})
         table = RatingTable({p: system.initial_rating() for p in players})
+        systems_module._block_shape.cache_clear()
         # the second pass rebuilds the shapes that the first pass evicted
         for index, match in enumerate(self.MATCHES * 2):
             block = table.gather(match)
-            assert len(table._shapes) == index % _SHAPES_KEPT + 1
+            info = systems_module._block_shape.cache_info()
+            assert info.currsize == min(index + 1, _SHAPES_KEPT)
+            assert info.misses == index + 1
             assert block.sizes.tolist() == list(match.sizes)
             width = max(match.sizes)
             expected = [[j < size for j in range(width)] for size in match.sizes]
@@ -376,9 +401,12 @@ class TestShapeCache:
     @pytest.mark.parametrize("name", SYSTEM_NAMES)
     def test_replay_across_the_eviction_matches_fresh_tables(self, name):
         # a dict state runs each update on a fresh table of the match's
-        # members, whose shape cache never fills
+        # members, which shares the process's shape cache with the replay
+        systems_module._block_shape.cache_clear()
         result = replay(self.MATCHES, make_system(name), seed=5)
-        assert len(result.store.ratings._shapes) == len(self.MATCHES) - _SHAPES_KEPT
+        info = systems_module._block_shape.cache_info()
+        assert info.currsize == _SHAPES_KEPT
+        assert info.misses == len(self.MATCHES)
         system = make_system(name)
         state = {}
         rng = random.Random(5)
@@ -541,5 +569,52 @@ class TestMemberShares:
         caplog.clear()
         with caplog.at_level(logging.WARNING):
             system.update_match(state, match, 0)
+        uniform = [r.getMessage() for r in caplog.records if "uniform" in r.getMessage()]
+        assert uniform == reference
+
+    # teams that hold both zeros, in either order, and a ragged positive team
+    BOTH_ZEROS = ([0.0, -0.0, 1.0], [-0.0, 0.0, 2.0], [3.0, -0.0, 0.0, 4.0], [-0.0, 0.0], [7.0])
+
+    def both_zeros_block(self):
+        teams = tuple(
+            TeamEntry(f"t{i}", tuple(f"t{i}_p{j}" for j in range(len(mus))), i + 1)
+            for i, mus in enumerate(self.BOTH_ZEROS)
+        )
+        match = MatchRecord("zeros", BASE_TIME, teams)
+        ratings = {
+            p: PlayerRating(mu=mu)
+            for team, mus in zip(teams, self.BOTH_ZEROS)
+            for p, mu in zip(team.members, mus)
+        }
+        return RatingTable(ratings).gather(match), ratings
+
+    def test_lowest_of_a_team_with_both_zeros_is_its_first(self, caplog):
+        block, ratings = self.both_zeros_block()
+        shares, lowest = member_shares(block, row_sums(block.mu))
+        for i, team in enumerate(block.match.teams):
+            mus = [ratings[p].mu for p in team.members]
+            with caplog.at_level(logging.WARNING):
+                weights = member_weights(mus, team.team_id)
+            assert [w.hex() for w in weights] == [
+                float(s).hex() for s in shares[i, : len(mus)]
+            ], team.team_id
+            assert float(lowest[i]).hex() == min(mus).hex(), team.team_id
+
+    @pytest.mark.parametrize("system", [EloSystem(), GlickoSystem()], ids=["elo", "glicko"])
+    def test_warnings_of_teams_with_both_zeros_equal_member_weights(self, system, caplog):
+        block, ratings = self.both_zeros_block()
+        reference = []
+        for team in block.match.teams:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                member_weights([ratings[p].mu for p in team.members], team.team_id)
+            reference += [record.getMessage() for record in caplog.records]
+        assert ["rated -0," in m for m in reference] == [False, True, True, True]
+        state = dict(ratings)
+        if isinstance(system, GlickoSystem):
+            state = {p: replace(r, sigma=50.0) for p, r in state.items()}
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            system.update_match(state, block.match, 0)
         uniform = [r.getMessage() for r in caplog.records if "uniform" in r.getMessage()]
         assert uniform == reference
