@@ -16,16 +16,16 @@ State is owned by the caller and ``update_match`` is the only code that
 writes it.  The replay keeps it in a ``RatingTable``: an id -> row map
 plus four numpy columns, ``mu``, ``sigma`` (NaN for a player without
 one), ``games`` and ``last_rank`` (0 for a player without one), grown in
-amortized steps.  The table is also a ``MutableMapping[str,
-PlayerRating]``: ``table[p]`` builds a validated view and ``table[p] =
-rating`` writes one row, so stores, cohort selection and library callers
-see the familiar mapping.  The per-match path never builds a view.
-``table[p] = rating`` and ``insert`` share one row write, the only code
-that turns a ``PlayerRating`` into a row.
+amortized steps.  The table is a read-only ``Mapping[str,
+PlayerRating]``: ``table[p]`` builds a validated view, so stores, cohort
+selection and library callers see the familiar mapping, and the
+per-match path never builds one.  Rows enter only through ``insert``,
+the only code that turns a ``PlayerRating`` into a row, and change only
+through ``scatter``; a row's index never moves.
 
-``RatingTable.insert`` adds many rows at once and grows the columns in
-the same steps as one ``table[p] = rating`` at a time; ``replay``
-inserts every player of its log in one call before its loop.  Per
+``RatingTable.insert`` appends many rows at once and grows the columns
+in the same steps as one ``insert`` per player; ``replay`` inserts every
+player of its log in one call before its loop.  Per
 match, ``RatingTable.gather`` copies the members' rows once into a
 ``MatchBlock``, reading the match's layout (``roster``, ``sizes``,
 ``ranks``; see ``core``): (teams x width) matrices in record order, a
@@ -43,8 +43,10 @@ sigma > 0; the first bad member's ``PlayerRating`` is built to raise
 that class's error) and only then writes mu, sigma, ``games + 1`` and
 the team placement as the last rank in one scatter, so an update that
 raises (a certain Glicko outcome, an invalid posterior) leaves state
-exactly as it was.  The table keeps the last block until its next
-write, so ``predict`` and ``_apply`` share one gather.
+exactly as it was.  The table keeps the last block until the next
+``scatter``, the only code that drops it, so ``predict`` and ``_apply``
+share one gather; an ``insert`` leaves it, since it touches no row the
+block copied.
 
 A plain dict of ``PlayerRating`` is accepted too: the update runs on a
 table of the match's members and is written back to the dict only after
@@ -145,9 +147,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# what predict and update_match accept: a RatingTable or a plain dict
-RatingState = MutableMapping[str, PlayerRating]
-
 # posterior (mu, sigma) matrices of a block; sigma is None for systems without one
 Posterior = tuple[np.ndarray, "np.ndarray | None"]
 
@@ -209,7 +208,7 @@ class MatchBlock:
         return out
 
 
-class RatingTable(MutableMapping[str, PlayerRating]):
+class RatingTable(Mapping[str, PlayerRating]):
     """Every player's rating as numpy columns, one row per player."""
 
     def __init__(self, ratings: Mapping[str, PlayerRating] | None = None) -> None:
@@ -260,16 +259,9 @@ class RatingTable(MutableMapping[str, PlayerRating]):
                 extra = np.zeros(grown - capacity, column.dtype)
                 setattr(self, name, np.append(column, extra))
 
-    def __setitem__(self, player_id: str, rating: PlayerRating) -> None:
-        row = self._rows.get(player_id)
-        if row is None:
-            self.insert((player_id,), (rating,))
-        else:
-            self._write(row, (rating,))
-
     def insert(self, players: Sequence[str], ratings: Sequence[PlayerRating]) -> None:
-        """Rows for players the table does not hold yet, in the order
-        given: the table that ``table[p] = rating`` for each in turn gives."""
+        """Append rows for players the table does not hold yet, in the
+        order given: the table that one ``insert`` per player gives."""
         rows = self._rows
         start = len(rows)
         end = start + len(players)
@@ -281,29 +273,10 @@ class RatingTable(MutableMapping[str, PlayerRating]):
             raise DomainError("insert takes one rating per new, distinct player id")
         self._reserve(end)
         rows.update(zip(players, range(start, end)))
-        self._write(start, ratings)
-
-    def _write(self, start: int, ratings: Sequence[PlayerRating]) -> None:
-        """The ratings into the rows from ``start`` on."""
-        end = start + len(ratings)
         self._mu[start:end] = [r.mu for r in ratings]
-        self._sigma[start:end] = [
-            math.nan if r.sigma is None else r.sigma for r in ratings
-        ]
+        self._sigma[start:end] = [math.nan if r.sigma is None else r.sigma for r in ratings]
         self._games[start:end] = [r.games_played for r in ratings]
         self._last_rank[start:end] = [r.last_observed_rank or 0 for r in ratings]
-        self._block = None
-
-    def __delitem__(self, player_id: str) -> None:
-        row = self._rows.pop(player_id)
-        end = len(self._rows)
-        for name in _COLUMNS:
-            column = getattr(self, name)
-            column[row:end] = column[row + 1 : end + 1]
-        for later, index in self._rows.items():
-            if index > row:
-                self._rows[later] = index - 1
-        self._block = None
 
     def gather(self, match: MatchRecord, rows: np.ndarray | None = None) -> MatchBlock:
         """The match's member rows as a ``MatchBlock``; raises
@@ -373,6 +346,11 @@ class RatingTable(MutableMapping[str, PlayerRating]):
         self._games[rows] += 1
         self._last_rank[rows] = np.repeat(block.ranks, block.sizes)
         self._block = None
+
+
+# what predict and update_match accept: a RatingTable, or a mutable mapping
+# such as a dict, which update_match writes back after a successful update
+RatingState = RatingTable | MutableMapping[str, PlayerRating]
 
 
 def rating_columns(

@@ -42,8 +42,15 @@ by the team's shrink factor.  The sums of the loser's updated members
 carry over as the next pair's winner, so a team in the middle of the
 order is split twice, and the posterior is the member lists padded to
 the block's shape.  The member sums, squares and splits are the same
-float operations, in the same order, as a per-pair member update, and
-``member_weights`` is called (and warns) in chain order.
+float operations, in the same order, as a per-pair member update.
+
+With ``member_share="mu"`` a team's ``member_weights`` are read once per
+match, from its pre-match mus at its first split (in chain order, so a
+team warns of uniform weights at most once), and serve both its splits.
+A proportional split keeps each member's share of the team mu, so in
+exact arithmetic this is the per-split rule; and a middle team whose
+losing split drives every member to mu <= 0 keeps its weights for its
+winning split, so every member moves the same way as its team.
 
 The default dynamics noise tau = 0.833 is deliberately large, ten times
 the usual sigma0/100 choice for mu0 = 25; it is kept as a parameter so
@@ -151,7 +158,7 @@ def _moments(x: float) -> tuple[float, float, float]:
         v = t + r
         return v, v * r, r * (q - r)
     v = max(math.exp(-0.5 * x * x - _LOG_SQRT_2PI - float(log_ndtr(x))), _TINY)
-    w = max(v * (v + x), _TINY)
+    w = v * (v + x)
     return v, w, 1.0 - w
 
 
@@ -191,13 +198,11 @@ def _pair(
     c = math.sqrt(c_sq)
     x = (mu_w - mu_l) / c
     if _DEEP_TAIL <= x < math.inf:
-        # max(v, _TINY) and max(w, _TINY), without the calls
+        # max(v, _TINY), without the call
         v = math.exp(-0.5 * x * x - _LOG_SQRT_2PI - float(log_ndtr(x)))
         if v < _TINY:
             v = _TINY
         w = v * (v + x)
-        if w < _TINY:
-            w = _TINY
         shrink_w = 1.0 - (sq_w / c_sq) * w
         shrink_l = 1.0 - (sq_l / c_sq) * w
     else:
@@ -247,6 +252,9 @@ class TrueSkillSystem(RatingSystem):
         team_mus = list(map(left_sum, mus))
         rest = 2.0 * params.beta**2
         by_rank = np.argsort(block.ranks).tolist()
+        # member_share="mu": each team's weights, read from its pre-match mus
+        # at its first split and kept for its second
+        mu_weights: dict[int, list[float]] = {}
         win = by_rank[0]
         sqrt = math.sqrt
         mu_w, var_w = team_mus[win], variances[win]
@@ -273,7 +281,9 @@ class TrueSkillSystem(RatingSystem):
                 mu_t, sigma_t, square_t = mus[team], sigmas[team], team_squares[team]
                 weight_t = square_t
                 if by_mu:
-                    weight_t, total = member_weights(mu_t, team_ids[team]), 1.0
+                    weight_t, total = mu_weights.get(team), 1.0
+                    if weight_t is None:
+                        weight_t = mu_weights[team] = member_weights(mu_t, team_ids[team])
                 mu_sum = square_sum = 0
                 for k, weight in enumerate(weight_t):
                     mu_t[k] = m = mu_t[k] + weight / total * delta

@@ -9,7 +9,7 @@ repeated team id, placements below 1 or not a permutation, fewer than
 two teams), and the two must give equal records or the same error.
 
 ``RatingTable.insert`` adds many new rows at once; the reference is one
-``table[p] = rating`` per player.  The focal team errors of a cohort
+``insert`` per player.  The focal team errors of a cohort
 trend are one column aligned with the replay's member array, built from
 each match's layout; the reference scans the teams' rosters.
 """
@@ -210,17 +210,17 @@ class TestBulkInsert:
         rating=RATINGS,
         other=RATINGS,
     )
-    def test_equals_one_setitem_per_player(self, before, added, rating, other):
+    def test_equals_one_insert_per_player(self, before, added, rating, other):
         existing = [f"old{i}" for i in range(before)]
         new = [f"new{i}" for i in range(added)]
         ratings = [rating if i % 3 else other for i in range(added)]
         bulk, single = RatingTable(), RatingTable()
         for table in (bulk, single):
             for player in existing:
-                table[player] = other
+                table.insert([player], [other])
         bulk.insert(new, ratings)
         for player, value in zip(new, ratings):
-            single[player] = value
+            single.insert([player], [value])
         same_table(bulk, single)
         assert dict(bulk) == dict(single)
 
@@ -231,7 +231,7 @@ class TestBulkInsert:
         bulk.insert(players[:10], ratings[:10])
         bulk.insert(players[10:], ratings[10:])
         for player, rating in zip(players, ratings):
-            single[player] = rating
+            single.insert([player], [rating])
         assert len(bulk._mu) == 256
         same_table(bulk, single)
 

@@ -334,6 +334,14 @@ class TestReplay:
         assert result.player_match_index["b"] == [0, 2]
         assert result.player_match_index["c"] == [1, 2]
 
+    def test_player_match_index_repr(self):
+        matches = [
+            match_of("m1", 0, [("t1", ("a",), 1), ("t2", ("b",), 2)]),
+            match_of("m2", 1, [("t1", ("a",), 2), ("t2", ("c",), 1)]),
+        ]
+        index = replay(matches, EloSystem()).player_match_index
+        assert repr(index) == "_PlayerMatches({'a': [0, 1], 'b': [0], 'c': [1]})"
+
     def test_same_seed_reproduces_predictions(self):
         matches = synth_matches()
         first = replay(matches, PreviousRankSystem(), seed=9)

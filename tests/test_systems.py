@@ -305,20 +305,41 @@ class TestRatingTable:
         assert table == ratings
         assert table["p3"] == ratings["p3"]
 
-    def test_delete_keeps_the_other_rows(self):
-        ratings = {f"p{i}": PlayerRating(mu=float(i)) for i in range(5)}
-        table = RatingTable(ratings)
-        del table["p1"]
-        del ratings["p1"]
-        assert list(table) == list(ratings)
-        assert table == ratings
-        table["p9"] = PlayerRating(mu=9.0, sigma=2.0)
-        assert table["p9"] == PlayerRating(mu=9.0, sigma=2.0)
-        assert table["p4"] == PlayerRating(mu=4.0)
-        with pytest.raises(KeyError):
-            table["p1"]
+    def test_is_read_only(self):
+        table = RatingTable({"p1": PlayerRating(mu=1.0)})
+        with pytest.raises(TypeError):
+            table["p1"] = PlayerRating(mu=2.0)
+        with pytest.raises(TypeError):
+            table["p2"] = PlayerRating(mu=2.0)
+        with pytest.raises(TypeError):
+            del table["p1"]
+        assert dict(table) == {"p1": PlayerRating(mu=1.0)}
 
-    def test_overwriting_a_player_writes_only_its_row(self):
+    def test_repr_shows_the_ratings(self):
+        table = RatingTable({"p1": PlayerRating(mu=1.5, sigma=2.0)})
+        assert repr(table) == (
+            "RatingTable({'p1': PlayerRating(mu=1.5, sigma=2.0, "
+            "games_played=0, last_observed_rank=None)})"
+        )
+
+    def test_update_drops_the_kept_block(self):
+        system = GlickoSystem()
+        match = quick_match([2, 1, 3], team_size=2)
+        table = RatingTable({p: system.initial_rating() for p in match.roster})
+        before = table.gather(match)
+        assert table.gather(match) is before
+        system.update_match(table, match, 0)
+        after = table.gather(match)
+        assert after is not before
+        assert after.mu.tolist() == [
+            [table[p].mu for p in match.roster[:2]],
+            [table[p].mu for p in match.roster[2:4]],
+            [table[p].mu for p in match.roster[4:]],
+        ]
+        assert after.last_rank.tolist() == [[2, 2], [1, 1], [3, 3]]
+        assert not np.array_equal(after.mu, before.mu)
+
+    def test_insert_keeps_the_gathered_rows(self):
         match = quick_match([2, 1, 3], team_size=2)
         ratings = {
             p: PlayerRating(mu=100.0 + i, sigma=1.0 + i, games_played=i)
@@ -326,19 +347,14 @@ class TestRatingTable:
         }
         table = RatingTable(ratings)
         before = table.gather(match)
+        # past the first growth step, so every column is reallocated
+        others = [f"q{i}" for i in range(100)]
+        table.insert(others, [PlayerRating(mu=7.5, sigma=0.25)] * len(others))
+        assert len(table) == 106
         assert table.gather(match) is before
-        new = PlayerRating(mu=7.5, sigma=0.25, games_played=9, last_observed_rank=3)
-        table["t2_p1"] = new
-        ratings["t2_p1"] = new
-        assert len(table) == 6
-        assert list(table) == list(ratings) == list(match.roster)
-        assert table == ratings
-        after = table.gather(match)
-        assert after is not before
-        assert before.mu[1].tolist() == [102.0, 103.0]
-        assert after.mu.tolist() == [[100.0, 101.0], [7.5, 103.0], [104.0, 105.0]]
-        assert after.sigma.tolist() == [[1.0, 2.0], [0.25, 4.0], [5.0, 6.0]]
-        assert after.last_rank.tolist() == [[0, 0], [3, 0], [0, 0]]
+        fresh = RatingTable(ratings).gather(match)
+        for name in ("rows", "mask", "sizes", "ranks", "mu", "sigma", "last_rank"):
+            np.testing.assert_array_equal(getattr(before, name), getattr(fresh, name))
 
     def test_missing_member_is_a_missing_state_error(self):
         table = RatingTable({"t1_p1": PlayerRating(mu=1500.0)})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,22 @@ class TestUpdatePair:
         assert update_pair((mu_w, sigma_w), (0.0, sigma_l), params) == (
             (mu_w + (sigma_w**2 / c) * v, sigma_w * (1.0 - (sigma_w**2 / c_sq) * w)),
             (0.0 - (sigma_l**2 / c) * v, sigma_l * (1.0 - (sigma_l**2 / c_sq) * w)),
+        )
+
+    def test_smallest_w_needs_no_clamp(self):
+        # w = v (v + x) is smallest where v reaches its floor, near x = 37.616,
+        # and there it is still 37 times the smallest normal double
+        params = TrueSkillParams(beta=1.0)
+        mu_w, mu_l, sigma = 37.616, -37.616, 1.0
+        c_sq = 2.0 * params.beta**2 + sigma**2 + sigma**2
+        c = math.sqrt(c_sq)
+        x = (mu_w - mu_l) / c
+        v, w = v_exceeds(x), w_exceeds(x)
+        assert v == sys.float_info.min
+        assert w > 37 * sys.float_info.min
+        assert update_pair((mu_w, sigma), (mu_l, sigma), params) == (
+            (mu_w + (sigma**2 / c) * v, sigma * (1.0 - (sigma**2 / c_sq) * w)),
+            (mu_l - (sigma**2 / c) * v, sigma * (1.0 - (sigma**2 / c_sq) * w)),
         )
 
     def test_equal_priors_golden(self):
@@ -349,15 +366,10 @@ class TestMatchUpdate:
             system.update_match(state, match, 0)
         assert any("uniform member weights" in r.message for r in caplog.records)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 7: a middle team's winning split takes uniform "
-        "weights once its losing split drove a member to mu <= 0",
-    )
     def test_mu_share_middle_team_members_move_together(self):
         # t2 loses to the weaker t1, which drives both members to mu <= 0, then
-        # beats the stronger t3 with uniform weights: t2_p1 ends below its
-        # prior and t2_p2 above it
+        # beats the stronger t3; weights read again at that second split would
+        # be uniform, and t2_p1 would end below its prior and t2_p2 above it
         system = TrueSkillSystem(TrueSkillParams(tau_dynamics=0.0, member_share="mu"))
         match = quick_match([1, 2, 3], team_size=2)
         mus = {

@@ -4,7 +4,10 @@ The reference below is the update as it stood before ``_apply`` became a
 pure function: each system rewrote ``state[player]`` through
 ``dataclasses.replace`` as it went (TrueSkill once for the tau
 inflation and once per chain pair), and a bookkeeping pass then rewrote
-every member again with ``games_played + 1`` and the placement.  It
+every member again with ``games_played + 1`` and the placement.  One
+rule differs from that update: with ``member_share="mu"`` a TrueSkill
+team keeps the mu shares of its first split for its second, so its
+members move the same way as the team.  It
 calls the production weight rule and the production kernels, so the
 test checks only the restructuring: every ``PlayerRating``, every
 prediction and every WARNING record, in order, must be exactly equal,
@@ -115,9 +118,14 @@ def trueskill_reference(system, state, match):
             float(left_sum(state[p].sigma ** 2 for p in members)),
         )
 
+    # a team's mu shares from its first split, kept for its second
+    mu_shares = {}
+
     def distribute(members, team_id, team_var, delta_mu, shrink):
         if params.member_share == "mu":
-            shares = member_weights([state[p].mu for p in members], team_id)
+            if team_id not in mu_shares:
+                mu_shares[team_id] = member_weights([state[p].mu for p in members], team_id)
+            shares = mu_shares[team_id]
         else:
             shares = [state[p].sigma ** 2 / team_var for p in members]
         for player, share in zip(members, shares):
