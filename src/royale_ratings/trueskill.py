@@ -281,9 +281,9 @@ class TrueSkillSystem(RatingSystem):
                 mu_t, sigma_t, square_t = mus[team], sigmas[team], team_squares[team]
                 weight_t = square_t
                 if by_mu:
-                    weight_t, total = mu_weights.get(team), 1.0
-                    if weight_t is None:
-                        weight_t = mu_weights[team] = member_weights(mu_t, team_ids[team])
+                    if team not in mu_weights:
+                        mu_weights[team] = member_weights(mu_t, team_ids[team])
+                    weight_t, total = mu_weights[team], 1.0
                 mu_sum = square_sum = 0
                 for k, weight in enumerate(weight_t):
                     mu_t[k] = m = mu_t[k] + weight / total * delta

@@ -352,7 +352,9 @@ class TestRatingTable:
         table.insert(others, [PlayerRating(mu=7.5, sigma=0.25)] * len(others))
         assert len(table) == 106
         assert table.gather(match) is before
-        fresh = RatingTable(ratings).gather(match)
+        # an equal match, not the same record, so the table gathers it afresh
+        fresh = table.gather(quick_match([2, 1, 3], team_size=2))
+        assert fresh is not before
         for name in ("rows", "mask", "sizes", "ranks", "mu", "sigma", "last_rank"):
             np.testing.assert_array_equal(getattr(before, name), getattr(fresh, name))
 
