@@ -16,10 +16,11 @@ keeps no per-team object because CPython's collector never untracks a
 tuple subclass: one ``TeamEntry`` per team of a long log would stay in
 every full collection for the life of the run, while the layout's plain
 tuples of strings and ints are untracked at the first collection.  The
-layout fields take no part in ``==`` or ``repr``.  ``build_match``
-builds a record from per-team columns with one check of the whole match,
-and falls back to the checked constructors, for their error text, only
-when that check fails.
+layout fields take no part in ``==`` or ``repr``.  ``match_from_layout``
+builds a record straight from its layout with one check of the whole
+match, and falls back to the checked constructors, for their error text,
+only when that check fails; ``build_match`` flattens per-team columns
+into a layout and calls it.
 """
 
 from __future__ import annotations
@@ -217,6 +218,49 @@ class MatchRecord:
         return list(self.roster)
 
 
+def match_from_layout(
+    match_id: str,
+    timestamp: datetime,
+    team_ids: tuple[str, ...],
+    ranks: tuple[int, ...],
+    sizes: tuple[int, ...],
+    roster: tuple[str, ...],
+) -> MatchRecord:
+    """The ``MatchRecord`` whose layout is given: the team ids, observed
+    placements and sizes per team, and ``roster``, every player id with
+    each team's members in a row.  The tuples become the record's fields
+    as they are, so the caller chooses which string objects it keeps.
+
+    The whole match is checked at once: at least two teams, ids and
+    player ids non-empty, rosters non-empty, team ids distinct, no player
+    listed twice, placements a permutation of 1..N.  A match that fails
+    has its teams rebuilt from the layout through the checked
+    constructors, which raise the ``DomainError`` that
+    ``MatchRecord(teams=(TeamEntry(...), ...))`` raises, with the same text.
+    """
+    n = len(team_ids)
+    if (
+        n >= 2
+        and all(team_ids)
+        and all(sizes)
+        and all(roster)
+        and len(set(team_ids)) == n
+        and len(set(roster)) == len(roster)
+        and sorted(ranks) == list(range(1, n + 1))
+    ):
+        record = object.__new__(MatchRecord)
+        object.__setattr__(record, "match_id", match_id)
+        object.__setattr__(record, "timestamp", timestamp)
+        record._set_layout(team_ids, ranks, sizes, roster)
+        return record
+    spans = map(slice, accumulate(sizes, initial=0), accumulate(sizes))
+    return MatchRecord(
+        match_id=match_id,
+        timestamp=timestamp,
+        teams=tuple(map(TeamEntry, team_ids, map(roster.__getitem__, spans), ranks)),
+    )
+
+
 def build_match(
     match_id: str,
     timestamp: datetime,
@@ -227,12 +271,9 @@ def build_match(
     """The ``MatchRecord`` of teams given as parallel columns: each team's
     id, members and observed placement.
 
-    The whole match is checked at once: at least two teams, ids and
-    player ids non-empty, rosters non-empty, team ids distinct, no player
-    listed twice, placements a permutation of 1..N.  A match that fails
-    is built again through the checked constructors, which raise the
-    ``DomainError`` that ``MatchRecord(teams=(TeamEntry(...), ...))``
-    raises, with the same text.
+    The rosters are flattened into the record's layout, which
+    ``match_from_layout`` checks as a whole and builds, raising the
+    checked constructors' ``DomainError`` text for a match that fails.
     """
     team_ids = tuple(team_ids)
     rosters = tuple(map(tuple, rosters))
@@ -243,26 +284,8 @@ def build_match(
             f"match {match_id!r}: {n} team ids, {len(rosters)} rosters and "
             f"{len(ranks)} placements"
         )
-    roster = tuple(chain.from_iterable(rosters))
-    if (
-        n >= 2
-        and all(team_ids)
-        and all(rosters)
-        and all(roster)
-        and len(set(team_ids)) == n
-        and len(set(roster)) == len(roster)
-        and sorted(ranks) == list(range(1, n + 1))
-    ):
-        record = object.__new__(MatchRecord)
-        object.__setattr__(record, "match_id", match_id)
-        object.__setattr__(record, "timestamp", timestamp)
-        record._set_layout(team_ids, ranks, tuple(map(len, rosters)), roster)
-        return record
-    return MatchRecord(
-        match_id=match_id,
-        timestamp=timestamp,
-        teams=tuple(map(TeamEntry, team_ids, rosters, ranks)),
-    )
+    sizes, roster = tuple(map(len, rosters)), tuple(chain.from_iterable(rosters))
+    return match_from_layout(match_id, timestamp, team_ids, ranks, sizes, roster)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,7 +2,8 @@
 
 Ingest has two tokenizers, a column pass for quote-free logs and a
 ``csv.reader`` pass for any other, and one builder that turns each
-match's rows into a MatchRecord.
+match's rows into a MatchRecord built straight from its layout, with one
+string object per distinct player id and team id.
 
 The harness replays matches in timestamp order through one rating
 system: unseen players get the system default, the match is predicted
@@ -40,7 +41,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import chain, compress, pairwise, repeat
+from itertools import chain, compress, filterfalse, islice, pairwise, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -52,7 +53,7 @@ from .core import (
     MatchRecord,
     PlayerRating,
     PredictedRanking,
-    build_match,
+    match_from_layout,
 )
 from .metrics import METRIC_NAMES, MetricReport, rank_pairs, score_match
 from .systems import RatingState, RatingSystem, RatingTable, rating_columns
@@ -87,6 +88,9 @@ SETUP_NAMES = ("all", "best", "frequent")
 
 STORE_MAGIC = "#royale-ratings-store v1"
 _STORE_FIELDS = "#fields=player_id mu sigma games_played last_observed_rank"
+# snapshot lines joined per write: one write per line is slower than one
+# write of the whole snapshot, and a run of lines holds far less
+_STORE_ROWS = 4096
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -188,12 +192,15 @@ class _Kept:
     """The matches one ingest pass keeps, with the counts of those it
     reads, filters and rejects; ``commit`` hands them to an
     ``IngestStats`` and logs each rejection once the pass has finished.
-    Each distinct timestamp and placement string is parsed once."""
+    Each distinct timestamp and placement string is parsed once, and each
+    distinct player id and team id is kept once, per call: every record
+    shares the one string object ``ids`` holds for it."""
 
     def __init__(self, team_size: int | None) -> None:
         self.team_size = team_size
         self.stamps = _Parsed(parse_timestamp)
         self.placements = _Parsed(int)
+        self.ids: dict[str, str] = {}
         self.matches: list[MatchRecord] = []
         self.read = 0
         self.filtered = 0
@@ -211,11 +218,12 @@ class _Kept:
         timestamp string, whose teams are contiguous and of one size and
         each have one placement string is built from its column slices; any
         other is grouped by ``_group``.  A match the ``team_size`` filter
-        drops is not built; a string that does not parse raises ``_Unchecked``."""
+        drops is not built and keeps none of its ids; a string that does
+        not parse raises ``_Unchecked``."""
         self.read += 1
         rows = len(team_ids)
         size = team_ids.count(team_ids[0])
-        teams = team_ids[::size]
+        teams: Sequence[str] = team_ids[::size]
         ranks = places[::size]
         if (
             rows == size * len(teams)
@@ -228,8 +236,8 @@ class _Kept:
         ):
             (stamp,) = _parse_all(self.stamps, stamps[:1])
             ranks = _parse_all(self.placements, ranks)
-            rosters: Iterable[Iterable[str]] = zip(*[iter(players)] * size)
-            sizes: Iterable[int] = (size,)
+            sizes: tuple[int, ...] = (size,) * len(teams)
+            roster: Sequence[str] = players
         else:
             grouped = _group(
                 _parse_all(self.stamps, stamps),
@@ -244,12 +252,17 @@ class _Kept:
             teams = list(entries)
             ranks = [entry[0] for entry in entries.values()]
             rosters = [entry[1:] for entry in entries.values()]
-            sizes = map(len, rosters)
+            sizes = tuple(map(len, rosters))
+            roster = list(chain.from_iterable(rosters))
         if self.team_size is not None and any(s != self.team_size for s in sizes):
             self.filtered += 1
             return
+        keep = self.ids.setdefault
+        teams, roster = tuple(map(keep, teams, teams)), tuple(map(keep, roster, roster))
         try:
-            self.matches.append(build_match(match_id, stamp, teams, rosters, ranks))
+            self.matches.append(
+                match_from_layout(match_id, stamp, teams, tuple(ranks), sizes, roster)
+            )
         except DomainError as exc:
             self.rejected.append((match_id, str(exc)))
 
@@ -401,7 +414,9 @@ def ingest(
     The rows' five columns are found at the positions the header gives
     them (a repeated column counts at its last position; extra columns are
     ignored; blank lines are skipped), and each distinct timestamp and
-    placement string is parsed once per call.
+    placement string is parsed once per call.  Each distinct player id and
+    team id is kept once, per call: every record holds the same string
+    object for it, so a player's id costs memory once, not once per game.
 
     Two tokenizers feed one match builder, which gets each match's rows in
     file order.  Every log starts on the column pass: it is read with
@@ -454,25 +469,46 @@ class RatingStore:
 
     def save(self, path: str | Path) -> None:
         """Versioned text snapshot, one player per line, sorted for
-        reproducible bytes."""
-        lines = [
-            STORE_MAGIC,
-            f"#system={self.system}",
-            f"#seed={self.seed}",
-            f"#matches={self.matches_processed}",
-            f"#params={json.dumps(self.params, sort_keys=True, allow_nan=False)}",
-            _STORE_FIELDS,
-        ]
+        reproducible bytes.
+
+        Every check runs before the file is opened: the params must be
+        finite for JSON, no player id may hold a tab or a newline (the
+        first such id in sorted order is named), and every string must
+        encode as UTF-8.  A snapshot that fails leaves any file at ``path``
+        as it was.  The lines are then written ``_STORE_ROWS`` at a time,
+        so the snapshot is never held whole in memory.
+        """
+        head = "\n".join(
+            [
+                STORE_MAGIC,
+                f"#system={self.system}",
+                f"#seed={self.seed}",
+                f"#matches={self.matches_processed}",
+                f"#params={json.dumps(self.params, sort_keys=True, allow_nan=False)}",
+                _STORE_FIELDS,
+                "",
+            ]
+        )
         ids, *columns = rating_columns(self.ratings)
         order = sorted(range(len(ids)), key=ids.__getitem__)
-        for player_id, mu, sigma, games, last in zip(
-            [ids[i] for i in order], *(column[order].tolist() for column in columns)
-        ):
+        ids = [ids[i] for i in order]
+        for player_id in ids:
             if "\t" in player_id or "\n" in player_id:
                 raise DataError(f"player id {player_id!r} cannot be snapshotted")
-            sigma = "-" if math.isnan(sigma) else repr(sigma)
-            lines.append(f"{player_id}\t{mu!r}\t{sigma}\t{games}\t{last or '-'}")
-        Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        # a lone surrogate raises UnicodeEncodeError here, not mid-write
+        for text in (head, *filterfalse(str.isascii, ids)):
+            text.encode("utf-8")
+        lines = (
+            f"{player_id}\t{mu!r}\t{'-' if math.isnan(sigma) else repr(sigma)}"
+            f"\t{games}\t{last or '-'}\n"
+            for player_id, mu, sigma, games, last in zip(
+                ids, *(column[order].tolist() for column in columns)
+            )
+        )
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(head)
+            while run := "".join(islice(lines, _STORE_ROWS)):
+                handle.write(run)
 
     @classmethod
     def load(cls, path: str | Path) -> "RatingStore":
@@ -619,12 +655,17 @@ def replay(
     new players are the rows past the highest one seen before it.  The
     loop hands each match its slice of that array, so it looks up no
     player by id.  ``player_match_index`` is a read-only mapping over the
-    same array.
+    same array.  The rosters are read twice, once to number the players
+    and once to fill the array, so no flat list of members is held.
     """
-    members = list(chain.from_iterable(match.roster for match in matches))
-    players = {player: row for row, player in enumerate(dict.fromkeys(members))}
-    rows = np.fromiter(map(players.__getitem__, members), np.intp, len(members))
     ends = np.cumsum([len(match.roster) for match in matches], dtype=np.intp)
+
+    def members() -> Iterator[str]:
+        return chain.from_iterable(map(operator.attrgetter("roster"), matches))
+
+    players = {player: row for row, player in enumerate(dict.fromkeys(members()))}
+    entries = ends[-1].item() if len(ends) else 0
+    rows = np.fromiter(map(players.__getitem__, members()), np.intp, entries)
     # rows are numbered in first-appearance order, so the players seen by
     # the end of a match are its highest row so far, plus one
     seen = np.maximum.accumulate(rows)[ends - 1] + 1

@@ -19,7 +19,7 @@ LAYERS = ["generate", "write", "ingest"] + [
     f"{layer}.{system}"
     for system in ("elo", "glicko", "trueskill", "prevrank")
     for layer in ("replay", "apply", "score", "write")
-]
+] + ["cli.elo"]
 
 
 def bench(tmp_path, *flags):
@@ -43,11 +43,19 @@ def bench(tmp_path, *flags):
     return report
 
 
-def check_timings(layer, name):
-    assert layer["unit"] == "s"
+def check_timings(layer, name, unit="s"):
+    assert layer["unit"] == unit
     assert len(layer["runs"]) == 2 and min(layer["runs"]) >= 0, name
     assert layer["q1"] <= layer["median"] <= layer["q3"], name
     assert layer["iqr"] == layer["q3"] - layer["q1"], name
+
+
+def check_cli_peaks(layer):
+    """The whole CLI run's layer: the child's own peak RSS per round, which
+    holds at least the interpreter, numpy and the package."""
+    peaks = layer["peak_rss_mb"]
+    check_timings(peaks, "cli.elo", unit="MiB")
+    assert min(peaks["runs"]) > 10
 
 
 def test_bench_file_schema(tmp_path):
@@ -66,6 +74,10 @@ def test_bench_file_schema(tmp_path):
     assert "baseline" not in report
     for name, layer in report["layers"].items():
         check_timings(layer, name)
+        if name == "cli.elo":  # its work is in the child, not profiled or traced
+            assert set(layer) == {"unit", "runs", "median", "q1", "q3", "iqr", "peak_rss_mb"}
+            check_cli_peaks(layer)
+            continue
         assert isinstance(layer["ncalls"], int) and layer["ncalls"] > 0, name
         assert layer["tracemalloc_peak_mb"] >= 0, name
 
@@ -81,9 +93,11 @@ def test_baseline_block_schema(tmp_path):
     assert list(baseline["layers"]) == list(report["layers"]) == LAYERS
     for name, layer in baseline["layers"].items():
         check_timings(layer, name)
-        assert set(layer) == {
-            "unit", "runs", "median", "q1", "q3", "iqr", "ratio", "ratio_q1", "ratio_q3"
-        }
+        fields = {"unit", "runs", "median", "q1", "q3", "iqr", "ratio", "ratio_q1", "ratio_q3"}
+        if name == "cli.elo":
+            check_cli_peaks(layer)
+            fields.add("peak_rss_mb")
+        assert set(layer) == fields, name
         # the per-round ratios, each round's two samples paired
         ratios = [
             new / old for new, old in zip(report["layers"][name]["runs"], layer["runs"])

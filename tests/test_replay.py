@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import csv
 import gc
+import importlib
 import logging
 import math
+import operator
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -289,6 +292,91 @@ class TestIngest:
         assert len(gc.get_objects()) - before <= 2 * len(matches) + 50
 
 
+    # each log repeats players and team ids across matches; "ungrouped"
+    # lists m2's rows out of team order, so its column-pass run is grouped
+    # by _group, and a quote sends "quoted" through the csv.reader pass
+    ID_LOGS = {
+        "column-pass": [
+            "m1,2020-05-01T12:00:00Z,t01,p01,1",
+            "m1,2020-05-01T12:00:00Z,t01,p02,1",
+            "m1,2020-05-01T12:00:00Z,t02,p03,2",
+            "m1,2020-05-01T12:00:00Z,t02,p04,2",
+            "m2,2020-05-01T13:00:00Z,t01,p03,2",
+            "m2,2020-05-01T13:00:00Z,t01,p01,2",
+            "m2,2020-05-01T13:00:00Z,t02,p04,1",
+            "m2,2020-05-01T13:00:00Z,t02,p02,1",
+        ],
+        "csv-reader": [
+            'm1,2020-05-01T12:00:00Z,"t01",p01,1',
+            "m1,2020-05-01T12:00:00Z,t01,p02,1",
+            "m1,2020-05-01T12:00:00Z,t02,p03,2",
+            "m1,2020-05-01T12:00:00Z,t02,p04,2",
+            "m2,2020-05-01T13:00:00Z,t02,p02,1",
+            "m2,2020-05-01T13:00:00Z,t02,p03,1",
+            "m2,2020-05-01T13:00:00Z,t01,p04,2",
+            "m2,2020-05-01T13:00:00Z,t01,p01,2",
+        ],
+        "ungrouped": [
+            "m1,2020-05-01T12:00:00Z,t01,p01,1",
+            "m1,2020-05-01T12:00:00Z,t02,p02,2",
+            "m2,2020-05-01T13:00:00Z,t02,p01,2",
+            "m2,2020-05-01T13:00:00Z,t01,p02,1",
+            "m2,2020-05-01T13:00:00Z,t02,p03,2",
+            "m2,2020-05-01T13:00:00Z,t01,p04,1",
+        ],
+    }
+
+    @pytest.mark.parametrize("log", list(ID_LOGS))
+    def test_keeps_one_object_per_distinct_id(self, tmp_path, monkeypatch, log):
+        replay_module = importlib.import_module("royale_ratings.replay")
+        calls = {"_group": 0, "_read_grouped": 0}
+        for name in calls:
+            function = getattr(replay_module, name)
+
+            def counted(*args, name=name, function=function):
+                calls[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(replay_module, name, counted)
+        matches = ingest(write_log(tmp_path, self.ID_LOGS[log]))
+        assert len(matches) == 2
+        assert calls["_read_grouped"] == (log == "csv-reader")
+        assert (calls["_group"] > 0) == (log == "ungrouped")
+        kept: dict[str, str] = {}
+        for match in matches:
+            for value in match.team_ids + match.roster:
+                assert kept.setdefault(value, value) is value, value
+        assert len(kept) == len({*matches[0].roster, *matches[1].roster}) + 2
+
+    def test_two_calls_share_no_id_object(self, tmp_path):
+        path = write_log(tmp_path, self.ID_LOGS["column-pass"])
+        first, second = ingest(path), ingest(path)
+        assert first == second
+        for a, b in zip(first, second):
+            assert not any(map(operator.is_, a.team_ids + a.roster, b.team_ids + b.roster))
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["column-pass", "csv-reader"])
+    def test_records_hold_under_50_bytes_per_roster_entry(self, tmp_path, quoted):
+        config = SynthConfig(
+            player_count=5000, team_size=2, teams_per_match=48, match_count=1000
+        )
+        path = tmp_path / "log.csv"
+        write_match_log(path, generate(config)[0])
+        if quoted:
+            path.write_text(path.read_text().replace(",t01,", ',"t01",'))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            matches = ingest(path)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        entries = sum(len(match.roster) for match in matches)
+        assert entries == 1000 * 48 * 2
+        assert held / entries < 50
+
+
 def synth_matches(match_count=20, **overrides):
     config = dict(
         player_count=30,
@@ -415,6 +503,28 @@ class TestRatingStore:
         with pytest.raises(ValueError, match="JSON"):
             store.save(path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "defect, error",
+        [
+            ({"a\tb": PlayerRating(mu=1.0)}, DataError),
+            ({"k_factor": math.inf}, ValueError),
+            ({"zz\ud800": PlayerRating(mu=1.0)}, UnicodeEncodeError),
+        ],
+        ids=["tab in an id", "non-finite params", "lone surrogate in the last id"],
+    )
+    def test_failed_save_leaves_the_old_snapshot(self, tmp_path, defect, error):
+        store = replay(synth_matches(match_count=2), EloSystem()).store
+        path = tmp_path / "store.txt"
+        store.save(path)
+        before = path.read_bytes()
+        if error is ValueError:
+            store.params = {**store.params, **defect}
+        else:
+            store.ratings = {**store.ratings, **defect}
+        with pytest.raises(error):
+            store.save(path)
+        assert path.read_bytes() == before
 
     def test_save_load_round_trip(self, tmp_path):
         matches = synth_matches()

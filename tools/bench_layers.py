@@ -7,10 +7,14 @@ Imports the package from ``--src`` and runs, in this order, each round:
 ``generate`` and ``write`` (``synth.generate`` and ``write_match_log`` of
 workload L), ``ingest`` of that log, then for each rating system its
 ``replay`` and its ``write`` (the per-match metrics CSV and the rating
-store).  ``apply.<system>`` is the time the replay spent in the system's
-``_apply``, summed over its matches (one timing wrapper call per match),
-and ``score.<system>`` the time it spent scoring the predictions, in
-``rank_pairs`` plus ``score_match`` (one wrapper call each per match).
+store), and last ``cli.elo``, the whole ``royale-ratings replay --system
+elo`` run on the round's log in a child process, which also records the
+child's own peak RSS (see ``LAUNCHER``; the layer's time includes the
+launcher's start).  ``apply.<system>`` is the time the replay spent in
+the system's ``_apply``, summed over its matches (one timing wrapper
+call per match), and ``score.<system>`` the time it spent scoring the
+predictions, in ``rank_pairs`` plus ``score_match`` (one wrapper call
+each per match).
 Every layer runs once per round, so its ``--repeats`` samples are
 interleaved with the other layers'; each layer reports the median and
 the quartiles of its samples.
@@ -33,14 +37,16 @@ one under ``cProfile`` gives the Python calls made (``ncalls``; for
 ``score.<system>`` those inside ``rank_pairs`` and ``score_match``), one
 under ``tracemalloc`` the allocation peak above what the layer started
 with (for ``apply.<system>`` and ``score.<system>``, the largest of one
-call).  The peak RSS of the
-process and the time of the first ``import royale_ratings.cli`` are
-recorded once.
+call).  Neither round runs ``cli.elo``, whose work is in the child: its
+layer records ``peak_rss_mb``, the child's peak RSS in each timed round,
+in their place.  The peak RSS of the process and the time of the first
+``import royale_ratings.cli`` are recorded once.
 
 Workload L is ``SynthConfig(player_count=20000, team_size=2,
 teams_per_match=48, match_count=5000, noise_spread=1.0, seed=1)``, the
 paper's duo shape (480k rows); ``--scale`` multiplies its player and
-match counts (at least one match, and players enough to fill one).
+match counts (at least one match, and players enough to fill one), so
+``--scale 5`` is the paper-size workload P (2.4M rows).
 ``--bench-out DIR`` writes everything to ``DIR/BENCH_<short-sha>.json``,
 named after the commit of the ``--src`` checkout (``-dirty`` appended
 when tracked files under ``--src`` differ from that commit).  The logs and
@@ -72,6 +78,22 @@ from typing import Any, Callable, Iterator
 ROOT = Path(__file__).resolve().parents[1]
 
 SYSTEMS = ("elo", "glicko", "trueskill", "prevrank")
+# the whole CLI run in a child process, the last layer of a round
+CLI_LAYER = "cli.elo"
+# Runs its arguments as a command and prints the command's peak RSS in MiB,
+# from os.wait4 on that command alone (RUSAGE_CHILDREN would keep the
+# largest child seen so far), and exits with the command's status.  Linux
+# counts in a process's peak the RSS of the process it was forked from,
+# up to its exec, so a command started by this bench, which holds the
+# logs and the replays, would report the bench's RSS; started by this
+# small launcher, it reports its own.
+LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(usage.ru_maxrss / 1024)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
 # the replay module's per-match scoring calls, the score.<system> layer
 SCORERS = ("rank_pairs", "score_match")
 L_CONFIG = dict(
@@ -129,7 +151,9 @@ def load_baseline(src: Path) -> str:
 class Layers:
     """The pipeline on one workload, one call per layer."""
 
-    def __init__(self, package: str, config: dict[str, Any], work: Path) -> None:
+    def __init__(
+        self, package: str, src: Path, config: dict[str, Any], work: Path
+    ) -> None:
         self.synth = importlib.import_module(f"{package}.synth")
         self.replay_module = importlib.import_module(f"{package}.replay")
         self.systems = importlib.import_module(f"{package}.systems")
@@ -138,6 +162,8 @@ class Layers:
         self.work = work
         self.log = work / "matches.csv"
         self.matches: list[Any] = []
+        self.src = src
+        self.cli_peaks: list[float] = []  # MiB, one per timed round
 
     def names(self) -> list[str]:
         names = ["generate", "write", "ingest"]
@@ -145,7 +171,7 @@ class Layers:
             names += [
                 f"{layer}.{system}" for layer in ("replay", "apply", "score", "write")
             ]
-        return names
+        return names + [CLI_LAYER]
 
     def steps(self, hook: Any) -> Iterator[tuple[str, Callable[[], None]]]:
         """One round, as each layer's ``(name, call)`` in order; a call
@@ -182,11 +208,31 @@ class Layers:
             }
             yield f"replay.{name}", lambda: replay(system, scoring)
             yield f"write.{name}", lambda: self.write(name, result)
+        yield CLI_LAYER, self.cli
 
     def run(self, measure: Callable[[str, Callable[[], None]], None], hook: Any) -> None:
-        """One round, each layer's call run by ``measure(name, call)``."""
+        """One round in process, each layer's call run by ``measure(name,
+        call)``; the CLI layer, whose work is in its child, is left out."""
         for name, call in self.steps(hook):
-            measure(name, call)
+            if name != CLI_LAYER:
+                measure(name, call)
+
+    def cli(self) -> None:
+        """``royale-ratings replay --system elo`` on the round's log, in a
+        child process that imports the package from this side's ``src``,
+        started by ``LAUNCHER``, which records the child's own peak RSS."""
+        command = [
+            sys.executable, "-m", "royale_ratings.cli", "replay", "--system", "elo",
+            "--input", str(self.log), "--output-dir", str(self.work / "cli"),
+        ]
+        env = {**os.environ, "PYTHONPATH": str(self.src)}
+        launched = subprocess.run(
+            [sys.executable, "-c", LAUNCHER, *command],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        if launched.returncode != 0:
+            raise SystemExit(f"{CLI_LAYER} under {self.src} failed:\n{launched.stderr}")
+        self.cli_peaks.append(float(launched.stdout))
 
     @contextlib.contextmanager
     def scoring(self, scorers: dict[str, Callable[..., Any]]) -> Iterator[None]:
@@ -318,9 +364,9 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summary(values: list[float]) -> dict[str, Any]:
+def summary(values: list[float], unit: str = "s") -> dict[str, Any]:
     q1, median, q3 = quartiles(values)
-    return {"unit": "s", "runs": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+    return {"unit": unit, "runs": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
 def main() -> None:
@@ -344,12 +390,12 @@ def main() -> None:
 
     config = workload_config(args.scale)
     with tempfile.TemporaryDirectory() as work:
-        layers = Layers("royale_ratings", config, Path(work) / "src")
+        layers = Layers("royale_ratings", src, config, Path(work) / "src")
         sides = [(layers, {name: [] for name in layers.names()})]
         if args.baseline_src is not None:
             baseline_src = args.baseline_src.resolve()
             package = load_baseline(baseline_src)
-            base = Layers(package, config, Path(work) / "baseline")
+            base = Layers(package, baseline_src, config, Path(work) / "baseline")
             sides.append((base, {name: [] for name in base.names()}))
         for repeat in range(args.repeats):
             timed_round(sides if repeat % 2 == 0 else sides[::-1])
@@ -379,6 +425,11 @@ def main() -> None:
     print(line.format("layer", "median s", "IQR s", "ncalls", "peak MiB"))
     for name, values in samples.items():
         layer = report["layers"][name] = summary(values)
+        if name == CLI_LAYER:  # the child's peak RSS, in the peak column
+            rss = layer["peak_rss_mb"] = summary(layers.cli_peaks, "MiB")
+            figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}", "-")
+            print(line.format(name, *figures, f"{rss['median']:.1f} RSS"))
+            continue
         layer.update(ncalls=calls[name], tracemalloc_peak_mb=peaks[name])
         figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}", calls[name])
         print(line.format(name, *figures, f"{peaks[name]:.2f}"))
@@ -397,6 +448,9 @@ def main() -> None:
             figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}")
             spread = f"{layer['ratio_q1']:.3f}-{layer['ratio_q3']:.3f}"
             print(line.format(name, *figures, f"{layer['ratio']:.3f}", spread))
+            if name == CLI_LAYER:
+                rss = layer["peak_rss_mb"] = summary(sides[1][0].cli_peaks, "MiB")
+                print(f"{name:<18}child peak RSS {rss['median']:.1f} MiB")
     print(f"import {import_s:.3f} s, peak RSS {report['peak_rss_mb']:.1f} MiB")
     if args.bench_out is not None:
         args.bench_out.mkdir(parents=True, exist_ok=True)
