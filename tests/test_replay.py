@@ -291,10 +291,9 @@ class TestIngest:
         assert len(matches) == 40
         assert len(gc.get_objects()) - before <= 2 * len(matches) + 50
 
-
-    # each log repeats players and team ids across matches; "ungrouped"
-    # lists m2's rows out of team order, so its column-pass run is grouped
-    # by _group, and a quote sends "quoted" through the csv.reader pass
+    # each log repeats players and team ids across matches; a quote sends
+    # "csv-reader" through the csv.reader pass, and "ungrouped" lists m2's
+    # rows out of team order, so its column-pass run goes through _group
     ID_LOGS = {
         "column-pass": [
             "m1,2020-05-01T12:00:00Z,t01,p01,1",
