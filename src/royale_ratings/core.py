@@ -16,11 +16,12 @@ keeps no per-team object because CPython's collector never untracks a
 tuple subclass: one ``TeamEntry`` per team of a long log would stay in
 every full collection for the life of the run, while the layout's plain
 tuples of strings and ints are untracked at the first collection.  The
-layout fields take no part in ``==`` or ``repr``.  ``match_from_layout``
-builds a record straight from its layout with one check of the whole
-match, and falls back to the checked constructors, for their error text,
-only when that check fails; ``build_match`` flattens per-team columns
-into a layout and calls it.
+layout fields take no part in ``==`` or ``repr``.  Every record runs
+one check, its ``__post_init__``: one test of the whole match and, only
+when that fails, each team through ``TeamEntry`` and then the match
+checks, for their error text.  ``match_from_layout`` builds a record
+straight from its layout and runs that check; ``build_match`` flattens
+per-team columns into a layout and calls it.
 """
 
 from __future__ import annotations
@@ -165,7 +166,9 @@ class MatchRecord:
     The record stores its layout, ``team_ids``, ``ranks`` (observed
     placements) and ``sizes`` per team in record order, and ``roster``,
     every player id with each team's members in a row.  ``teams`` is
-    built from it on each read.
+    built from it on each read.  The constructor, ``dataclasses.replace``,
+    ``match_from_layout`` and ``build_match`` all run ``__post_init__``,
+    the one check of a record.
     """
 
     match_id: str
@@ -179,6 +182,20 @@ class MatchRecord:
     def __post_init__(self) -> None:
         team_ids, ranks, roster = self.team_ids, self.ranks, self.roster
         n = len(team_ids)
+        if (
+            n >= 2
+            and all(team_ids)
+            and all(self.sizes)
+            and all(roster)
+            and len(set(team_ids)) == n
+            and len(set(roster)) == len(roster)
+            and sorted(ranks) == list(range(1, n + 1))
+        ):
+            return
+        # a failing match raises its first failing check in the checked
+        # constructors' order: each team's TeamEntry, then the match's own
+        for team in self.teams:
+            TeamEntry(*team)
         if n < 2:
             raise DomainError(f"match {self.match_id!r} needs >= 2 teams, got {n}")
         if len(set(team_ids)) != n:
@@ -187,14 +204,13 @@ class MatchRecord:
             raise DomainError(
                 f"match {self.match_id!r} placements are not a permutation of 1..{n}"
             )
-        if len(set(roster)) != len(roster):
-            seen: set[str] = set()
-            for player in roster:
-                if player in seen:
-                    raise DomainError(
-                        f"match {self.match_id!r}: player {player!r} appears in two teams"
-                    )
-                seen.add(player)
+        seen: set[str] = set()  # what is left: a player in two teams
+        for player in roster:
+            if player in seen:
+                raise DomainError(
+                    f"match {self.match_id!r}: player {player!r} appears in two teams"
+                )
+            seen.add(player)
 
     def _set_layout(
         self,
@@ -231,34 +247,17 @@ def match_from_layout(
     each team's members in a row.  The tuples become the record's fields
     as they are, so the caller chooses which string objects it keeps.
 
-    The whole match is checked at once: at least two teams, ids and
-    player ids non-empty, rosters non-empty, team ids distinct, no player
-    listed twice, placements a permutation of 1..N.  A match that fails
-    has its teams rebuilt from the layout through the checked
-    constructors, which raise the ``DomainError`` that
-    ``MatchRecord(teams=(TeamEntry(...), ...))`` raises, with the same text.
+    The record runs the one check every ``MatchRecord`` runs, its
+    ``__post_init__``, so a match that fails raises the ``DomainError``
+    that ``MatchRecord(teams=(TeamEntry(...), ...))`` raises, with the
+    same text.
     """
-    n = len(team_ids)
-    if (
-        n >= 2
-        and all(team_ids)
-        and all(sizes)
-        and all(roster)
-        and len(set(team_ids)) == n
-        and len(set(roster)) == len(roster)
-        and sorted(ranks) == list(range(1, n + 1))
-    ):
-        record = object.__new__(MatchRecord)
-        object.__setattr__(record, "match_id", match_id)
-        object.__setattr__(record, "timestamp", timestamp)
-        record._set_layout(team_ids, ranks, sizes, roster)
-        return record
-    spans = map(slice, accumulate(sizes, initial=0), accumulate(sizes))
-    return MatchRecord(
-        match_id=match_id,
-        timestamp=timestamp,
-        teams=tuple(map(TeamEntry, team_ids, map(roster.__getitem__, spans), ranks)),
-    )
+    record = object.__new__(MatchRecord)
+    object.__setattr__(record, "match_id", match_id)
+    object.__setattr__(record, "timestamp", timestamp)
+    record._set_layout(team_ids, ranks, sizes, roster)
+    record.__post_init__()
+    return record
 
 
 def build_match(
@@ -272,8 +271,8 @@ def build_match(
     id, members and observed placement.
 
     The rosters are flattened into the record's layout, which
-    ``match_from_layout`` checks as a whole and builds, raising the
-    checked constructors' ``DomainError`` text for a match that fails.
+    ``match_from_layout`` builds and checks, raising the checked
+    constructors' ``DomainError`` text for a match that fails.
     """
     team_ids = tuple(team_ids)
     rosters = tuple(map(tuple, rosters))

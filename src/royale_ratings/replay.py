@@ -194,7 +194,10 @@ class _Kept:
     ``IngestStats`` and logs each rejection once the pass has finished.
     Each distinct timestamp and placement string is parsed once, and each
     distinct player id and team id is kept once, per call: every record
-    shares the one string object ``ids`` holds for it."""
+    shares the one string object ``ids`` holds for it.  ``read`` holds the
+    id of every match ``add_run`` has been given, and a second run of one
+    id raises ``_Unchecked``: the one copy of the rule that a match's rows
+    are contiguous.  The ``csv.reader`` pass gives each id once."""
 
     def __init__(self, team_size: int | None) -> None:
         self.team_size = team_size
@@ -202,7 +205,7 @@ class _Kept:
         self.placements = _Parsed(int)
         self.ids: dict[str, str] = {}
         self.matches: list[MatchRecord] = []
-        self.read = 0
+        self.read: set[str] = set()
         self.filtered = 0
         self.rejected: list[tuple[str, str]] = []
 
@@ -218,9 +221,12 @@ class _Kept:
         timestamp string, whose teams are contiguous and of one size and
         each have one placement string is built from its column slices; any
         other is grouped by ``_group``.  A match the ``team_size`` filter
-        drops is not built and keeps none of its ids; a string that does
-        not parse raises ``_Unchecked``."""
-        self.read += 1
+        drops is not built and keeps none of its ids.  A match id given
+        before (a match whose rows are not contiguous) or a string that
+        does not parse raises ``_Unchecked``."""
+        if match_id in self.read:
+            raise _Unchecked
+        self.read.add(match_id)
         rows = len(team_ids)
         size = team_ids.count(team_ids[0])
         teams: Sequence[str] = team_ids[::size]
@@ -267,7 +273,7 @@ class _Kept:
             self.rejected.append((match_id, str(exc)))
 
     def commit(self, stats: IngestStats) -> list[MatchRecord]:
-        stats.matches_read += self.read
+        stats.matches_read += len(self.read)
         stats.filtered += self.filtered
         stats.rejected.extend(self.rejected)
         for match_id, reason in self.rejected:
@@ -283,19 +289,12 @@ def _read_columns(path: Path, kept: _Kept, stats: IngestStats) -> None:
     Each chunk of lines becomes the five columns in one split, the columns
     are cut into runs of one match id, and each run goes to
     ``kept.add_run`` as column slices.  Whatever it cannot check the way
-    the ``csv.reader`` pass would, a match whose rows are not contiguous
-    included, raises ``_Unchecked``.
+    the ``csv.reader`` pass would raises ``_Unchecked``; ``kept.add_run``
+    raises it for a match whose rows are not contiguous, at the second run
+    of its id.
     """
     limit = csv.field_size_limit()
-    seen: set[str] = set()
     rows = 0
-
-    def add_run(match_id: str, *columns: list[str]) -> None:
-        if match_id in seen:
-            raise _Unchecked  # the match's rows are not contiguous
-        seen.add(match_id)
-        kept.add_run(match_id, *columns)
-
     try:
         with open(path, encoding="utf-8") as handle:
             head = handle.readline()
@@ -315,10 +314,10 @@ def _read_columns(path: Path, kept: _Kept, stats: IngestStats) -> None:
                 changes = map(operator.ne, ids, ids[1:])
                 starts = [0, *compress(range(1, len(ids)), changes)]
                 for i, j in pairwise(starts):
-                    add_run(ids[i], stamps[i:j], teams[i:j], players[i:j], places[i:j])
+                    kept.add_run(ids[i], stamps[i:j], teams[i:j], players[i:j], places[i:j])
                 carry = [column[starts[-1] :] for column in columns]
             if carry[0]:
-                add_run(carry[0][0], *carry[1:])
+                kept.add_run(carry[0][0], *carry[1:])
     except UnicodeDecodeError:
         raise _Unchecked from None
     stats.rows += rows
@@ -354,9 +353,11 @@ def _chunk_columns(
 
 def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
     """The ``csv.reader`` pass of ``ingest``: every row is checked and parsed
-    in file order and its five fields go on its match's one flat list; then
-    each match, in first-appearance order, goes to ``kept.add_run`` as
-    column slices of that list."""
+    in file order and its five fields go on its match's one flat list, each
+    as the one string ``kept.ids`` holds for it, so the lists hold each
+    distinct field once however many rows repeat it; then each match, in
+    first-appearance order, goes to ``kept.add_run`` as column slices of
+    that list."""
     grouped: defaultdict[str, list[str]] = defaultdict(list)
     rows = 0
     try:
@@ -392,7 +393,7 @@ def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
                         f"{placement_text!r}"
                     ) from None
                 rows += 1
-                grouped[match_id].extend(values)
+                grouped[match_id].extend(map(kept.ids.setdefault, values, values))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -425,11 +426,13 @@ def ingest(
     (which ``csv.reader`` rejects before Python 3.11), a line over the csv
     module's field size limit, a line with another number of fields than
     the header, an empty field, an unparsable timestamp or placement, bytes
-    that are not UTF-8, or a match whose rows are not contiguous ends that
-    pass, and the whole file is read again, row by row, with ``csv.reader``.
-    So quote-free logs whose matches each sit in one run of rows (``synth``
-    writes them so) take the column pass, and quoted logs give the results
-    of their unquoted twins.  Only the ``csv.reader`` pass raises:
+    that are not UTF-8, or a match whose rows are not contiguous (a second
+    run of one match id, which the builder refuses) ends that pass, and the
+    whole file is read again, row by row, with ``csv.reader``, which holds
+    each distinct field string once until the file ends.  So quote-free
+    logs whose matches each sit in one run of rows (``synth`` writes them
+    so) take the column pass, and quoted logs give the results of their
+    unquoted twins.  Only the ``csv.reader`` pass raises:
     structurally malformed rows (missing fields, bad timestamp, non-integer
     placement) and csv-level errors (a field over the csv module's size
     limit, ...) raise a DataError naming file and line, at the first bad

@@ -15,17 +15,18 @@ State layout
 State is owned by the caller and ``update_match`` is the only code that
 writes it.  The replay keeps it in a ``RatingTable``: an id -> row map
 plus four numpy columns, ``mu``, ``sigma`` (NaN for a player without
-one), ``games`` and ``last_rank`` (0 for a player without one), grown in
-amortized steps.  The table is a read-only ``Mapping[str,
+one), ``games`` and ``last_rank`` (0 for a player without one), each
+exactly one row per player.  The table is a read-only ``Mapping[str,
 PlayerRating]``: ``table[p]`` builds a validated view, so stores, cohort
 selection and library callers see the familiar mapping, and the
 per-match path never builds one.  Rows enter only through ``insert``,
 the only code that turns a ``PlayerRating`` into a row, and change only
 through ``scatter``; a row's index never moves.
 
-``RatingTable.insert`` appends many rows at once and grows the columns
-in the same steps as one ``insert`` per player; ``replay`` inserts every
-player of its log in one call before its loop.  Per
+``RatingTable.insert`` appends many rows at once, copying each column
+once per call, with no spare capacity and no growth steps.  Every caller
+in the package inserts once per table: ``replay`` every player of its
+log before its loop, ``RatingTable(mapping)`` the whole mapping.  Per
 match, ``RatingTable.gather`` copies the members' rows once into a
 ``MatchBlock``, reading the match's layout (``roster``, ``sizes``,
 ``ranks``; see ``core``): (teams x width) matrices in record order, a
@@ -247,36 +248,30 @@ class RatingTable(Mapping[str, PlayerRating]):
             self._last_rank.item(row) or None,
         )
 
-    def _reserve(self, size: int) -> None:
-        """Room for ``size`` rows, grown in the steps that adding one row
-        at a time takes: by max(64, capacity) whenever it is full."""
-        capacity = grown = len(self._mu)
-        while grown < size:
-            grown += max(64, grown)
-        if grown > capacity:
-            for name in _COLUMNS:
-                column = getattr(self, name)
-                extra = np.zeros(grown - capacity, column.dtype)
-                setattr(self, name, np.append(column, extra))
-
     def insert(self, players: Sequence[str], ratings: Sequence[PlayerRating]) -> None:
         """Append rows for players the table does not hold yet, in the
-        order given: the table that one ``insert`` per player gives."""
+        order given: the table that one ``insert`` per player gives.  Each
+        column is copied once per call and keeps its dtype."""
         rows = self._rows
-        start = len(rows)
-        end = start + len(players)
         if (
             len(ratings) != len(players)
             or len(set(players)) != len(players)
             or not rows.keys().isdisjoint(players)
         ):
             raise DomainError("insert takes one rating per new, distinct player id")
-        self._reserve(end)
-        rows.update(zip(players, range(start, end)))
-        self._mu[start:end] = [r.mu for r in ratings]
-        self._sigma[start:end] = [math.nan if r.sigma is None else r.sigma for r in ratings]
-        self._games[start:end] = [r.games_played for r in ratings]
-        self._last_rank[start:end] = [r.last_observed_rank or 0 for r in ratings]
+        rows.update(zip(players, range(len(rows), len(rows) + len(players))))
+        for name, values in zip(
+            _COLUMNS,
+            (
+                [r.mu for r in ratings],
+                [math.nan if r.sigma is None else r.sigma for r in ratings],
+                [r.games_played for r in ratings],
+                [r.last_observed_rank or 0 for r in ratings],
+            ),
+        ):
+            column = getattr(self, name)
+            # np.append of an empty list would make an int column float
+            setattr(self, name, np.append(column, np.array(values, column.dtype)))
 
     def gather(self, match: MatchRecord, rows: np.ndarray | None = None) -> MatchBlock:
         """The match's member rows as a ``MatchBlock``; raises
@@ -360,8 +355,7 @@ def rating_columns(
     (NaN for none), ``games`` and ``last_rank`` (0 for none) columns in
     that order, read-only; a plain dict is read through a table."""
     table = state if isinstance(state, RatingTable) else RatingTable(state)
-    n = len(table)
-    columns = [getattr(table, name)[:n] for name in _COLUMNS]
+    columns = [getattr(table, name)[:] for name in _COLUMNS]  # views, made read-only
     for column in columns:
         column.flags.writeable = False
     return list(table), *columns

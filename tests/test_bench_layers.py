@@ -19,7 +19,8 @@ LAYERS = ["generate", "write", "ingest"] + [
     f"{layer}.{system}"
     for system in ("elo", "glicko", "trueskill", "prevrank")
     for layer in ("replay", "apply", "score", "write")
-] + ["cli.elo"]
+] + ["cli.elo", "cli.elo.quoted"]
+CLI_LAYERS = {"cli.elo", "cli.elo.quoted"}
 
 
 def bench(tmp_path, *flags):
@@ -50,11 +51,11 @@ def check_timings(layer, name, unit="s"):
     assert layer["iqr"] == layer["q3"] - layer["q1"], name
 
 
-def check_cli_peaks(layer):
-    """The whole CLI run's layer: the child's own peak RSS per round, which
+def check_cli_peaks(layer, name):
+    """A whole CLI run's layer: the child's own peak RSS per round, which
     holds at least the interpreter, numpy and the package."""
     peaks = layer["peak_rss_mb"]
-    check_timings(peaks, "cli.elo", unit="MiB")
+    check_timings(peaks, name, unit="MiB")
     assert min(peaks["runs"]) > 10
 
 
@@ -74,9 +75,9 @@ def test_bench_file_schema(tmp_path):
     assert "baseline" not in report
     for name, layer in report["layers"].items():
         check_timings(layer, name)
-        if name == "cli.elo":  # its work is in the child, not profiled or traced
+        if name in CLI_LAYERS:  # its work is in the child, not profiled or traced
             assert set(layer) == {"unit", "runs", "median", "q1", "q3", "iqr", "peak_rss_mb"}
-            check_cli_peaks(layer)
+            check_cli_peaks(layer, name)
             continue
         assert isinstance(layer["ncalls"], int) and layer["ncalls"] > 0, name
         assert layer["tracemalloc_peak_mb"] >= 0, name
@@ -94,8 +95,8 @@ def test_baseline_block_schema(tmp_path):
     for name, layer in baseline["layers"].items():
         check_timings(layer, name)
         fields = {"unit", "runs", "median", "q1", "q3", "iqr", "ratio", "ratio_q1", "ratio_q3"}
-        if name == "cli.elo":
-            check_cli_peaks(layer)
+        if name in CLI_LAYERS:
+            check_cli_peaks(layer, name)
             fields.add("peak_rss_mb")
         assert set(layer) == fields, name
         # the per-round ratios, each round's two samples paired

@@ -224,7 +224,7 @@ class TestBulkInsert:
         same_table(bulk, single)
         assert dict(bulk) == dict(single)
 
-    def test_growth_steps_match_past_the_first_64_rows(self):
+    def test_two_inserts_hold_exactly_their_rows(self):
         bulk, single = RatingTable(), RatingTable()
         players = [f"p{i}" for i in range(200)]
         ratings = [PlayerRating(mu=float(i)) for i in range(200)]
@@ -232,8 +232,22 @@ class TestBulkInsert:
         bulk.insert(players[10:], ratings[10:])
         for player, rating in zip(players, ratings):
             single.insert([player], [rating])
-        assert len(bulk._mu) == 256
+        assert len(bulk._mu) == 200
         same_table(bulk, single)
+
+    @pytest.mark.parametrize(
+        "inserts",
+        [[[]], [["p1", "p2"]], [["p1"], []]],
+        ids=["empty-insert", "first-insert", "empty-after-first"],
+    )
+    def test_columns_keep_their_dtypes(self, inserts):
+        # an integer mu still lands in the float column
+        rating = PlayerRating(mu=1, sigma=2.0, games_played=3, last_observed_rank=4)
+        table = RatingTable()
+        for players in inserts:
+            table.insert(players, [rating] * len(players))
+        dtypes = [column.dtype for column in rating_columns(table)[1:]]
+        assert dtypes == [np.float64, np.float64, np.int64, np.int64]
 
     @pytest.mark.parametrize(
         "players, count",

@@ -375,6 +375,35 @@ class TestIngest:
         assert entries == 1000 * 48 * 2
         assert held / entries < 50
 
+    def test_quoted_log_peaks_under_120_bytes_per_row(self, tmp_path, monkeypatch):
+        # the csv.reader pass buffers every field until the file ends, so it
+        # must hold each distinct string once, not once per row
+        config = SynthConfig(
+            player_count=5000, team_size=2, teams_per_match=48, match_count=1000
+        )
+        path = tmp_path / "log.csv"
+        write_match_log(path, generate(config)[0])
+        path.write_text(path.read_text().replace(",t01,", ',"t01",'))
+        replay_module = importlib.import_module("royale_ratings.replay")
+        read_grouped, passes = replay_module._read_grouped, []
+
+        def counted(*args):
+            passes.append(args[0])
+            return read_grouped(*args)
+
+        monkeypatch.setattr(replay_module, "_read_grouped", counted)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            matches = ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert passes == [path]
+        rows = sum(len(match.roster) for match in matches)
+        assert rows == 1000 * 48 * 2
+        assert peak / rows < 120
+
 
 def synth_matches(match_count=20, **overrides):
     config = dict(

@@ -10,7 +10,10 @@ workload L), ``ingest`` of that log, then for each rating system its
 store), and last ``cli.elo``, the whole ``royale-ratings replay --system
 elo`` run on the round's log in a child process, which also records the
 child's own peak RSS (see ``LAUNCHER``; the layer's time includes the
-launcher's start).  ``apply.<system>`` is the time the replay spent in
+launcher's start), and ``cli.elo.quoted``, the same run on the log's
+quoted twin, whose one quoted team id per match (``t01`` as ``"t01"``)
+sends ingest through its ``csv.reader`` pass; the twin is written
+between the two layers, outside both.  ``apply.<system>`` is the time the replay spent in
 the system's ``_apply``, summed over its matches (one timing wrapper
 call per match), and ``score.<system>`` the time it spent scoring the
 predictions, in ``rank_pairs`` plus ``score_match`` (one wrapper call
@@ -37,9 +40,9 @@ one under ``cProfile`` gives the Python calls made (``ncalls``; for
 ``score.<system>`` those inside ``rank_pairs`` and ``score_match``), one
 under ``tracemalloc`` the allocation peak above what the layer started
 with (for ``apply.<system>`` and ``score.<system>``, the largest of one
-call).  Neither round runs ``cli.elo``, whose work is in the child: its
-layer records ``peak_rss_mb``, the child's peak RSS in each timed round,
-in their place.  The peak RSS of the process and the time of the first
+call).  Neither round runs the two ``cli.*`` layers, whose work is in the
+child: each records ``peak_rss_mb``, the child's peak RSS in each timed
+round, in their place.  The peak RSS of the process and the time of the first
 ``import royale_ratings.cli`` are recorded once.
 
 Workload L is ``SynthConfig(player_count=20000, team_size=2,
@@ -78,8 +81,9 @@ from typing import Any, Callable, Iterator
 ROOT = Path(__file__).resolve().parents[1]
 
 SYSTEMS = ("elo", "glicko", "trueskill", "prevrank")
-# the whole CLI run in a child process, the last layer of a round
-CLI_LAYER = "cli.elo"
+# the whole CLI run in a child process on the round's log and on its
+# quoted twin, the last layers of a round
+CLI_LAYERS = ("cli.elo", "cli.elo.quoted")
 # Runs its arguments as a command and prints the command's peak RSS in MiB,
 # from os.wait4 on that command alone (RUSAGE_CHILDREN would keep the
 # largest child seen so far), and exits with the command's status.  Linux
@@ -161,9 +165,11 @@ class Layers:
         work.mkdir(exist_ok=True)
         self.work = work
         self.log = work / "matches.csv"
+        self.quoted = work / "quoted.csv"
         self.matches: list[Any] = []
         self.src = src
-        self.cli_peaks: list[float] = []  # MiB, one per timed round
+        # MiB, one per timed round and CLI layer
+        self.cli_peaks: dict[str, list[float]] = {name: [] for name in CLI_LAYERS}
 
     def names(self) -> list[str]:
         names = ["generate", "write", "ingest"]
@@ -171,7 +177,7 @@ class Layers:
             names += [
                 f"{layer}.{system}" for layer in ("replay", "apply", "score", "write")
             ]
-        return names + [CLI_LAYER]
+        return names + list(CLI_LAYERS)
 
     def steps(self, hook: Any) -> Iterator[tuple[str, Callable[[], None]]]:
         """One round, as each layer's ``(name, call)`` in order; a call
@@ -208,22 +214,28 @@ class Layers:
             }
             yield f"replay.{name}", lambda: replay(system, scoring)
             yield f"write.{name}", lambda: self.write(name, result)
-        yield CLI_LAYER, self.cli
+        yield "cli.elo", lambda: self.cli("cli.elo", self.log)
+        # runs between the two timed calls
+        with open(self.log, encoding="utf-8", newline="") as log:
+            with open(self.quoted, "w", encoding="utf-8", newline="") as twin:
+                twin.writelines(line.replace(",t01,", ',"t01",') for line in log)
+        yield "cli.elo.quoted", lambda: self.cli("cli.elo.quoted", self.quoted)
 
     def run(self, measure: Callable[[str, Callable[[], None]], None], hook: Any) -> None:
         """One round in process, each layer's call run by ``measure(name,
-        call)``; the CLI layer, whose work is in its child, is left out."""
+        call)``; the CLI layers, whose work is in their child, are left out."""
         for name, call in self.steps(hook):
-            if name != CLI_LAYER:
+            if name not in CLI_LAYERS:
                 measure(name, call)
 
-    def cli(self) -> None:
-        """``royale-ratings replay --system elo`` on the round's log, in a
-        child process that imports the package from this side's ``src``,
-        started by ``LAUNCHER``, which records the child's own peak RSS."""
+    def cli(self, name: str, log: Path) -> None:
+        """``royale-ratings replay --system elo`` on ``log``, in a child
+        process that imports the package from this side's ``src``, started
+        by ``LAUNCHER``, which records the child's own peak RSS for the
+        layer ``name``."""
         command = [
             sys.executable, "-m", "royale_ratings.cli", "replay", "--system", "elo",
-            "--input", str(self.log), "--output-dir", str(self.work / "cli"),
+            "--input", str(log), "--output-dir", str(self.work / "cli"),
         ]
         env = {**os.environ, "PYTHONPATH": str(self.src)}
         launched = subprocess.run(
@@ -231,8 +243,8 @@ class Layers:
             env=env, capture_output=True, text=True, check=False,
         )
         if launched.returncode != 0:
-            raise SystemExit(f"{CLI_LAYER} under {self.src} failed:\n{launched.stderr}")
-        self.cli_peaks.append(float(launched.stdout))
+            raise SystemExit(f"{name} under {self.src} failed:\n{launched.stderr}")
+        self.cli_peaks[name].append(float(launched.stdout))
 
     @contextlib.contextmanager
     def scoring(self, scorers: dict[str, Callable[..., Any]]) -> Iterator[None]:
@@ -425,8 +437,8 @@ def main() -> None:
     print(line.format("layer", "median s", "IQR s", "ncalls", "peak MiB"))
     for name, values in samples.items():
         layer = report["layers"][name] = summary(values)
-        if name == CLI_LAYER:  # the child's peak RSS, in the peak column
-            rss = layer["peak_rss_mb"] = summary(layers.cli_peaks, "MiB")
+        if name in CLI_LAYERS:  # the child's peak RSS, in the peak column
+            rss = layer["peak_rss_mb"] = summary(layers.cli_peaks[name], "MiB")
             figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}", "-")
             print(line.format(name, *figures, f"{rss['median']:.1f} RSS"))
             continue
@@ -448,8 +460,8 @@ def main() -> None:
             figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}")
             spread = f"{layer['ratio_q1']:.3f}-{layer['ratio_q3']:.3f}"
             print(line.format(name, *figures, f"{layer['ratio']:.3f}", spread))
-            if name == CLI_LAYER:
-                rss = layer["peak_rss_mb"] = summary(sides[1][0].cli_peaks, "MiB")
+            if name in CLI_LAYERS:
+                rss = layer["peak_rss_mb"] = summary(sides[1][0].cli_peaks[name], "MiB")
                 print(f"{name:<18}child peak RSS {rss['median']:.1f} MiB")
     print(f"import {import_s:.3f} s, peak RSS {report['peak_rss_mb']:.1f} MiB")
     if args.bench_out is not None:
