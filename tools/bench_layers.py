@@ -13,11 +13,11 @@ child's own peak RSS (see ``LAUNCHER``; the layer's time includes the
 launcher's start), and ``cli.elo.quoted``, the same run on the log's
 quoted twin, whose one quoted team id per match (``t01`` as ``"t01"``)
 sends ingest through its ``csv.reader`` pass; the twin is written
-between the two layers, outside both.  ``apply.<system>`` is the time the replay spent in
-the system's ``_apply``, summed over its matches (one timing wrapper
-call per match), and ``score.<system>`` the time it spent scoring the
-predictions, in ``rank_pairs`` plus ``score_match`` (one wrapper call
-each per match).
+between the two layers, outside both.  ``apply.<system>`` is the time
+the replay spent in the system's ``_apply``, summed over its matches
+(one timing wrapper call per match), and ``score.<system>`` the time it
+spent scoring the predictions, in ``rank_pairs`` plus ``score_match``
+(one wrapper call each per match).
 Every layer runs once per round, so its ``--repeats`` samples are
 interleaved with the other layers'; each layer reports the median and
 the quartiles of its samples.
@@ -42,8 +42,8 @@ under ``tracemalloc`` the allocation peak above what the layer started
 with (for ``apply.<system>`` and ``score.<system>``, the largest of one
 call).  Neither round runs the two ``cli.*`` layers, whose work is in the
 child: each records ``peak_rss_mb``, the child's peak RSS in each timed
-round, in their place.  The peak RSS of the process and the time of the first
-``import royale_ratings.cli`` are recorded once.
+round, in their place.  The peak RSS of the process and the time of the
+first ``import royale_ratings.cli`` are recorded once.
 
 Workload L is ``SynthConfig(player_count=20000, team_size=2,
 teams_per_match=48, match_count=5000, noise_spread=1.0, seed=1)``, the
