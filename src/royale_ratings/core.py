@@ -190,6 +190,7 @@ class MatchRecord:
             and len(set(team_ids)) == n
             and len(set(roster)) == len(roster)
             and sorted(ranks) == list(range(1, n + 1))
+            and sum(self.sizes) == len(roster)
         ):
             return
         # a failing match raises its first failing check in the checked
@@ -211,6 +212,10 @@ class MatchRecord:
                     f"match {self.match_id!r}: player {player!r} appears in two teams"
                 )
             seen.add(player)
+        raise DomainError(
+            f"match {self.match_id!r}: team sizes add up to {sum(self.sizes)}, "
+            f"the roster holds {len(roster)} players"
+        )
 
     def _set_layout(
         self,

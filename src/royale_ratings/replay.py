@@ -1,9 +1,11 @@
 """Chronological match replay, dataset ingestion, and evaluation set-ups.
 
-Ingest has two tokenizers, a column pass for quote-free logs and a
-``csv.reader`` pass for any other, and one builder that turns each
-match's rows into a MatchRecord built straight from its layout, with one
-string object per distinct player id and team id.
+Ingest has two tokenizers, a column pass for quote-free logs, which
+splits each block of lines it reads into one flat list of fields with a
+marker after each line's, and a ``csv.reader`` pass for any other, and
+one builder that turns each match's rows into a MatchRecord built
+straight from its layout, with one string object per distinct player id
+and team id.
 
 The harness replays matches in timestamp order through one rating
 system: unseen players get the system default, the match is predicted
@@ -41,7 +43,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from itertools import chain, compress, filterfalse, islice, pairwise, repeat
+from itertools import chain, compress, filterfalse, islice, pairwise
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -122,7 +124,7 @@ class IngestStats:
     rejected: list[tuple[str, str]] = field(default_factory=list)
 
 
-# the column pass reads lines in chunks of about this many characters
+# the column pass reads the log in blocks of this many characters
 _CHUNK_CHARS = 1 << 16
 
 
@@ -260,7 +262,7 @@ class _Kept:
             rosters = [entry[1:] for entry in entries.values()]
             sizes = tuple(map(len, rosters))
             roster = list(chain.from_iterable(rosters))
-        if self.team_size is not None and any(s != self.team_size for s in sizes):
+        if self.team_size is not None and sizes.count(self.team_size) != len(sizes):
             self.filtered += 1
             return
         keep = self.ids.setdefault
@@ -286,12 +288,15 @@ class _Kept:
 def _read_columns(path: Path, kept: _Kept, stats: IngestStats) -> None:
     """The column pass of ``ingest`` over a quote-free log.
 
-    Each chunk of lines becomes the five columns in one split, the columns
-    are cut into runs of one match id, and each run goes to
-    ``kept.add_run`` as column slices.  Whatever it cannot check the way
-    the ``csv.reader`` pass would raises ``_Unchecked``; ``kept.add_run``
-    raises it for a match whose rows are not contiguous, at the second run
-    of its id.
+    The log is read in blocks of ``_CHUNK_CHARS`` characters, and the text
+    after a block's last line end carries into the next block.  Each
+    block's whole lines become one flat list of fields in one split (see
+    ``_chunk_columns``), and ``_add_runs`` cuts the list into runs of one
+    match id and hands each to ``kept.add_run`` as stepped slices of it.
+    Only the fields of the last run, which may go on in the next block,
+    carry over.  Whatever the pass cannot check the way the ``csv.reader``
+    pass would raises ``_Unchecked``; ``kept.add_run`` raises it for a
+    match whose rows are not contiguous, at the second run of its id.
     """
     limit = csv.field_size_limit()
     rows = 0
@@ -304,60 +309,105 @@ def _read_columns(path: Path, kept: _Kept, stats: IngestStats) -> None:
             picks, missing = _header_columns(header)
             if missing:
                 raise _Unchecked
-            carry: list[list[str]] = [[] for _ in picks]
-            while lines := handle.readlines(_CHUNK_CHARS):
-                columns = _chunk_columns(lines, len(header), picks, limit)
-                rows += len(columns[0])
-                # the last run may go on in the next chunk
-                columns = [old + new for old, new in zip(carry, columns)]
-                ids, stamps, teams, players, places = columns
-                changes = map(operator.ne, ids, ids[1:])
-                starts = [0, *compress(range(1, len(ids)), changes)]
-                for i, j in pairwise(starts):
-                    kept.add_run(ids[i], stamps[i:j], teams[i:j], players[i:j], places[i:j])
-                carry = [column[starts[-1] :] for column in columns]
-            if carry[0]:
-                kept.add_run(carry[0][0], *carry[1:])
+            width = len(header)
+            step = width + 1
+            carry: list[str] = []
+            rest = ""
+            while block := handle.read(_CHUNK_CHARS):
+                end = block.rfind("\n") + 1
+                if not end:  # no line ends in the block
+                    rest += block
+                    if len(rest) > limit:
+                        raise _Unchecked  # a line over the limit
+                    continue
+                fields = _chunk_columns(rest + block[:end], width, picks, limit)
+                rest = block[end:]
+                rows += len(fields) // step
+                carry = _add_runs(kept, carry + fields, step, picks)
+            if rest:
+                # a last line without a line end, one character longer with it
+                carry += _chunk_columns(rest + "\n", width, picks, limit + 1)
+                rows += 1
+            if carry:
+                _add_runs(kept, carry, step, picks, last=True)
     except UnicodeDecodeError:
         raise _Unchecked from None
     stats.rows += rows
 
 
-def _chunk_columns(
-    lines: list[str], width: int, picks: list[int], limit: int
-) -> list[list[str]]:
-    """The picked columns of a chunk of lines read with universal newlines;
-    raises ``_Unchecked`` unless the ``csv.reader`` pass would read the
-    same fields from them, none of them empty."""
-    if lines.count("\n"):
-        lines = [line for line in lines if line != "\n"]  # blank lines are skipped
-        if not lines:
-            return [[] for _ in picks]
-    text = "".join(lines)
+def _chunk_columns(text: str, width: int, picks: list[int], limit: int) -> list[str]:
+    """The fields of ``text``, whole lines read with universal newlines, in
+    one split: each line's fields and then one ``"\\n"`` marker.  Blank
+    lines are skipped.  Raises ``_Unchecked`` unless the ``csv.reader``
+    pass would read the same fields from the lines, none of the picked
+    ones empty; a line longer than ``limit`` with its line end is not
+    checked.  The lines have ``width`` fields each when the fields number
+    ``width + 1`` per line and every ``width + 1``-th one is a marker."""
     if (
         '"' in text
         or "\0" in text
-        or (len(text) > limit and max(map(len, lines)) > limit)
-        or list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines)
+        or (len(text) > limit and max(map(len, text.split("\n"))) >= limit)
     ):
         raise _Unchecked
-    if text[-1] != "\n":
-        text += "\n"  # a last line without one
-    fields = text.replace("\n", ",").split(",")
-    fields.pop()  # after the last line's comma
-    columns = [fields[pick::width] for pick in picks]
-    if any("" in column for column in columns):
+    fields, lines = _marked_fields(text)
+    # a blank line shows as an empty field before its marker
+    if not all(fields) and (text[0] == "\n" or "\n\n" in text):
+        text = "".join([line + "\n" for line in text.split("\n") if line])
+        if not text:
+            return []
+        fields, lines = _marked_fields(text)
+    step = width + 1
+    if (
+        len(fields) != lines * step
+        or fields[width::step].count("\n") != lines
+        or (not all(fields) and any("" in fields[pick::step] for pick in picks))
+    ):
         raise _Unchecked
-    return columns
+    return fields
+
+
+def _marked_fields(text: str) -> tuple[list[str], int]:
+    """The fields of whole lines in one split, a ``"\\n"`` marker after
+    each line's, and the number of lines."""
+    marked = text.replace("\n", ",\n,")
+    fields = marked.split(",")
+    fields.pop()  # after the last marker
+    # each line end gained two commas
+    return fields, (len(marked) - len(text)) // 2
+
+
+def _add_runs(
+    kept: _Kept, fields: list[str], step: int, picks: list[int], last: bool = False
+) -> list[str]:
+    """Hands each run of one match id in ``fields``, ``step`` fields a line,
+    to ``kept.add_run`` as stepped slices of the picked columns, and
+    returns the fields of the last run, which it hands on only if
+    ``last``."""
+    pick_id, pick_stamp, pick_team, pick_player, pick_place = picks
+    ids = fields[pick_id::step]
+    changes = map(operator.ne, ids, ids[1:])
+    starts = [0, *compress(range(1, len(ids)), changes)]
+    if last:
+        starts.append(len(ids))
+    for i, j in pairwise(starts):
+        a, b = i * step, j * step
+        kept.add_run(
+            ids[i],
+            fields[a + pick_stamp : b : step],
+            fields[a + pick_team : b : step],
+            fields[a + pick_player : b : step],
+            fields[a + pick_place : b : step],
+        )
+    return fields[starts[-1] * step :]
 
 
 def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
     """The ``csv.reader`` pass of ``ingest``: every row is checked and parsed
-    in file order and its five fields go on its match's one flat list, each
-    as the one string ``kept.ids`` holds for it, so the lists hold each
-    distinct field once however many rows repeat it; then each match, in
-    first-appearance order, goes to ``kept.add_run`` as column slices of
-    that list."""
+    in file order and its four fields after the match id go on its match's
+    one flat list, each as the one string ``kept.ids`` holds for it, so the
+    lists hold each distinct field once however many rows repeat it; then
+    each match, in first-appearance order, goes to ``kept.add_run`` as
+    column slices of that list."""
     grouped: defaultdict[str, list[str]] = defaultdict(list)
     rows = 0
     try:
@@ -393,7 +443,8 @@ def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
                         f"{placement_text!r}"
                     ) from None
                 rows += 1
-                grouped[match_id].extend(map(kept.ids.setdefault, values, values))
+                rest = values[1:]  # the match id is the list's key
+                grouped[match_id].extend(map(kept.ids.setdefault, rest, rest))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
@@ -401,7 +452,7 @@ def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
     finally:
         stats.rows += rows
     for match_id, flat in grouped.items():
-        kept.add_run(match_id, flat[1::5], flat[2::5], flat[3::5], flat[4::5])
+        kept.add_run(match_id, flat[::4], flat[1::4], flat[2::4], flat[3::4])
 
 
 def ingest(
@@ -421,8 +472,10 @@ def ingest(
 
     Two tokenizers feed one match builder, which gets each match's rows in
     file order.  Every log starts on the column pass: it is read with
-    universal newlines about ``_CHUNK_CHARS`` characters at a time, and
-    each chunk is split into its columns at once.  A double quote, a NUL
+    universal newlines in blocks of ``_CHUNK_CHARS`` characters, and each
+    block's whole lines are split into their fields at once, with a
+    ``"\\n"`` marker after each line's fields, so the markers' positions
+    give each line's field count.  A double quote, a NUL
     (which ``csv.reader`` rejects before Python 3.11), a line over the csv
     module's field size limit, a line with another number of fields than
     the header, an empty field, an unparsable timestamp or placement, bytes

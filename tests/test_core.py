@@ -17,6 +17,7 @@ from royale_ratings.core import (
     PredictedRanking,
     TeamEntry,
     build_match,
+    match_from_layout,
     normalized_result,
     rank_teams_by_score,
 )
@@ -245,3 +246,15 @@ class TestStoredLayout:
             record.teams = self.ENTRIES[:2]
         assert record.team_ids == ("t1", "t2", "t3")
 
+    @pytest.mark.parametrize("extra", ["r", ""])
+    def test_a_roster_longer_than_the_sizes_is_refused(self, extra):
+        # no team lists the last roster entry
+        with pytest.raises(DomainError, match="'m'.* add up to 2.* holds 3 players"):
+            match_from_layout("m", self.STAMP, ("a", "b"), (1, 2), (1, 1), ("p", "q", extra))
+
+    def test_a_roster_shorter_than_the_sizes_is_refused(self):
+        # team b would be left with no member
+        with pytest.raises(DomainError, match="team 'b' has an empty roster"):
+            match_from_layout("m", self.STAMP, ("a", "b"), (1, 2), (2, 1), ("p", "q"))
+        with pytest.raises(DomainError, match="'m'.* add up to 3.* holds 2 players"):
+            match_from_layout("m", self.STAMP, ("a", "b"), (1, 2), (1, 2), ("p", "q"))

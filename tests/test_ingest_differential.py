@@ -576,3 +576,74 @@ def test_synth_and_benchmark_logs_through_the_csv_reader_pass(
         assert outcomes[-1] == outcome(reference_ingest, path, size), (path, size)
     assert any(stats.rejected for _, _, stats, _ in outcomes)
     assert any(stats.filtered for _, _, stats, _ in outcomes)
+
+
+def csv_pass_calls(monkeypatch) -> list[Path]:
+    """The paths the csv.reader pass is called with, from here on."""
+    read_grouped, calls = replay_module._read_grouped, []
+
+    def recorded(path, *args):
+        calls.append(path)
+        return read_grouped(path, *args)
+
+    monkeypatch.setattr(replay_module, "_read_grouped", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("last_ending", [True, False], ids=["ended", "unended"])
+def test_read_blocks_of_a_few_characters_take_the_column_pass(
+    monkeypatch, tmp_path, chunk, ending, last_ending
+):
+    # a block ends inside a line, inside a CRLF and between lines, and the
+    # text after a block's last line end carries into the next block
+    rows = [
+        row
+        for number in range(3)
+        for row in match_of(f"m{number}", f"2020-05-01T12:0{number}:00Z", 3, 2)
+    ]
+    text = rows_text(rows, ending)
+    path = tmp_path / "log.csv"
+    path.write_text(
+        text if last_ending else text.removesuffix(ending), encoding="utf-8", newline=""
+    )
+    expected = outcome(reference_ingest, path, None)
+    calls = csv_pass_calls(monkeypatch)
+    monkeypatch.setattr(replay_module, "_CHUNK_CHARS", chunk)
+    assert outcome(ingest, path, None) == expected
+    assert len(expected[0]) == 3
+    assert calls == []
+
+
+@pytest.fixture
+def field_size_limit():
+    limit = 80
+    old = csv.field_size_limit(limit)
+    try:
+        yield limit
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, SMALL_CHUNK, FULL_CHUNK])
+@pytest.mark.parametrize("excess", [-1, 0, 1])
+@pytest.mark.parametrize("last_ending", [True, False], ids=["ended", "unended"])
+def test_a_line_at_the_field_size_limit_takes_the_pass_it_took_before(
+    monkeypatch, tmp_path, field_size_limit, chunk, excess, last_ending
+):
+    # the column pass checks a line as long as the limit, its line end
+    # included, and leaves a longer one to the csv.reader pass
+    head = "m,2020-05-01T12:00:00Z,t2,"
+    player = "p" * (field_size_limit + excess - len(head) - 2)
+    last = f"{head}{player},2"
+    assert len(last) == field_size_limit + excess
+    text = rows_text(["m,2020-05-01T12:00:00Z,t1,a,1", last])
+    path = tmp_path / "log.csv"
+    path.write_text(text if last_ending else text[:-1], encoding="utf-8", newline="")
+    expected = outcome(reference_ingest, path, None)
+    calls = csv_pass_calls(monkeypatch)
+    monkeypatch.setattr(replay_module, "_CHUNK_CHARS", chunk)
+    assert outcome(ingest, path, None) == expected
+    assert expected[0][0].roster == ("a", player)
+    assert (calls == [path]) == (len(last) + last_ending > field_size_limit)
