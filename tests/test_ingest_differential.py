@@ -13,10 +13,10 @@ defect, and both readers must agree on the matches, the ``IngestStats``,
 the warnings logged (in order) and, when they raise, the ``DataError``
 message.
 
-``ingest`` reads quote-free logs in a column pass, a chunk of lines at a
-time, and starts again on the ``csv.reader`` pass at the first line it
-cannot check; every test here runs with chunks of a few lines, so
-matches cross chunk boundaries and a restart can come late.  The last
+``ingest`` reads quote-free logs in a column pass, a block of characters
+at a time, and starts again on the ``csv.reader`` pass at the first line it
+cannot check; every test here runs with blocks of a few lines, so
+matches cross block boundaries and a restart can come late.  The last
 tests check that the logs ``synth`` and the benchmark write never reach
 the ``csv.reader`` pass.
 """
