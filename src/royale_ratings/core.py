@@ -181,16 +181,16 @@ class MatchRecord:
 
     def __post_init__(self) -> None:
         team_ids, ranks, roster = self.team_ids, self.ranks, self.roster
-        n = len(team_ids)
+        n, players = len(team_ids), len(roster)
         if (
             n >= 2
             and all(team_ids)
             and all(self.sizes)
             and all(roster)
             and len(set(team_ids)) == n
-            and len(set(roster)) == len(roster)
+            and len(set(roster)) == players
             and sorted(ranks) == list(range(1, n + 1))
-            and sum(self.sizes) == len(roster)
+            and sum(self.sizes) == players
         ):
             return
         # a failing match raises its first failing check in the checked
@@ -214,7 +214,7 @@ class MatchRecord:
             seen.add(player)
         raise DomainError(
             f"match {self.match_id!r}: team sizes add up to {sum(self.sizes)}, "
-            f"the roster holds {len(roster)} players"
+            f"the roster holds {players} players"
         )
 
     def _set_layout(

@@ -233,10 +233,11 @@ class _Kept:
         size = team_ids.count(team_ids[0])
         teams: Sequence[str] = team_ids[::size]
         ranks = places[::size]
+        count = len(teams)
         if (
-            rows == size * len(teams)
+            rows == size * count
             and stamps.count(stamps[0]) == rows
-            and len(set(teams)) == len(teams)
+            and len(set(teams)) == count
             and all(
                 team_ids[j::size] == teams and places[j::size] == ranks
                 for j in range(1, size)
@@ -244,7 +245,7 @@ class _Kept:
         ):
             (stamp,) = _parse_all(self.stamps, stamps[:1])
             ranks = _parse_all(self.placements, ranks)
-            sizes: tuple[int, ...] = (size,) * len(teams)
+            sizes: tuple[int, ...] = (size,) * count
             roster: Sequence[str] = players
         else:
             grouped = _group(
