@@ -3,9 +3,9 @@
 Ingest has two tokenizers, a column pass for quote-free logs, which
 splits each block of lines it reads into one flat list of fields with a
 marker after each line's, and a ``csv.reader`` pass for any other, and
-one builder that turns each match's rows into a MatchRecord built
-straight from its layout, with one string object per distinct player id
-and team id.
+one builder that counts what they read and turns each match's rows into
+a MatchRecord built straight from its layout, with one string object per
+distinct player id and team id.
 
 The harness replays matches in timestamp order through one rating
 system: unseen players get the system default, the match is predicted
@@ -128,9 +128,11 @@ class IngestStats:
 _CHUNK_CHARS = 1 << 16
 
 
-class _Unchecked(Exception):
-    """The column pass met a log it cannot check; ``ingest`` reads the file
-    again with ``csv.reader``."""
+class _Unchecked(ValueError):
+    """The column pass met a log it cannot check.  ``ingest`` reads the
+    file again with ``csv.reader`` on any ValueError from that pass: this
+    one, a string that ``_Parsed`` cannot parse, or bytes that are not
+    UTF-8."""
 
 
 class _Parsed(dict):
@@ -144,13 +146,6 @@ class _Parsed(dict):
     def __missing__(self, text: str) -> Any:
         value = self[text] = self.parse(text)
         return value
-
-
-def _parse_all(parsed: _Parsed, texts: Iterable[str]) -> list[Any]:
-    try:
-        return list(map(parsed.__getitem__, texts))
-    except ValueError:
-        raise _Unchecked from None
 
 
 def _header_columns(header: Sequence[str]) -> tuple[list[int], list[str]]:
@@ -191,15 +186,17 @@ def _group(
 
 
 class _Kept:
-    """The matches one ingest pass keeps, with the counts of those it
-    reads, filters and rejects; ``commit`` hands them to an
-    ``IngestStats`` and logs each rejection once the pass has finished.
-    Each distinct timestamp and placement string is parsed once, and each
-    distinct player id and team id is kept once, per call: every record
-    shares the one string object ``ids`` holds for it.  ``read`` holds the
-    id of every match ``add_run`` has been given, and a second run of one
-    id raises ``_Unchecked``: the one copy of the rule that a match's rows
-    are contiguous.  The ``csv.reader`` pass gives each id once."""
+    """The matches one ingest pass keeps, and every count of what it read:
+    the rows and matches it was given, the matches it filtered and those
+    it rejected.  ``commit`` hands them to an ``IngestStats`` and logs
+    each rejection once the pass has finished, so a pass that raises
+    counts and logs nothing.  Each distinct timestamp and placement string
+    is parsed once, and each distinct player id and team id is kept once,
+    per call: every record shares the one string object ``ids`` holds for
+    it.  ``read`` holds the id of every match ``add_run`` has been given,
+    and a second run of one id raises ``_Unchecked``: the one copy of the
+    rule that a match's rows are contiguous.  The ``csv.reader`` pass
+    gives each id once."""
 
     def __init__(self, team_size: int | None) -> None:
         self.team_size = team_size
@@ -208,6 +205,7 @@ class _Kept:
         self.ids: dict[str, str] = {}
         self.matches: list[MatchRecord] = []
         self.read: set[str] = set()
+        self.rows = 0
         self.filtered = 0
         self.rejected: list[tuple[str, str]] = []
 
@@ -219,40 +217,44 @@ class _Kept:
         players: list[str],
         places: list[str],
     ) -> None:
-        """One match's rows, in file order.  A run whose rows share one
-        timestamp string, whose teams are contiguous and of one size and
-        each have one placement string is built from its column slices; any
-        other is grouped by ``_group``.  A match the ``team_size`` filter
-        drops is not built and keeps none of its ids.  A match id given
-        before (a match whose rows are not contiguous) or a string that
-        does not parse raises ``_Unchecked``."""
+        """One match's rows, in file order, counted in ``rows``.  A run
+        whose rows share one timestamp string, whose teams are contiguous
+        and of one size and each have one placement string is built from
+        its column slices; any other is grouped by ``_group``.  Its
+        timestamps and placements are parsed before the ``team_size``
+        filter, so a string that does not parse raises the parser's
+        ValueError in any match; a match the filter drops is not built and
+        keeps none of its ids.  A match id given before (a match whose rows
+        are not contiguous) raises ``_Unchecked``."""
         if match_id in self.read:
             raise _Unchecked
         self.read.add(match_id)
         rows = len(team_ids)
+        self.rows += rows
         size = team_ids.count(team_ids[0])
         teams: Sequence[str] = team_ids[::size]
         ranks = places[::size]
         count = len(teams)
+        # rows is a multiple of size: team_ids[size - 1::size] == teams
+        # holds only then
         if (
-            rows == size * count
-            and stamps.count(stamps[0]) == rows
+            stamps.count(stamps[0]) == rows
             and len(set(teams)) == count
             and all(
                 team_ids[j::size] == teams and places[j::size] == ranks
                 for j in range(1, size)
             )
         ):
-            (stamp,) = _parse_all(self.stamps, stamps[:1])
-            ranks = _parse_all(self.placements, ranks)
+            stamp = self.stamps[stamps[0]]
+            ranks = list(map(self.placements.__getitem__, ranks))
             sizes: tuple[int, ...] = (size,) * count
             roster: Sequence[str] = players
         else:
             grouped = _group(
-                _parse_all(self.stamps, stamps),
+                list(map(self.stamps.__getitem__, stamps)),
                 team_ids,
                 players,
-                _parse_all(self.placements, places),
+                list(map(self.placements.__getitem__, places)),
             )
             if isinstance(grouped, str):
                 self.rejected.append((match_id, grouped))
@@ -276,6 +278,7 @@ class _Kept:
             self.rejected.append((match_id, str(exc)))
 
     def commit(self, stats: IngestStats) -> list[MatchRecord]:
+        stats.rows += self.rows
         stats.matches_read += len(self.read)
         stats.filtered += self.filtered
         stats.rejected.extend(self.rejected)
@@ -286,8 +289,9 @@ class _Kept:
         return self.matches
 
 
-def _read_columns(path: Path, kept: _Kept, stats: IngestStats) -> None:
-    """The column pass of ``ingest`` over a quote-free log.
+def _read_columns(path: Path, kept: _Kept) -> None:
+    """The column pass of ``ingest`` over a quote-free log: it only
+    tokenizes, and ``kept`` builds and counts.
 
     The log is read in blocks of ``_CHUNK_CHARS`` characters, and the text
     after a block's last line end carries into the next block.  Each
@@ -296,44 +300,40 @@ def _read_columns(path: Path, kept: _Kept, stats: IngestStats) -> None:
     match id and hands each to ``kept.add_run`` as stepped slices of it.
     Only the fields of the last run, which may go on in the next block,
     carry over.  Whatever the pass cannot check the way the ``csv.reader``
-    pass would raises ``_Unchecked``; ``kept.add_run`` raises it for a
-    match whose rows are not contiguous, at the second run of its id.
+    pass would raises a ValueError: ``_Unchecked`` for what it cannot
+    tokenize and for a match whose rows are not contiguous (at the second
+    run of its id), the parser's error for a timestamp or placement that
+    does not parse, and ``UnicodeDecodeError`` for bytes that are not
+    UTF-8.
     """
     limit = csv.field_size_limit()
-    rows = 0
-    try:
-        with open(path, encoding="utf-8") as handle:
-            head = handle.readline()
-            if '"' in head or "\0" in head or len(head) > limit:
-                raise _Unchecked
-            header = head.rstrip("\n").split(",")
-            picks, missing = _header_columns(header)
-            if missing:
-                raise _Unchecked
-            width = len(header)
-            step = width + 1
-            carry: list[str] = []
-            rest = ""
-            while block := handle.read(_CHUNK_CHARS):
-                end = block.rfind("\n") + 1
-                if not end:  # no line ends in the block
-                    rest += block
-                    if len(rest) > limit:
-                        raise _Unchecked  # a line over the limit
-                    continue
-                fields = _chunk_columns(rest + block[:end], width, picks, limit)
-                rest = block[end:]
-                rows += len(fields) // step
-                carry = _add_runs(kept, carry + fields, step, picks)
-            if rest:
-                # a last line without a line end, one character longer with it
-                carry += _chunk_columns(rest + "\n", width, picks, limit + 1)
-                rows += 1
-            if carry:
-                _add_runs(kept, carry, step, picks, last=True)
-    except UnicodeDecodeError:
-        raise _Unchecked from None
-    stats.rows += rows
+    with open(path, encoding="utf-8") as handle:
+        head = handle.readline()
+        if '"' in head or "\0" in head or len(head) > limit:
+            raise _Unchecked
+        header = head.rstrip("\n").split(",")
+        picks, missing = _header_columns(header)
+        if missing:
+            raise _Unchecked
+        width = len(header)
+        step = width + 1
+        carry: list[str] = []
+        rest = ""
+        while block := handle.read(_CHUNK_CHARS):
+            end = block.rfind("\n") + 1
+            if not end:  # no line ends in the block
+                rest += block
+                if len(rest) > limit:
+                    raise _Unchecked  # a line over the limit
+                continue
+            fields = _chunk_columns(rest + block[:end], width, picks, limit)
+            rest = block[end:]
+            carry = _add_runs(kept, carry + fields, step, picks)
+        if rest:
+            # a last line without a line end, one character longer with it
+            carry += _chunk_columns(rest + "\n", width, picks, limit + 1)
+        if carry:
+            _add_runs(kept, carry, step, picks, last=True)
 
 
 def _chunk_columns(text: str, width: int, picks: list[int], limit: int) -> list[str]:
@@ -402,15 +402,16 @@ def _add_runs(
     return fields[starts[-1] * step :]
 
 
-def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
-    """The ``csv.reader`` pass of ``ingest``: every row is checked and parsed
-    in file order and its four fields after the match id go on its match's
-    one flat list, each as the one string ``kept.ids`` holds for it, so the
-    lists hold each distinct field once however many rows repeat it; then
-    each match, in first-appearance order, goes to ``kept.add_run`` as
-    column slices of that list."""
+def _read_grouped(path: Path, kept: _Kept) -> None:
+    """The ``csv.reader`` pass of ``ingest``: it only tokenizes, and
+    ``kept`` builds and counts.  Every row is checked and parsed in file
+    order, so the first bad line raises a DataError naming it, and its
+    four fields after the match id go on its match's one flat list, each
+    as the one string ``kept.ids`` holds for it, so the lists hold each
+    distinct field once however many rows repeat it; then each match, in
+    first-appearance order, goes to ``kept.add_run`` as column slices of
+    that list."""
     grouped: defaultdict[str, list[str]] = defaultdict(list)
-    rows = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -443,15 +444,12 @@ def _read_grouped(path: Path, kept: _Kept, stats: IngestStats) -> None:
                         f"{path}:{reader.line_num}: bad team_placement "
                         f"{placement_text!r}"
                     ) from None
-                rows += 1
                 rest = values[1:]  # the match id is the list's key
                 grouped[match_id].extend(map(kept.ids.setdefault, rest, rest))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: unreadable CSV ({exc})") from None
-    finally:
-        stats.rows += rows
     for match_id, flat in grouped.items():
         kept.add_run(match_id, flat[::4], flat[1::4], flat[2::4], flat[3::4])
 
@@ -476,16 +474,18 @@ def ingest(
     universal newlines in blocks of ``_CHUNK_CHARS`` characters, and each
     block's whole lines are split into their fields at once, with a
     ``"\\n"`` marker after each line's fields, so the markers' positions
-    give each line's field count.  A double quote, a NUL
-    (which ``csv.reader`` rejects before Python 3.11), a line over the csv
-    module's field size limit, a line with another number of fields than
-    the header, an empty field, an unparsable timestamp or placement, bytes
-    that are not UTF-8, or a match whose rows are not contiguous (a second
-    run of one match id, which the builder refuses) ends that pass, and the
-    whole file is read again, row by row, with ``csv.reader``, which holds
-    each distinct field string once until the file ends.  So quote-free
-    logs whose matches each sit in one run of rows (``synth`` writes them
-    so) take the column pass, and quoted logs give the results of their
+    give each line's field count.  Both passes only tokenize; the builder
+    parses, builds and counts.  Any ValueError ends the column pass: the
+    pass raises one for a double quote, a NUL (which ``csv.reader``
+    rejects before Python 3.11), a line over the csv module's field size
+    limit, a line with another number of fields than the header or an
+    empty field; the builder for a match whose rows are not contiguous (a
+    second run of one match id) and for a timestamp or placement it cannot
+    parse; the decoder for bytes that are not UTF-8.  The whole file is
+    then read again, row by row, with ``csv.reader``, which holds each
+    distinct field string once until the file ends.  So quote-free logs
+    whose matches each sit in one run of rows (``synth`` writes them so)
+    take the column pass, and quoted logs give the results of their
     unquoted twins.  Only the ``csv.reader`` pass raises:
     structurally malformed rows (missing fields, bad timestamp, non-integer
     placement) and csv-level errors (a field over the csv module's size
@@ -497,9 +497,10 @@ def ingest(
     placements not a permutation, duplicated players, placement < 1) are
     rejected with a logged diagnostic and the rest of the file is still
     used.  ``team_size``, which must be positive, keeps only matches whose
-    teams all have exactly that many players.  The column pass fills in
-    ``stats`` and logs the rejections only once it has read the whole
-    file, so a restart counts and logs nothing twice.
+    teams all have exactly that many players.  ``stats`` is filled in and
+    the rejections are logged only when ``ingest`` returns: a restart
+    counts and logs nothing twice, and a call that raises leaves ``stats``
+    as it was given.
     """
     if team_size is not None and team_size < 1:
         raise DomainError(f"team_size must be positive, got {team_size}")
@@ -507,10 +508,10 @@ def ingest(
     stats = stats if stats is not None else IngestStats()
     kept = _Kept(team_size)
     try:
-        _read_columns(path, kept, stats)
-    except _Unchecked:
+        _read_columns(path, kept)
+    except ValueError:
         kept = _Kept(team_size)
-        _read_grouped(path, kept, stats)
+        _read_grouped(path, kept)
     return kept.commit(stats)
 
 

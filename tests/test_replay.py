@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import gc
 import importlib
+import io
 import logging
 import math
 import operator
@@ -270,6 +271,73 @@ class TestIngest:
         path.write_bytes(data)
         with pytest.raises(DataError, match=r"log\.csv: not UTF-8 text"):
             ingest(path)
+
+    # line 5 has a placement that does not parse; a quote sends "quoted"
+    # straight to the csv.reader pass
+    BAD_PLACEMENT_ROWS = [
+        "m1,2020-05-01T12:00:00Z,t1,a,1",
+        "m1,2020-05-01T12:00:00Z,t2,b,2",
+        "m2,2020-05-01T13:00:00Z,t1,a,2",
+        "m2,2020-05-01T13:00:00Z,t2,b,first",
+    ]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "quoted"])
+    def test_a_bad_line_leaves_stats_as_given(self, tmp_path, quoted):
+        rows = list(self.BAD_PLACEMENT_ROWS)
+        if quoted:
+            rows[0] = rows[0].replace(",t1,", ',"t1",')
+        stats = IngestStats(rows=7, matches_read=2, filtered=1, rejected=[("m0", "x")])
+        with pytest.raises(DataError, match=r"log\.csv:5: bad team_placement 'first'"):
+            ingest(write_log(tmp_path, rows), stats=stats)
+        assert stats == IngestStats(7, 2, 1, [("m0", "x")])
+
+    def test_bytes_past_built_matches_leave_stats_as_given(self, tmp_path, monkeypatch):
+        # past the text decoder's first read, so the column pass builds
+        # whole matches, and the csv.reader pass reads rows, before the
+        # bad byte in the last line
+        rows = [
+            f"m{number:03},2020-05-01T12:00:00Z,t{team},p{number}-{team},{team}"
+            for number in range(60)
+            for team in range(1, 11)
+        ]
+        path = write_log(tmp_path, rows)
+        path.write_bytes(path.read_bytes().replace(b"p59-10", b"p59-\xff"))
+        assert path.stat().st_size > 2 * io.DEFAULT_BUFFER_SIZE
+        replay_module = importlib.import_module("royale_ratings.replay")
+        add_run, built = replay_module._Kept.add_run, []
+
+        def counted(kept, match_id, *columns):
+            built.append(match_id)
+            return add_run(kept, match_id, *columns)
+
+        monkeypatch.setattr(replay_module._Kept, "add_run", counted)
+        monkeypatch.setattr(replay_module, "_CHUNK_CHARS", 7)
+        stats = IngestStats()
+        with pytest.raises(DataError, match=r"log\.csv: not UTF-8 text"):
+            ingest(path, stats=stats)
+        assert built
+        assert stats == IngestStats()
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("not-a-time,t2,d,2", "bad timestamp 'not-a-time'"),
+            ("2020-05-01T13:00:00Z,t2,d,first", "bad team_placement 'first'"),
+        ],
+        ids=["timestamp", "placement"],
+    )
+    def test_a_bad_value_in_a_filtered_match_names_its_line(self, tmp_path, bad, error):
+        # every run is parsed before the team-size filter drops m2
+        rows = [
+            "m1,2020-05-01T12:00:00Z,t1,a,1",
+            "m1,2020-05-01T12:00:00Z,t1,b,1",
+            "m1,2020-05-01T12:00:00Z,t2,c,2",
+            "m1,2020-05-01T12:00:00Z,t2,d,2",
+            "m2,2020-05-01T13:00:00Z,t1,a,1",
+            f"m2,{bad}",
+        ]
+        with pytest.raises(DataError, match=rf"log\.csv:7: {error}"):
+            ingest(write_log(tmp_path, rows), team_size=2)
 
 
     @pytest.mark.parametrize("quoted", [False, True], ids=["column-pass", "csv-reader"])
