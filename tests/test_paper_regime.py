@@ -4,9 +4,14 @@
 matches) with ``noise_spread=6.0``, where a prediction is close to
 random, as on the real duo dataset.  Each system's last all-players
 point (window 500, seed 0) must fall within the tolerances that
-acceptance criteria 10 to 13 apply to that dataset.  This checks the
-whole pipeline in the paper's regime; it does not stand in for those
-criteria, which stay skipped without the dataset.
+acceptance criteria 10 to 13 apply to that dataset.  A predictor that
+ignores ratings meets those too: one that scores every team 0, so the
+seeded tie-break shuffles the whole match, reads accuracy 0.0215, MAE
+16.02, MRR 0.128 and AP 0.0046 there.  So each system's Kendall tau must
+also exceed ``MIN_TAU``, which that predictor's -0.0038 to 0.0013 at
+seeds 0 to 4 does not reach, and the systems' 0.023 to 0.10 do.  This
+checks the whole pipeline in the paper's regime; it does not stand in
+for those criteria, which stay skipped without the dataset.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ CRITERIA = {
     "mrr": (0.14, 0.03),
     "ap": (0.0055, 0.004),
 }
+# a bound that a predictor ignoring ratings cannot meet
+MIN_TAU = 0.015
 
 
 @pytest.fixture(scope="module")
@@ -48,3 +55,4 @@ def test_last_point_within_the_dataset_tolerances(l6_matches, name):
     for metric, (target, tolerance) in CRITERIA.items():
         value = getattr(last, metric)
         assert value == pytest.approx(target, abs=tolerance), f"{name} {metric}: {value}"
+    assert last.kendall_tau > MIN_TAU, f"{name} kendall_tau: {last.kendall_tau}"
