@@ -15,7 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-LAYERS = ["generate", "write", "ingest"] + [
+LAYERS = ["generate", "write", "ingest", "ingest.quoted"] + [
     f"{layer}.{system}"
     for system in ("elo", "glicko", "trueskill", "prevrank")
     for layer in ("replay", "apply", "score", "write")

@@ -5,19 +5,19 @@
 
 Imports the package from ``--src`` and runs, in this order, each round:
 ``generate`` and ``write`` (``synth.generate`` and ``write_match_log`` of
-workload L), ``ingest`` of that log, then for each rating system its
+workload L), ``ingest`` of that log and ``ingest.quoted`` of its quoted
+twin, whose one quoted team id per match (``t01`` as ``"t01"``) sends
+ingest through its ``csv.reader`` pass (the twin is written right after
+``write``, outside both timings), then for each rating system its
 ``replay`` and its ``write`` (the per-match metrics CSV and the rating
 store), and last ``cli.elo``, the whole ``royale-ratings replay --system
 elo`` run on the round's log in a child process, which also records the
 child's own peak RSS (see ``LAUNCHER``; the layer's time includes the
-launcher's start), and ``cli.elo.quoted``, the same run on the log's
-quoted twin, whose one quoted team id per match (``t01`` as ``"t01"``)
-sends ingest through its ``csv.reader`` pass; the twin is written
-between the two layers, outside both.  ``apply.<system>`` is the time
-the replay spent in the system's ``_apply``, summed over its matches
-(one timing wrapper call per match), and ``score.<system>`` the time it
-spent scoring the predictions, in ``rank_pairs`` plus ``score_match``
-(one wrapper call each per match).
+launcher's start), and ``cli.elo.quoted``, the same run on the quoted
+twin.  ``apply.<system>`` is the time the replay spent in the system's
+``_apply``, summed over its matches (one timing wrapper call per match),
+and ``score.<system>`` the time it spent scoring the predictions, in
+``rank_pairs`` plus ``score_match`` (one wrapper call each per match).
 Every layer runs once per round, so its ``--repeats`` samples are
 interleaved with the other layers'; each layer reports the median and
 the quartiles of its samples.
@@ -172,7 +172,7 @@ class Layers:
         self.cli_peaks: dict[str, list[float]] = {name: [] for name in CLI_LAYERS}
 
     def names(self) -> list[str]:
-        names = ["generate", "write", "ingest"]
+        names = ["generate", "write", "ingest", "ingest.quoted"]
         for system in SYSTEMS:
             names += [
                 f"{layer}.{system}" for layer in ("replay", "apply", "score", "write")
@@ -204,7 +204,12 @@ class Layers:
 
         yield "generate", generate
         yield "write", lambda: self.synth.write_match_log(self.log, generated)
+        # runs between the two timed calls
+        with open(self.log, encoding="utf-8", newline="") as log:
+            with open(self.quoted, "w", encoding="utf-8", newline="") as twin:
+                twin.writelines(line.replace(",t01,", ',"t01",') for line in log)
         yield "ingest", ingest
+        yield "ingest.quoted", lambda: self.replay_module.ingest(self.quoted)
         for name in SYSTEMS:
             system = self.systems.make_system(name)
             system._apply = hook(f"apply.{name}", system._apply)
@@ -215,10 +220,6 @@ class Layers:
             yield f"replay.{name}", lambda: replay(system, scoring)
             yield f"write.{name}", lambda: self.write(name, result)
         yield "cli.elo", lambda: self.cli("cli.elo", self.log)
-        # runs between the two timed calls
-        with open(self.log, encoding="utf-8", newline="") as log:
-            with open(self.quoted, "w", encoding="utf-8", newline="") as twin:
-                twin.writelines(line.replace(",t01,", ',"t01",') for line in log)
         yield "cli.elo.quoted", lambda: self.cli("cli.elo.quoted", self.quoted)
 
     def run(self, measure: Callable[[str, Callable[[], None]], None], hook: Any) -> None:
