@@ -474,19 +474,20 @@ def ingest(
     universal newlines in blocks of ``_CHUNK_CHARS`` characters, and each
     block's whole lines are split into their fields at once, with a
     ``"\\n"`` marker after each line's fields, so the markers' positions
-    give each line's field count.  Both passes only tokenize; the builder
-    parses, builds and counts.  Any ValueError ends the column pass: the
-    pass raises one for a double quote, a NUL (which ``csv.reader``
-    rejects before Python 3.11), a line over the csv module's field size
-    limit, a line with another number of fields than the header or an
-    empty field; the builder for a match whose rows are not contiguous (a
-    second run of one match id) and for a timestamp or placement it cannot
-    parse; the decoder for bytes that are not UTF-8.  The whole file is
-    then read again, row by row, with ``csv.reader``, which holds each
-    distinct field string once until the file ends.  So quote-free logs
-    whose matches each sit in one run of rows (``synth`` writes them so)
-    take the column pass, and quoted logs give the results of their
-    unquoted twins.  Only the ``csv.reader`` pass raises:
+    give each line's field count.  Both passes only tokenize (the
+    ``csv.reader`` pass also parses each row, to name the first bad line);
+    the builder parses, builds and counts.  Any ValueError ends the column
+    pass: the pass raises one for a double quote, a NUL (which
+    ``csv.reader`` rejects before Python 3.11), a line over the csv
+    module's field size limit, a line with another number of fields than
+    the header or an empty field; the builder for a match whose rows are
+    not contiguous (a second run of one match id) and for a timestamp or
+    placement it cannot parse; the decoder for bytes that are not UTF-8.
+    The whole file is then read again, row by row, with ``csv.reader``,
+    which holds each distinct field string once until the file ends.  So
+    quote-free logs whose matches each sit in one run of rows (``synth``
+    writes them so) take the column pass, and quoted logs give the results
+    of their unquoted twins.  Only the ``csv.reader`` pass raises:
     structurally malformed rows (missing fields, bad timestamp, non-integer
     placement) and csv-level errors (a field over the csv module's size
     limit, ...) raise a DataError naming file and line, at the first bad
