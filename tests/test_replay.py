@@ -272,18 +272,16 @@ class TestIngest:
         with pytest.raises(DataError, match=r"log\.csv: not UTF-8 text"):
             ingest(path)
 
-    # line 5 has a placement that does not parse; a quote sends "quoted"
-    # straight to the csv.reader pass
-    BAD_PLACEMENT_ROWS = [
-        "m1,2020-05-01T12:00:00Z,t1,a,1",
-        "m1,2020-05-01T12:00:00Z,t2,b,2",
-        "m2,2020-05-01T13:00:00Z,t1,a,2",
-        "m2,2020-05-01T13:00:00Z,t2,b,first",
-    ]
-
     @pytest.mark.parametrize("quoted", [False, True], ids=["quote-free", "quoted"])
     def test_a_bad_line_leaves_stats_as_given(self, tmp_path, quoted):
-        rows = list(self.BAD_PLACEMENT_ROWS)
+        # line 5's placement does not parse, which restarts the column pass;
+        # a quote sends "quoted" straight to the csv.reader pass
+        rows = [
+            "m1,2020-05-01T12:00:00Z,t1,a,1",
+            "m1,2020-05-01T12:00:00Z,t2,b,2",
+            "m2,2020-05-01T13:00:00Z,t1,a,2",
+            "m2,2020-05-01T13:00:00Z,t2,b,first",
+        ]
         if quoted:
             rows[0] = rows[0].replace(",t1,", ',"t1",')
         stats = IngestStats(rows=7, matches_read=2, filtered=1, rejected=[("m0", "x")])
