@@ -243,7 +243,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "setup_params": trend.params,
             "trend_points": len(trend.points),
         }
-    # made just before the first write, so a run that failed leaves none
+    # every artifact's check runs first, and the directory is made just
+    # before the first write, so a run that failed leaves it as it was
+    result.store.check()
     out.mkdir(parents=True, exist_ok=True)
     write(out / f"{name}.csv", data)
     result.store.save(out / "rating_store.txt")

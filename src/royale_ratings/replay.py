@@ -526,16 +526,15 @@ class RatingStore:
     matches_processed: int
     ratings: RatingState
 
-    def save(self, path: str | Path) -> None:
-        """Versioned text snapshot, one player per line, sorted for
-        reproducible bytes.
+    def check(self) -> str:
+        """Every check of ``save``, which opens no file, and the
+        snapshot's header.
 
-        Every check runs before the file is opened: the params must be
-        finite for JSON, no player id may hold a tab or a newline (the
-        first such id in sorted order is named), and every string must
-        encode as UTF-8.  A snapshot that fails leaves any file at ``path``
-        as it was.  The lines are then written ``_STORE_ROWS`` at a time,
-        so the snapshot is never held whole in memory.
+        The params must be finite for JSON, no player id may hold a tab or
+        a newline (the first such id in sorted order is named), and every
+        string must encode as UTF-8 (the header first, then the ids in
+        sorted order).  A caller writing several artifacts runs this
+        before the first of them.
         """
         head = "\n".join(
             [
@@ -548,15 +547,27 @@ class RatingStore:
                 "",
             ]
         )
+        unsaved = [i for i in self.ratings if "\t" in i or "\n" in i]
+        if unsaved:
+            raise DataError(f"player id {min(unsaved)!r} cannot be snapshotted")
+        # a lone surrogate raises UnicodeEncodeError here, not mid-write
+        for text in (head, *sorted(filterfalse(str.isascii, self.ratings))):
+            text.encode("utf-8")
+        return head
+
+    def save(self, path: str | Path) -> None:
+        """Versioned text snapshot, one player per line, sorted for
+        reproducible bytes.
+
+        Every check (``check``) runs before the file is opened, so a
+        snapshot that fails leaves any file at ``path`` as it was.  The
+        lines are then written ``_STORE_ROWS`` at a time, so the snapshot
+        is never held whole in memory.
+        """
+        head = self.check()
         ids, *columns = rating_columns(self.ratings)
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ids = [ids[i] for i in order]
-        for player_id in ids:
-            if "\t" in player_id or "\n" in player_id:
-                raise DataError(f"player id {player_id!r} cannot be snapshotted")
-        # a lone surrogate raises UnicodeEncodeError here, not mid-write
-        for text in (head, *filterfalse(str.isascii, ids)):
-            text.encode("utf-8")
         lines = (
             f"{player_id}\t{mu!r}\t{'-' if math.isnan(sigma) else repr(sigma)}"
             f"\t{games}\t{last or '-'}\n"

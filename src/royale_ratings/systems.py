@@ -65,7 +65,7 @@ interpreter.  A square that the scalar code took
 with Python's ``**`` stays a Python ``**``: CPython's ``x**2`` calls C
 ``pow``, which rounds some squares differently from numpy's ``x*x``.
 TrueSkill's chain is one scalar kernel call per adjacent pair on team
-sums, and its member splits are scalar Python on member lists.
+sums, and its member splits are scalar Python on flat member lists.
 
 numpy reports a float fault by a warning or not at all, where Python
 raises or stays silent, so each numpy step states what it does:
@@ -93,7 +93,7 @@ raises or stays silent, so each numpy step states what it does:
   prior ``block.mu`` itself and is exempt.
 - Array steps that stand in for Python float arithmetic, which
   overflows to inf silently, ignore that flag (the ``best`` cohort's
-  conservative scores).
+  conservative scores, TrueSkill's inflated sigmas and team sums).
 
 Member shares
 -------------
@@ -114,7 +114,7 @@ import operator
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Mapping, MutableMapping
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from typing import Any, Sequence
 
 import numpy as np
@@ -162,7 +162,10 @@ _SHAPES_KEPT = 256
 
 
 def row_sums(matrix: np.ndarray) -> np.ndarray:
-    """Each row's sum, added left to right like ``left_sum``."""
+    """Each row's sum, added left to right as ``left_sum`` adds, but from
+    the row's first value, not from 0: a row of -0.0 alone sums to -0.0
+    where ``left_sum`` gives 0.0.  ``row_sums(m) + 0.0`` gives
+    ``left_sum``'s value and sign on every row (TrueSkill's team sums)."""
     return matrix.cumsum(axis=1)[:, -1]
 
 
@@ -190,7 +193,9 @@ class MatchBlock:
     """One match's members, gathered from a ``RatingTable``.
 
     Matrices are (teams x width) in record and roster order, zero where
-    ``mask`` is False (a team narrower than the widest).
+    ``mask`` is False (a team narrower than the widest).  ``matrix[mask]``
+    lists the members flat, in roster order, and a posterior built from
+    such a list is written back to the block's shape through ``mask``.
     """
 
     match: MatchRecord
@@ -201,12 +206,6 @@ class MatchBlock:
     mu: np.ndarray
     sigma: np.ndarray  # NaN for a member without one
     last_rank: np.ndarray  # 0 for a member without one
-
-    def pad(self, teams: list[list[float]]) -> np.ndarray:
-        """Per-team member lists as a zero-padded matrix of the block's shape."""
-        out = np.zeros(self.mask.shape)
-        out[self.mask] = list(chain.from_iterable(teams))
-        return out
 
 
 class RatingTable(Mapping[str, PlayerRating]):

@@ -30,19 +30,22 @@ pair update.  With two single-player teams the chain is exactly one pair
 update.
 
 The chain runs on team aggregates: each team's (mu, variance) sums are
-Python scalars, taken from its members once as the chain starts (added
-left to right by ``systems.left_sum``, on every Python version), and
-each adjacent pair is one call of a scalar kernel, the one
-``update_pair`` also calls.  Right after each pair the winner's members,
-then the loser's, take their team's split in place in per-team member
-lists: a member's mu gains weight / total of the team's mu delta (its
+Python scalars, taken from the block as the chain starts (each one
+numpy cumulative sum of its zero-padded row, ``systems.row_sums``, plus
+0.0 so that a team of -0.0 members sums to 0.0 as ``systems.left_sum``
+adds), and each adjacent pair is one call of a scalar kernel, the one
+``update_pair`` also calls.  The members are flat lists in record
+order, each team one range of them.  Right after each pair the
+winner's members, then the loser's, take their team's split in place:
+a member's mu gains weight / total of the team's mu delta (its
 ``member_weights`` entry over 1.0, or its variance over the team's
 variance, read before the member's sigma changes), and its sigma scales
-by the team's shrink factor.  The sums of the loser's updated members
-carry over as the next pair's winner, so a team in the middle of the
-order is split twice, and the posterior is the member lists padded to
-the block's shape.  The member sums, squares and splits are the same
-float operations, in the same order, as a per-pair member update.
+by the team's shrink factor.  The sums of the loser's updated members,
+added left to right from 0, carry over as the next pair's winner, so a
+team in the middle of the order is split twice, and the posterior is
+the flat lists written to the block's shape.  The member sums, squares
+and splits are the same float operations, in the same order, as a
+per-pair member update.
 
 With ``member_share="mu"`` a team's ``member_weights`` are read once per
 match, from its pre-match mus at its first split (in chain order, so a
@@ -74,9 +77,9 @@ from .systems import (
     Posterior,
     RatingSystem,
     check_fields,
-    left_sum,
     member_weights,
     require_finite_variances,
+    row_sums,
     squares,
 )
 
@@ -229,36 +232,37 @@ class TrueSkillSystem(RatingSystem):
         return PlayerRating(mu=self.params.default_mu, sigma=self.params.default_sigma)
 
     def _apply(self, block: MatchBlock) -> Posterior:
-        params = self.params
-        by_mu = params.member_share == "mu"
+        by_mu = self.params.member_share == "mu"
         team_ids = block.match.team_ids
-        ends = list(accumulate(block.match.sizes))
-        member_sigmas = block.sigma[block.mask].tolist()
-        tau_sq = params.tau_dynamics**2
-        if tau_sq > 0:
-            member_sigmas = [math.sqrt(q + tau_sq) for q in squares(member_sigmas)]
-        member_squares = squares(member_sigmas)
-        # per-team member lists, sliced from the members in record order and
-        # split in place
-        spans = list(map(slice, [0, *ends], ends))
-        member_mus = block.mu[block.mask].tolist()
-        mus = list(map(member_mus.__getitem__, spans))
-        sigmas = list(map(member_sigmas.__getitem__, spans))
-        team_squares = list(map(member_squares.__getitem__, spans))
-        # each team's (mu, variance) sums as it enters the chain; an
-        # infinite variance would turn the chain's sigmas to NaN
-        variances = list(map(left_sum, team_squares))
+        sigmas = block.sigma[block.mask].tolist()
+        tau_sq = self.params.tau_dynamics**2
+        squared = np.zeros(block.mask.shape)
+        # these array steps stand in for Python float additions, which
+        # overflow to inf silently: the add and the sqrt round as
+        # math.sqrt(q + tau_sq) does, and + 0.0 turns a row sum of -0.0
+        # into left_sum's 0.0
+        with np.errstate(over="ignore"):
+            if tau_sq > 0:
+                sigmas = np.sqrt(np.array(squares(sigmas)) + tau_sq).tolist()
+            member_squares = squares(sigmas)
+            squared[block.mask] = member_squares
+            # each team's (mu, variance) sums as it enters the chain; an
+            # infinite variance would turn the chain's sigmas to NaN
+            variances = (row_sums(squared) + 0.0).tolist()
+            team_mus = (row_sums(block.mu) + 0.0).tolist()
         require_finite_variances(team_ids, variances)
-        team_mus = list(map(left_sum, mus))
-        rest = 2.0 * params.beta**2
-        by_rank = np.argsort(block.ranks).tolist()
-        # member_share="mu": each team's weights, read from its pre-match mus
-        # at its first split and kept for its second
-        mu_weights: dict[int, list[float]] = {}
-        win = by_rank[0]
+        mus = block.mu[block.mask].tolist()
+        # each team's members, as one range of the flat member lists
+        ends = list(accumulate(block.match.sizes))
+        members = list(map(range, [0, *ends], ends))
+        # member_share="mu": the teams' member_weights in one flat list, each
+        # team's read from its pre-match mus at its first split
+        weights = [None] * len(mus) if by_mu else member_squares
+        rest = 2.0 * self.params.beta**2
+        win, *losers = np.argsort(block.ranks).tolist()
         sqrt = math.sqrt
         mu_w, var_w = team_mus[win], variances[win]
-        for lose in by_rank[1:]:
+        for lose in losers:
             mu_l, var_l = team_mus[lose], variances[lose]
             sigma_w, sigma_l = sqrt(var_w), sqrt(var_l)
             try:
@@ -270,29 +274,35 @@ class TrueSkillSystem(RatingSystem):
                     f"teams {team_ids[win]!r} and {team_ids[lose]!r} deviations "
                     "overflow when combined"
                 ) from None
+            if by_mu:
+                for team in (win, lose):
+                    span = members[team]
+                    if weights[span.start] is None:
+                        weights[span.start : span.stop] = member_weights(
+                            mus[span.start : span.stop], team_ids[team]
+                        )
+                # the weights are shares, which total 1
+                var_w = var_l = 1.0
             # winner, then loser: a member takes weight / total of its team's
-            # mu delta, the member_weights entry over 1.0 or its variance
-            # over the team's (each weight read before its square is
-            # replaced), and its sigma scales by the team's shrink factor
-            for team, delta, shrink, total in (
-                (win, post_mu_w - mu_w, post_sigma_w / sigma_w, var_w),
-                (lose, post_mu_l - mu_l, post_sigma_l / sigma_l, var_l),
-            ):
-                mu_t, sigma_t, square_t = mus[team], sigmas[team], team_squares[team]
-                weight_t = square_t
-                if by_mu:
-                    if team not in mu_weights:
-                        mu_weights[team] = member_weights(mu_t, team_ids[team])
-                    weight_t, total = mu_weights[team], 1.0
-                mu_sum = square_sum = 0
-                for k, weight in enumerate(weight_t):
-                    mu_t[k] = m = mu_t[k] + weight / total * delta
-                    sigma_t[k] = s = sigma_t[k] * shrink
-                    square_t[k] = square = s**2
-                    mu_sum += m
-                    square_sum += square
+            # mu delta, its member_weights entry over 1.0 or its variance over
+            # the team's (each weight read before its square is replaced),
+            # and its sigma scales by the team's shrink factor
+            delta, shrink = post_mu_w - mu_w, post_sigma_w / sigma_w
+            for k in members[win]:
+                mus[k] += weights[k] / var_w * delta
+                sigmas[k] = s = sigmas[k] * shrink
+                member_squares[k] = s**2
+            delta, shrink = post_mu_l - mu_l, post_sigma_l / sigma_l
             # the loser's updated members enter the next pair as the winner,
             # their sums added left to right from 0 as left_sum adds
+            mu_w = var_w = 0
+            for k in members[lose]:
+                mus[k] = m = mus[k] + weights[k] / var_l * delta
+                sigmas[k] = s = sigmas[k] * shrink
+                member_squares[k] = square = s**2
+                mu_w += m
+                var_w += square
             win = lose
-            mu_w, var_w = mu_sum, square_sum
-        return block.pad(mus), block.pad(sigmas)
+        mu, sigma = np.zeros(block.mask.shape), np.zeros(block.mask.shape)
+        mu[block.mask], sigma[block.mask] = mus, sigmas
+        return mu, sigma

@@ -72,7 +72,7 @@ def test_bench_file_schema(tmp_path):
     }
     assert report["import_s"] > 0 and report["peak_rss_mb"] > 0
     assert list(report["layers"]) == LAYERS
-    assert "baseline" not in report
+    assert "baseline" not in report and "null" not in report
     for name, layer in report["layers"].items():
         check_timings(layer, name)
         if name in CLI_LAYERS:  # its work is in the child, not profiled or traced
@@ -83,10 +83,20 @@ def test_bench_file_schema(tmp_path):
         assert layer["tracemalloc_peak_mb"] >= 0, name
 
 
+def check_ratios(layer, runs, name):
+    """The median and quartiles of the per-round ratios of the ``--src``
+    samples ``runs`` to the layer's own, each round's two samples paired."""
+    ratios = [new / old for new, old in zip(runs, layer["runs"])]
+    quartiles = statistics.quantiles(ratios, n=4, method="inclusive")
+    assert [layer["ratio_q1"], layer["ratio"], layer["ratio_q3"]] == quartiles, name
+    assert layer["ratio"] == statistics.median(ratios), name
+
+
 def test_baseline_block_schema(tmp_path):
     """The same package as its own baseline: one more set of samples per
     layer, from the same rounds, and the median and quartiles of the
-    per-round ratios."""
+    per-round ratios; and the null block, a second ``--src`` sample of
+    every in-process layer per round, with its ratios."""
     report = bench(tmp_path, "--baseline-src", str(ROOT / "src"))
     baseline = report["baseline"]
     assert set(baseline) == {"commit", "layers"}
@@ -99,10 +109,11 @@ def test_baseline_block_schema(tmp_path):
             check_cli_peaks(layer, name)
             fields.add("peak_rss_mb")
         assert set(layer) == fields, name
-        # the per-round ratios, each round's two samples paired
-        ratios = [
-            new / old for new, old in zip(report["layers"][name]["runs"], layer["runs"])
-        ]
-        quartiles = statistics.quantiles(ratios, n=4, method="inclusive")
-        assert [layer["ratio_q1"], layer["ratio"], layer["ratio_q3"]] == quartiles, name
-        assert layer["ratio"] == statistics.median(ratios), name
+        check_ratios(layer, report["layers"][name]["runs"], name)
+    null = report["null"]
+    assert set(null) == {"layers"}
+    assert list(null["layers"]) == [name for name in LAYERS if name not in CLI_LAYERS]
+    for name, layer in null["layers"].items():
+        assert set(layer) == {"runs", "ratio", "ratio_q1", "ratio_q3"}, name
+        assert len(layer["runs"]) == 2 and min(layer["runs"]) >= 0, name
+        check_ratios(layer, report["layers"][name]["runs"], name)

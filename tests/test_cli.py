@@ -831,6 +831,40 @@ class TestOutputDirectory:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--system", "elo"],
+            ["experiment", "--setup", "all", "--system", "elo"],
+        ],
+        ids=["replay", "experiment"],
+    )
+    @pytest.mark.parametrize("older_run", [False, True], ids=["new", "older-run"])
+    def test_failed_store_check_writes_nothing(self, capsys, tmp_path, argv, older_run):
+        """A player id with a tab is a valid CSV field that the rating
+        store cannot hold: the run fails before its first write."""
+        log = make_log(capsys, tmp_path, matches="2")
+        out = tmp_path / "run"
+        if older_run:
+            older = make_log(capsys, tmp_path, name="older", matches="3")
+            run_json(capsys, *argv, "--input", str(older), "--output-dir", str(out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if older_run else None
+        with open(log, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        rows[1][3] += "\tx"
+        bad_log = tmp_path / "bad.csv"
+        with open(bad_log, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows(rows)
+        code, captured = run_cli(
+            capsys, *argv, "--input", str(bad_log), "--output-dir", str(out)
+        )
+        assert code == 1
+        assert captured.err == f"error: player id {rows[1][3]!r} cannot be snapshotted\n"
+        if older_run:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags",
         [["--players", "3"], ["--skill-mean", "1.7e308"]],
         ids=["too-few-players", "overflowing-skill"],

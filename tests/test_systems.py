@@ -30,6 +30,7 @@ from royale_ratings.systems import (
     _SHAPES_KEPT,
     SYSTEM_NAMES,
     RatingTable,
+    left_sum,
     make_system,
     member_shares,
     member_weights,
@@ -518,6 +519,27 @@ class TestFloatSums:
             (added_left_to_right(mus), added_left_to_right(sigmas))
             for mus, sigmas in teams
         ]
+
+    def test_row_sums_of_minus_zero_keep_its_sign(self):
+        """A cumulative sum starts from the row's first value, not from 0."""
+        assert math.copysign(1.0, row_sums(np.array([[-0.0, -0.0]]))[0]) == -1.0
+        assert math.copysign(1.0, left_sum([-0.0, -0.0])) == 1.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_row_sums_plus_zero_are_left_sums(self, seed):
+        """``row_sums(m) + 0.0`` is each row's ``left_sum``, signs included,
+        on rows of signed zeros and on rows padded with zeros."""
+        rng = random.Random(seed)
+        values = [0.0, -0.0, 0.1, -0.1, 3.0, 1e308, -1e308, 5e-324]
+        rows = [[-0.0] * 3, [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0]] + [
+            [rng.choice(values) for _ in range(rng.randint(1, 6))] for _ in range(30)
+        ]
+        matrix = np.zeros((len(rows), max(map(len, rows))))
+        for i, row in enumerate(rows):
+            matrix[i, : len(row)] = row
+        with np.errstate(over="ignore"):
+            sums = (row_sums(matrix) + 0.0).tolist()
+        assert list(map(float.hex, sums)) == [float.hex(left_sum(r)) for r in rows]
 
 
 def shares_block(sizes, low=None, seed=0):

@@ -32,7 +32,12 @@ each layer's paired ratio: ``ratio`` is the median of the per-round
 ratios of the ``--src`` sample to the baseline's, ``ratio_q1`` and
 ``ratio_q3`` their quartiles.  A round's two samples share its drift,
 so their ratio cancels most of it.  Timings from two separate runs do
-not compare; these do.
+not compare; these do.  Each round also times every in-process layer
+(all but the ``cli.*`` ones) a second time on the ``--src`` package,
+last in even rounds and first in odd ones, and the report gains a
+``null`` block with those samples and their paired ratios to the first
+``--src`` samples: the ratios identical code reads, so a layer's
+``baseline`` ratio is read against the file's own noise floor.
 
 Two more rounds, untimed, count per layer what host noise does not move:
 one under ``cProfile`` gives the Python calls made (``ncalls``; for
@@ -270,7 +275,8 @@ class Layers:
 
 def timed_round(sides: list[tuple[Layers, dict[str, list[float]]]]) -> None:
     """One round of every side, layer by layer: each layer runs on the
-    sides in the order given, and lands in that side's samples."""
+    sides in the order given, and lands in that side's samples; a side
+    without samples for a layer skips it."""
     clock = time.perf_counter
     spent: list[dict[str, float]] = [{} for _ in sides]
 
@@ -292,6 +298,8 @@ def timed_round(sides: list[tuple[Layers, dict[str, list[float]]]]) -> None:
     rounds = [layers.steps(hook(side)) for side, (layers, _) in enumerate(sides)]
     for steps in zip(*rounds):
         for (name, call), (_, samples) in zip(steps, sides):
+            if name not in samples:
+                continue
             start = clock()
             call()
             samples[name].append(clock() - start)
@@ -410,6 +418,10 @@ def main() -> None:
             package = load_baseline(baseline_src)
             base = Layers(package, baseline_src, config, Path(work) / "baseline")
             sides.append((base, {name: [] for name in base.names()}))
+            # the null side: --src again, in-process layers only
+            null = Layers("royale_ratings", src, config, Path(work) / "null")
+            in_process = [name for name in null.names() if name not in CLI_LAYERS]
+            sides.append((null, {name: [] for name in in_process}))
         for repeat in range(args.repeats):
             timed_round(sides if repeat % 2 == 0 else sides[::-1])
         calls = profiled_round(layers)
@@ -446,21 +458,37 @@ def main() -> None:
         layer.update(ncalls=calls[name], tracemalloc_peak_mb=peaks[name])
         figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}", calls[name])
         print(line.format(name, *figures, f"{peaks[name]:.2f}"))
+
+    def paired(layer: dict[str, Any], values: list[float], name: str) -> None:
+        ratios = [new / old for new, old in zip(samples[name], values)]
+        layer["ratio_q1"], layer["ratio"], layer["ratio_q3"] = quartiles(ratios)
+
     if args.baseline_src is not None:
+        nulls = report["null"] = {"layers": {}}
+        for name, values in sides[2][1].items():
+            null = nulls["layers"][name] = {"runs": values}
+            paired(null, values, name)
         baseline = report["baseline"] = {
             "commit": commit_of(baseline_src),
             "layers": {},
         }
         print(f"baseline {baseline['commit']} from {baseline_src}, in the same rounds")
-        line = "{:<18}{:>10}{:>10}{:>10}{:>16}"
-        print(line.format("layer", "median s", "IQR s", "src/base", "quartiles"))
+        line = "{:<18}{:>10}{:>10}{:>10}{:>14}{:>8}{:>14}"
+        print(line.format(
+            "layer", "median s", "IQR s", "src/base", "quartiles", "null", "quartiles"
+        ))
+
+        def ratios(layer: dict[str, Any] | None) -> tuple[str, str]:
+            if layer is None:
+                return "-", "-"
+            return f"{layer['ratio']:.3f}", f"{layer['ratio_q1']:.3f}-{layer['ratio_q3']:.3f}"
+
         for name, values in sides[1][1].items():
             layer = baseline["layers"][name] = summary(values)
-            ratios = [new / old for new, old in zip(samples[name], values)]
-            layer["ratio_q1"], layer["ratio"], layer["ratio_q3"] = quartiles(ratios)
+            paired(layer, values, name)
             figures = (f"{layer['median']:.4f}", f"{layer['iqr']:.4f}")
-            spread = f"{layer['ratio_q1']:.3f}-{layer['ratio_q3']:.3f}"
-            print(line.format(name, *figures, f"{layer['ratio']:.3f}", spread))
+            null = nulls["layers"].get(name)
+            print(line.format(name, *figures, *ratios(layer), *ratios(null)))
             if name in CLI_LAYERS:
                 rss = layer["peak_rss_mb"] = summary(sides[1][0].cli_peaks[name], "MiB")
                 print(f"{name:<18}child peak RSS {rss['median']:.1f} MiB")
