@@ -293,10 +293,10 @@ def _read_columns(path: Path, kept: _Kept) -> None:
     """The column pass of ``ingest`` over a quote-free log: it only
     tokenizes, and ``kept`` builds and counts.
 
-    The log is read in blocks of ``_CHUNK_CHARS`` characters, and the text
-    after a block's last line end carries into the next block.  Each
-    block's whole lines become one flat list of fields in one split (see
-    ``_chunk_columns``), and ``_add_runs`` cuts the list into runs of one
+    The log is read in blocks of whole lines: ``_CHUNK_CHARS`` characters
+    and the rest of the line they end in.  Each block becomes one flat
+    list of fields in one split (see ``_chunk_columns``, which also checks
+    the header line), and ``_add_runs`` cuts the list into runs of one
     match id and hands each to ``kept.add_run`` as stepped slices of it.
     Only the fields of the last run, which may go on in the next block,
     carry over.  Whatever the pass cannot check the way the ``csv.reader``
@@ -307,31 +307,18 @@ def _read_columns(path: Path, kept: _Kept) -> None:
     UTF-8.
     """
     limit = csv.field_size_limit()
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         head = handle.readline()
-        if '"' in head or "\0" in head or len(head) > limit:
-            raise _Unchecked
-        header = head.rstrip("\n").split(",")
+        header = _chunk_columns(head, head.count(",") + 1, [], limit)[:-1]
         picks, missing = _header_columns(header)
         if missing:
             raise _Unchecked
         width = len(header)
         step = width + 1
         carry: list[str] = []
-        rest = ""
-        while block := handle.read(_CHUNK_CHARS):
-            end = block.rfind("\n") + 1
-            if not end:  # no line ends in the block
-                rest += block
-                if len(rest) > limit:
-                    raise _Unchecked  # a line over the limit
-                continue
-            fields = _chunk_columns(rest + block[:end], width, picks, limit)
-            rest = block[end:]
+        while block := handle.read(_CHUNK_CHARS) + handle.readline():
+            fields = _chunk_columns(block, width, picks, limit)
             carry = _add_runs(kept, carry + fields, step, picks)
-        if rest:
-            # a last line without a line end, one character longer with it
-            carry += _chunk_columns(rest + "\n", width, picks, limit + 1)
         if carry:
             _add_runs(kept, carry, step, picks, last=True)
 
@@ -339,24 +326,27 @@ def _read_columns(path: Path, kept: _Kept) -> None:
 def _chunk_columns(text: str, width: int, picks: list[int], limit: int) -> list[str]:
     """The fields of ``text``, whole lines read with universal newlines, in
     one split: each line's fields and then one ``"\\n"`` marker.  Blank
-    lines are skipped.  Raises ``_Unchecked`` unless the ``csv.reader``
-    pass would read the same fields from the lines, none of the picked
-    ones empty; a line longer than ``limit`` with its line end is not
-    checked.  The lines have ``width`` fields each when the fields number
-    ``width + 1`` per line and every ``width + 1``-th one is a marker."""
-    if (
-        '"' in text
-        or "\0" in text
-        or (len(text) > limit and max(map(len, text.split("\n"))) >= limit)
+    lines are skipped, and the file's last line, which may have no line
+    end, is read as if it had one.  Raises ``_Unchecked`` unless the
+    ``csv.reader`` pass would read the same fields from the lines, none of
+    the picked ones empty; a line longer than ``limit`` with its own line
+    end (a last line without one as it stands) is not checked.  The lines
+    have ``width`` fields each when the fields number ``width + 1`` per
+    line and every ``width + 1``-th one is a marker."""
+    end = text.rfind("\n") + 1  # after it, a last line without a line end
+    if '"' in text or (
+        len(text) > limit
+        and (len(text) - end > limit or max(map(len, text[:end].split("\n"))) >= limit)
     ):
         raise _Unchecked
-    fields, lines = _marked_fields(text)
-    # a blank line shows as an empty field before its marker
-    if not all(fields) and (text[0] == "\n" or "\n\n" in text):
+    if text[:1] == "\n" or "\n\n" in text:  # blank lines
         text = "".join([line + "\n" for line in text.split("\n") if line])
-        if not text:
-            return []
-        fields, lines = _marked_fields(text)
+    elif end < len(text):
+        text += "\n"
+    marked = text.replace("\n", ",\n,")
+    fields = marked.split(",")
+    fields.pop()  # after the last marker
+    lines = (len(marked) - len(text)) // 2  # each line end gained two commas
     step = width + 1
     if (
         len(fields) != lines * step
@@ -365,16 +355,6 @@ def _chunk_columns(text: str, width: int, picks: list[int], limit: int) -> list[
     ):
         raise _Unchecked
     return fields
-
-
-def _marked_fields(text: str) -> tuple[list[str], int]:
-    """The fields of whole lines in one split, a ``"\\n"`` marker after
-    each line's, and the number of lines."""
-    marked = text.replace("\n", ",\n,")
-    fields = marked.split(",")
-    fields.pop()  # after the last marker
-    # each line end gained two commas
-    return fields, (len(marked) - len(text)) // 2
 
 
 def _add_runs(
@@ -413,7 +393,7 @@ def _read_grouped(path: Path, kept: _Kept) -> None:
     that list."""
     grouped: defaultdict[str, list[str]] = defaultdict(list)
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -470,19 +450,20 @@ def ingest(
     object for it, so a player's id costs memory once, not once per game.
 
     Two tokenizers feed one match builder, which gets each match's rows in
-    file order.  Every log starts on the column pass: it is read with
-    universal newlines in blocks of ``_CHUNK_CHARS`` characters, and each
-    block's whole lines are split into their fields at once, with a
-    ``"\\n"`` marker after each line's fields, so the markers' positions
-    give each line's field count.  Both passes only tokenize (the
-    ``csv.reader`` pass also parses each row, to name the first bad line);
-    the builder parses, builds and counts.  Any ValueError ends the column
-    pass: the pass raises one for a double quote, a NUL (which
-    ``csv.reader`` rejects before Python 3.11), a line over the csv
-    module's field size limit, a line with another number of fields than
-    the header or an empty field; the builder for a match whose rows are
-    not contiguous (a second run of one match id) and for a timestamp or
-    placement it cannot parse; the decoder for bytes that are not UTF-8.
+    file order.  Both read the file as UTF-8 and drop a byte-order mark at
+    its start.  Every log starts on the column pass: it is read with
+    universal newlines in blocks of whole lines, about ``_CHUNK_CHARS``
+    characters each, and each block is split into its fields at once,
+    with a ``"\\n"`` marker after each line's fields, so the markers'
+    positions give each line's field count.  Both passes only tokenize
+    (the ``csv.reader`` pass also parses each row, to name the first bad
+    line); the builder parses, builds and counts.  Any ValueError ends the
+    column pass: the pass raises one for a double quote, a line over the
+    csv module's field size limit, a line with another number of fields
+    than the header or an empty field; the builder for a match whose rows
+    are not contiguous (a second run of one match id) and for a timestamp
+    or placement it cannot parse; the decoder for bytes that are not
+    UTF-8.
     The whole file is then read again, row by row, with ``csv.reader``,
     which holds each distinct field string once until the file ends.  So
     quote-free logs whose matches each sit in one run of rows (``synth``

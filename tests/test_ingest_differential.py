@@ -23,10 +23,12 @@ the ``csv.reader`` pass.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import importlib
 import importlib.util
 import io
+import json
 import logging
 import sys
 import tempfile
@@ -38,6 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from royale_ratings.cli import main
 from royale_ratings.core import DataError, DomainError, MatchRecord, TeamEntry
 from royale_ratings.replay import (
     MATCH_LOG_COLUMNS,
@@ -647,3 +650,52 @@ def test_a_line_at_the_field_size_limit_takes_the_pass_it_took_before(
     assert outcome(ingest, path, None) == expected
     assert expected[0][0].roster == ("a", player)
     assert (calls == [path]) == (len(last) + last_ending > field_size_limit)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, SMALL_CHUNK, FULL_CHUNK])
+def test_a_line_at_the_limit_before_an_unended_last_line_takes_the_csv_reader_pass(
+    monkeypatch, tmp_path, field_size_limit, chunk
+):
+    # the line at the limit is over it with its own line end, however the
+    # last line after it, which has none, is counted
+    head = "m,2020-05-01T12:00:00Z,t2,"
+    player = "p" * (field_size_limit - len(head) - 2)
+    line = f"{head}{player},2"
+    assert len(line) == field_size_limit
+    text = rows_text(
+        ["m,2020-05-01T12:00:00Z,t1,a,1", line, "m,2020-05-01T12:00:00Z,t3,c,3"]
+    )
+    path = tmp_path / "log.csv"
+    path.write_text(text[:-1], encoding="utf-8", newline="")
+    expected = outcome(reference_ingest, path, None)
+    calls = csv_pass_calls(monkeypatch)
+    monkeypatch.setattr(replay_module, "_CHUNK_CHARS", chunk)
+    assert outcome(ingest, path, None) == expected
+    assert expected[0][0].roster == ("a", player, "c")
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+def test_a_log_with_a_byte_order_mark_reads_like_its_twin(
+    monkeypatch, tmp_path, capsys, quoted
+):
+    # "UTF-8 with BOM", as spreadsheet programs and editors save text; the
+    # quoted log takes the csv.reader pass
+    rows = match_of("m1", "2020-05-01T12:00:00Z", 3, 2)
+    rows += match_of("m2", "2020-05-01T12:01:00Z", 2, 2)
+    if quoted:
+        rows[-1] = rows[-1].replace(",m2p2.1,", ',"m2p2.1",')
+    twin, marked = tmp_path / "twin.csv", tmp_path / "bom.csv"
+    twin.write_text(rows_text(rows), encoding="utf-8", newline="")
+    marked.write_text(rows_text(rows), encoding="utf-8-sig", newline="")
+    assert marked.read_bytes() == codecs.BOM_UTF8 + twin.read_bytes()
+    calls = csv_pass_calls(monkeypatch)
+    expected = outcome(ingest, twin, None)
+    assert len(expected[0]) == 2
+    assert outcome(ingest, marked, None) == expected
+    assert calls == ([twin, marked] if quoted else [])
+    summaries = []
+    for path in (twin, marked):
+        assert main(["inspect", "--input", str(path)]) == 0, capsys.readouterr().err
+        summaries.append(json.loads(capsys.readouterr().out) | {"input": None})
+    assert summaries[0] == summaries[1]
