@@ -294,7 +294,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     summary = {
         "command": "synth",
         "output_dir": args.output_dir,
-        "generator": synth.config_dict(config),
+        "generator": dataclasses.asdict(config),
         "counts": {"matches": len(matches), "players": len(skills)},
         "outputs": {
             "matches": "matches.csv",

@@ -88,6 +88,8 @@ class PlayerRating:
             raise DomainError(f"player mu must be finite, got {self.mu!r}")
         if self.sigma is not None and not self.sigma > 0:
             raise DomainError(f"player sigma must be positive, got {self.sigma!r}")
+        if self.sigma == math.inf:
+            raise DomainError(f"player sigma must be finite, got {self.sigma!r}")
         if self.games_played < 0:
             raise DomainError("games_played cannot be negative")
         if self.last_observed_rank is not None and self.last_observed_rank < 1:

@@ -14,9 +14,11 @@ rating, or evenly when any member is rated <= 0.  The update is array
 code over the match's ``MatchBlock``, all teams at once.
 
 ``win_probabilities`` and the update check the team ratings, each its
-own way, then share one kernel, ``_pooled``: the n x n steps run in
-place on one buffer, the same float operations in the same order as the
-expression they replace, so no step allocates a matrix of its own.
+own way, then share one kernel, ``_pooled``: it writes the pairwise
+logits (mu_ti - mu_tj) / d_scale into one n x n buffer and hands it to
+``systems.pooled_logistic``, the step Glicko's kernel ends in too, which
+takes the logistic, zeroes the self-pairs and pools each row in place,
+so no step allocates a matrix of its own.
 
 Note the kernel is base e, not the classical base-10 curve; with
 d_scale = 400 the two differ by a factor ln(10)/1 in the exponent.
@@ -24,12 +26,10 @@ d_scale = 400 the two differ by a factor ln(10)/1 in the exponent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DomainError, PlayerRating
 from .systems import (
@@ -39,6 +39,7 @@ from .systems import (
     check_fields,
     member_shares,
     normalized_results,
+    pooled_logistic,
     row_sums,
     warn_uniform_weights,
 )
@@ -77,14 +78,10 @@ def _require_finite(team_ratings: np.ndarray) -> None:
 
 def _pooled(r: np.ndarray, d_scale: float) -> np.ndarray:
     """``win_probabilities`` of finite team ratings, at least two."""
-    n = len(r)
-    # pairwise[i, j] = p(i beats j); zero the self-pairs before pooling so
-    # a vanishing off-diagonal term is not cancelled away by the 1/2
+    # the logit of p(i beats j) at [i, j]
     pairwise = np.subtract.outer(r, r)
     pairwise /= d_scale
-    expit(pairwise, out=pairwise)
-    pairwise.flat[:: n + 1] = 0.0
-    return np.add.reduce(pairwise, axis=1) / math.comb(n, 2)
+    return pooled_logistic(pairwise)
 
 
 class EloSystem(RatingSystem):

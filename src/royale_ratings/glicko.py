@@ -31,9 +31,12 @@ not).  The squares themselves stay Python ``**``.
 ``win_probabilities`` and the update check the team beliefs, each its
 own way, then share one kernel, ``_pooled``, whose n x n steps run in
 place on one buffer, the same float operations in the same order as the
-expression they replace.  The update first sums the opponents' squares
-in that buffer, row i holding the squares with its own entry zeroed,
-and keeps the last column before the kernel takes the buffer over.
+expression they replace: the pairwise logits, then
+``systems.pooled_logistic``, the step Elo's kernel ends in too, which
+takes the logistic, zeroes the self-pairs and pools each row.  The
+update first sums the opponents' squares in that buffer, row i holding
+the squares with its own entry zeroed, and keeps the last column before
+the kernel takes the buffer over.
 
 Squared deviations that are each finite can still overflow when they
 are added: a pair of team squares in the kernel, or a team's opponents'
@@ -55,7 +58,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .core import DomainError, PlayerRating, RatingsError
 from .systems import (
@@ -66,6 +68,7 @@ from .systems import (
     left_sum,
     member_shares,
     normalized_results,
+    pooled_logistic,
     require_finite_variances,
     row_sums,
     squares,
@@ -144,7 +147,6 @@ def _require_beliefs(mu: np.ndarray, sigma: np.ndarray) -> None:
 def _pooled(mu: np.ndarray, sigma: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
     """``win_probabilities`` of finite team beliefs with positive sigma, at
     least two teams, computed in ``out``, an n x n buffer."""
-    n = len(mu)
     square = sigma**2
     # g of the combined deviation sqrt(sigma_i^2 + sigma_j^2), squared
     # again, then E_ij = 1/(1+10^(-g (mu_i - mu_j)/400)) written through
@@ -160,9 +162,7 @@ def _pooled(mu: np.ndarray, sigma: np.ndarray, q: float, out: np.ndarray) -> np.
     out *= _LN10
     out *= np.subtract.outer(mu, mu)
     out /= 400.0
-    expit(out, out=out)
-    out.flat[:: n + 1] = 0.0
-    return np.add.reduce(out, axis=1) / math.comb(n, 2)
+    return pooled_logistic(out)
 
 
 def _require_finite_pair_sums(team_ids: Sequence[str], team_squares: list[float]) -> None:

@@ -24,9 +24,10 @@ same walk scores AP and NDCG under the other convention too, kept in
 ``alt_ap`` and ``alt_ndcg`` (not in ``as_dict``).  An exact hit sits at
 the same position in both leaderboards, so one hit count serves both
 conventions, and AP adds its first term at the first hit: every term
-before it is exactly 0.0.  The position weights, the ideal DCG, the
-triangle mask Kendall's count reads and the relevance 1 / (1 + e) of
-every error e are built once per team count.
+before it is exactly 0.0.  The position weights, the ideal DCG (their
+``systems.left_sum``, so it rounds alike on every Python), the triangle
+mask Kendall's count reads and the relevance 1 / (1 + e) of every error
+e are built once per team count.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DomainError, MatchRecord, PredictedRanking
+from .systems import left_sum
 
 __all__ = [
     "RankPair",
@@ -131,15 +133,13 @@ def _position_tables(
     n: int,
 ) -> tuple[tuple[float, ...], float, np.ndarray, tuple[float, ...]]:
     """For n teams: the NDCG weight 1 / log2(i + 1) of positions 1..n,
-    the ideal DCG (their sum, added left to right), the strict upper
-    triangle of an n x n matrix, read-only, and the relevance 1 / (1 + e)
-    of the errors e = 0..n-1."""
+    the ideal DCG (their ``left_sum``), the strict upper triangle of an
+    n x n matrix, read-only, and the relevance 1 / (1 + e) of the errors
+    e = 0..n-1."""
     # not math.log2: it differs in the last bit at some i, which would
     # change the written metric bytes
     weights = tuple(1.0 / math.log(i + 1, 2.0) for i in range(1, n + 1))
-    ideal = 0.0
-    for weight in weights:
-        ideal += weight
+    ideal = left_sum(weights)
     upper = np.triu(np.ones((n, n), bool), 1)
     upper.flags.writeable = False
     relevances = tuple(1.0 / (1 + err) for err in range(n))

@@ -58,7 +58,7 @@ from .core import (
     match_from_layout,
 )
 from .metrics import METRIC_NAMES, MetricReport, rank_pairs, score_match
-from .systems import RatingState, RatingSystem, RatingTable, rating_columns
+from .systems import RatingState, RatingSystem, RatingTable, rating_columns, row_sums
 
 __all__ = [
     "MATCH_LOG_COLUMNS",
@@ -793,10 +793,9 @@ def _metric_rows(reports: Iterable[MatchReport]) -> list[tuple[float, ...]]:
 
 
 def _column_means(rows: Sequence[Sequence[float]] | np.ndarray) -> list[float]:
-    """Each column's mean over the (non-empty) rows.  The sums add top to
-    bottom, as a running total from 0.0 does; adding 0.0 turns the one
-    sum that can differ, a -0.0, into that total's 0.0."""
-    return ((np.cumsum(rows, axis=0)[-1] + 0.0) / len(rows)).tolist()
+    """Each column's mean over the (non-empty) rows, its sum the
+    ``left_sum`` of the column: ``row_sums`` of the transpose plus 0.0."""
+    return ((row_sums(np.transpose(rows)) + 0.0) / len(rows)).tolist()
 
 
 def mean_metrics(reports: Iterable[MatchReport]) -> dict[str, float]:

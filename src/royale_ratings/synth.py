@@ -11,9 +11,11 @@ replayed over the stream should recover the latent ordering.
 Everything is driven by one seed through numpy's Generator, so a config
 reproduces its stream exactly.  A match's team sums are one row sum of
 its roster's latents laid out as a (teams x team_size) array, which adds
-each team's members as a sum over that team alone would.  A latent skill
-or team performance past the largest double raises a ``DomainError``
-naming the player, or the match and team.
+each team's members as a sum over that team alone would.  Each record is
+built from its layout (``core.match_from_layout``): the drawn roster as
+it is, with one team-id tuple and one sizes tuple shared by every match.
+A latent skill or team performance past the largest double raises a
+``DomainError`` naming the player, or the match and team.
 
 The writers emit CSV as ``csv.writer`` does.  A match's rows, or a run
 of latent-table rows, whose fields hold no comma, double quote, CR or LF
@@ -25,7 +27,7 @@ joined by hand and ended in ``\r\n``; any others go through
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import chain, repeat
 from pathlib import Path
@@ -33,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import DomainError, MatchRecord, build_match
+from .core import DomainError, MatchRecord, match_from_layout
 from .replay import MATCH_LOG_COLUMNS, format_timestamp
 from .systems import check_fields
 
@@ -80,7 +82,8 @@ def generate(config: SynthConfig) -> tuple[list[MatchRecord], dict[str, float]]:
     player_ids = [f"p{i:0{width}d}" for i in range(config.player_count)]
     n_teams = config.teams_per_match
     size = config.team_size
-    team_ids = [f"t{k + 1:02d}" for k in range(n_teams)]
+    team_ids = tuple(f"t{k + 1:02d}" for k in range(n_teams))
+    sizes = (size,) * n_teams
     matches: list[MatchRecord] = []
     # overflow is checked for by value below, so numpy need not warn of it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -111,16 +114,11 @@ def generate(config: SynthConfig) -> tuple[list[MatchRecord], dict[str, float]]:
             by_perf = np.argsort(-performance, kind="stable")
             placement = np.empty(n_teams, dtype=int)
             placement[by_perf] = np.arange(1, n_teams + 1)
-            members = map(player_ids.__getitem__, chosen.tolist())
-            matches.append(
-                build_match(
-                    match_id,
-                    _EPOCH + timedelta(minutes=m),
-                    team_ids,
-                    list(zip(*[members] * size)),  # runs of `size` members
-                    placement.tolist(),
-                )
-            )
+            stamp = _EPOCH + timedelta(minutes=m)
+            ranks = tuple(placement.tolist())
+            roster = tuple(map(player_ids.__getitem__, chosen.tolist()))
+            record = match_from_layout(match_id, stamp, team_ids, ranks, sizes, roster)
+            matches.append(record)
     skills = {pid: float(s) for pid, s in zip(player_ids, latents)}
     return matches, skills
 
@@ -175,7 +173,3 @@ def write_latent_skills(path: str | Path, skills: dict[str, float]) -> None:
                 handle.write("".join([f"{pid},{skills[pid]!r}\r\n" for pid in run]))
             else:
                 writer.writerows([pid, repr(skills[pid])] for pid in run)
-
-
-def config_dict(config: SynthConfig) -> dict[str, float | int]:
-    return asdict(config)

@@ -40,14 +40,14 @@ shared by every table.
 function returning the posterior ``(mu, sigma)`` matrices of the same
 shape, ``sigma`` None for systems that carry none.  Then
 ``RatingTable.scatter`` checks every posterior at once (mu finite,
-sigma > 0; the first bad member's ``PlayerRating`` is built to raise
-that class's error) and only then writes mu, sigma, ``games + 1`` and
-the team placement as the last rank in one scatter, so an update that
-raises (a certain Glicko outcome, an invalid posterior) leaves state
-exactly as it was.  The table keeps the last block until the next
-``scatter``, the only code that drops it, so ``predict`` and ``_apply``
-share one gather; an ``insert`` leaves it, since it touches no row the
-block copied.
+sigma finite and > 0; the first bad member's ``PlayerRating`` is built
+to raise that class's error) and only then writes mu, sigma,
+``games + 1`` and the team placement as the last rank in one scatter,
+so an update that raises (a certain Glicko outcome, an invalid
+posterior) leaves state exactly as it was.  The table keeps the last
+block until the next ``scatter``, the only code that drops it, so
+``predict`` and ``_apply`` share one gather; an ``insert`` leaves it,
+since it touches no row the block copied.
 
 A plain dict of ``PlayerRating`` is accepted too: the update runs on a
 table of the match's members and is written back to the dict only after
@@ -61,11 +61,16 @@ The array code must give the bits the scalar code gave.  Row sums use
 ``left_sum``, the same left-to-right additions from 0, never the builtin
 ``sum``: from Python 3.12 on it adds floats with compensated summation,
 which rounds some sums differently, so the bits would depend on the
-interpreter.  A square that the scalar code took
-with Python's ``**`` stays a Python ``**``: CPython's ``x**2`` calls C
-``pow``, which rounds some squares differently from numpy's ``x*x``.
-TrueSkill's chain is one scalar kernel call per adjacent pair on team
-sums, and its member splits are scalar Python on flat member lists.
+interpreter.  The metrics' ideal DCG is a ``left_sum``, and the
+replay's column means are ``row_sums`` of the transpose.  A square that
+the scalar code took with Python's ``**`` stays a Python ``**``:
+CPython's ``x**2`` calls C ``pow``, which rounds some squares
+differently from numpy's ``x*x``.  Elo and Glicko each build their
+n x n matrix of pairwise logits in place, and ``pooled_logistic`` ends
+both kernels: the logistic of every entry, the self-pairs zeroed, each
+row's sum over C(n, 2).  TrueSkill's chain is one scalar kernel call
+per adjacent pair on team sums, and its member splits are scalar Python
+on flat member lists.
 
 numpy reports a float fault by a warning or not at all, where Python
 raises or stays silent, so each numpy step states what it does:
@@ -78,8 +83,8 @@ raises or stays silent, so each numpy step states what it does:
   ``ArithmeticError`` (a Python overflow or division by zero at extreme
   finite parameters), becomes a ``RatingsError`` naming the match.  A
   ``DomainError`` from ``_apply`` or from the posterior check (a sigma
-  that is not positive) keeps its type and text behind the same
-  match-and-system prefix.  Glicko and TrueSkill square each team's
+  that is not positive, or infinite) keeps its type and text behind the
+  same match-and-system prefix.  Glicko and TrueSkill square each team's
   deviation through ``squares`` before any array step, and a team whose
   square overflows is named by ``require_finite_variances``.  Squares
   that are each finite but overflow when added (Glicko's pairwise
@@ -118,6 +123,7 @@ from itertools import filterfalse
 from typing import Any, Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .core import (
     DomainError,
@@ -325,7 +331,7 @@ class RatingTable(Mapping[str, PlayerRating]):
         new_sigma = None
         if sigma is not None:
             new_sigma = sigma[block.mask]
-            bad |= ~(new_sigma > 0)
+            bad |= ~((new_sigma > 0) & (new_sigma < math.inf))
         if bad.any():
             first = int(bad.argmax())
             # the first bad member's rating raises PlayerRating's own error
@@ -381,6 +387,17 @@ def squares(values: list[float]) -> list[float]:
         except OverflowError:
             out.append(math.inf)
     return out
+
+
+def pooled_logistic(pairwise: np.ndarray) -> np.ndarray:
+    """Each team's pooled win probability from the n x n logits of every
+    pair of teams, computed in place: the logistic of each entry, the
+    self-pairs zeroed before pooling, so a vanishing off-diagonal term is
+    not cancelled away by the 1/2, and each row's sum over C(n, 2)."""
+    n = len(pairwise)
+    expit(pairwise, out=pairwise)
+    pairwise.flat[:: n + 1] = 0.0
+    return np.add.reduce(pairwise, axis=1) / math.comb(n, 2)
 
 
 def require_finite_variances(team_ids: Sequence[str], variances: list[float]) -> None:

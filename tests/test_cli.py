@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from royale_ratings.replay import (
     setup_best_players,
     setup_frequent_players,
 )
-from royale_ratings.synth import SynthConfig, config_dict
+from royale_ratings.synth import SynthConfig
 from royale_ratings.systems import SYSTEM_NAMES, make_system
 from royale_ratings.trueskill import MEMBER_SHARES
 
@@ -114,7 +115,7 @@ class TestSynthCommand:
         summary = run_json(
             capsys, "synth", "--players", "24", "--output-dir", str(tmp_path / "gen")
         )
-        assert summary["generator"] == config_dict(SynthConfig(player_count=24))
+        assert summary["generator"] == asdict(SynthConfig(player_count=24))
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         a = make_log(capsys, tmp_path, "one")

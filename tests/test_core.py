@@ -145,6 +145,19 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             PlayerRating(mu=0.0, games_played=-1)
 
+    @pytest.mark.parametrize(
+        "sigma, text",
+        [
+            (math.inf, "finite, got inf"),
+            (-math.inf, "positive, got -inf"),
+            (0.0, "positive, got 0.0"),
+            (math.nan, "positive, got nan"),
+        ],
+    )
+    def test_player_sigma_must_be_positive_and_finite(self, sigma, text):
+        with pytest.raises(DomainError, match=f"^player sigma must be {text}$"):
+            PlayerRating(mu=25.0, sigma=sigma)
+
     def test_last_observed_rank_is_a_placement(self):
         with pytest.raises(DomainError, match="last_observed_rank"):
             PlayerRating(mu=0.0, last_observed_rank=0)

@@ -599,8 +599,9 @@ def csv_pass_calls(monkeypatch) -> list[Path]:
 def test_read_blocks_of_a_few_characters_take_the_column_pass(
     monkeypatch, tmp_path, chunk, ending, last_ending
 ):
-    # a block ends inside a line, inside a CRLF and between lines, and the
-    # text after a block's last line end carries into the next block
+    # a read of a few characters ends inside a line, inside a CRLF and
+    # between lines; each block is such a read plus the rest of the line it
+    # ends in
     rows = [
         row
         for number in range(3)

@@ -779,6 +779,41 @@ class TestRatingStore:
         with pytest.raises(DataError, match=r"store\.txt: not UTF-8 text"):
             RatingStore.load(path)
 
+    def test_infinite_sigma_row_names_its_line(self, tmp_path):
+        store = RatingStore("glicko", {}, 0, 1, {"p1": PlayerRating(1.0, 2.0)})
+        path = tmp_path / "store.txt"
+        store.save(path)
+        lines = path.read_text().splitlines()
+        assert lines[-1] == "p1\t1.0\t2.0\t0\t-"
+        lines[-1] = "p1\t1.0\tinf\t0\t-"
+        path.write_text("\n".join(lines) + "\n")
+        expected = "bad rating row: player sigma must be finite, got inf$"
+        with pytest.raises(DataError, match=f":{len(lines)}: {expected}"):
+            RatingStore.load(path)
+
+    def test_chunked_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
+        replay_module = importlib.import_module("royale_ratings.replay")
+        # past one 4096-row run, with ids of one to three UTF-8 bytes a
+        # character and players without a sigma or a last rank
+        ratings = {
+            f"{'pé€'[i % 3]}{i}": PlayerRating(
+                mu=i / 7,
+                sigma=None if i % 2 else 1.0 + i,
+                games_played=i,
+                last_observed_rank=None if i % 3 else 1 + i % 48,
+            )
+            for i in range(4100)
+        }
+        store = RatingStore("glicko", {"default_mu": 1500.0}, 3, 7, ratings)
+        saved = []
+        for rows in (1, 3, 4096):
+            monkeypatch.setattr(replay_module, "_STORE_ROWS", rows)
+            path = tmp_path / f"store{rows}.txt"
+            store.save(path)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1] == saved[2]
+        assert RatingStore.load(path) == store
+
     @pytest.mark.parametrize("field", [1, 2, 3, 4])
     def test_non_numeric_body_field_names_its_line(self, tmp_path, field):
         store = replay(synth_matches(match_count=2), EloSystem()).store

@@ -194,6 +194,12 @@ def spoiled(system_class, column: str, member: int, value: float):
             "glicko update failed (player sigma must be positive, got nan)",
         ),
         (
+            GlickoSystem,
+            "sigma",
+            math.inf,
+            "glicko update failed (player sigma must be finite, got inf)",
+        ),
+        (
             TrueSkillSystem,
             "sigma",
             -1.0,
