@@ -45,7 +45,6 @@ from . import synth
 from .metrics import POSITION_INDICES
 from .replay import (
     SETUP_NAMES,
-    STORE_MAGIC,
     IngestStats,
     RatingStore,
     ingest,
@@ -243,12 +242,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "setup_params": trend.params,
             "trend_points": len(trend.points),
         }
-    # every artifact's check runs first, and the directory is made just
-    # before the first write, so a run that failed leaves it as it was
-    result.store.check()
-    out.mkdir(parents=True, exist_ok=True)
-    write(out / f"{name}.csv", data)
+    # the store is the first write: save runs its checks, then makes the
+    # directory, so a run that failed leaves the directory as it was
     result.store.save(out / "rating_store.txt")
+    write(out / f"{name}.csv", data)
     (other_index,) = set(POSITION_INDICES) - {args.position_index}
     summary = {
         "command": args.command,
@@ -308,9 +305,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    with open(path, "rb") as handle:
-        first = handle.readline()
-    if first.startswith(STORE_MAGIC.encode()):
+    if RatingStore.is_snapshot(path):
         store = RatingStore.load(path)
         with_sigma = sum(1 for r in store.ratings.values() if r.sigma is not None)
         summary: dict[str, Any] = {

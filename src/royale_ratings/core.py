@@ -68,6 +68,14 @@ class MissingStateError(RatingsError, KeyError):
         return self.args[0] if self.args else ""
 
 
+def require_at_least(bound: int, **values: int) -> None:
+    """Raise a DomainError for the first of ``values``, in the order given,
+    that is below ``bound``, naming it and its value."""
+    for name, value in values.items():
+        if value < bound:
+            raise DomainError(f"{name} must be >= {bound}, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class PlayerRating:
     """One player's belief state.
@@ -321,8 +329,7 @@ def normalized_result(observed_rank: int, team_count: int) -> float:
     R' = (N - rank) / C(N, 2).  Rank 1 of N scores (N-1)/C(N,2), the last
     team scores 0, and the values over one match sum to exactly 1.
     """
-    if team_count < 2:
-        raise DomainError(f"team_count must be >= 2, got {team_count}")
+    require_at_least(2, team_count=team_count)
     if not 1 <= observed_rank <= team_count:
         raise DomainError(
             f"observed_rank {observed_rank} outside 1..{team_count}"

@@ -42,6 +42,10 @@ Squared deviations that are each finite can still overflow when they
 are added: a pair of team squares in the kernel, or a team's opponents'
 squares in its RMS.  The update then raises a DomainError naming the
 first such pair of teams, or the team, before any warning is logged.
+A team deviation below about 1.5e-154 squares to less than the smallest
+normal double, and its precision 1 / sigma_t^2 would divide by zero or
+pass the largest double: the update raises a DomainError naming the
+first such team before any division.
 
 When E rounds to exactly 0 or 1 the information term q^2 g^2 E (1 - E)
 is 0 and d^2 is undefined: the update raises a RatingsError naming the
@@ -53,13 +57,14 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, PlayerRating, RatingsError
+from .core import DomainError, PlayerRating, RatingsError, require_at_least
 from .systems import (
     MatchBlock,
     Posterior,
@@ -116,8 +121,7 @@ def g_weight(sigma: float, q: float = _LN10 / 400.0) -> float:
 
     g(0) = 1 and g decreases monotonically toward 0 as sigma grows.
     """
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
+    require_at_least(0, sigma=sigma)
     return 1.0 / math.sqrt(1.0 + 3.0 * q * q * sigma * sigma / math.pi**2)
 
 
@@ -180,6 +184,16 @@ def _require_finite_pair_sums(team_ids: Sequence[str], team_squares: list[float]
             )
 
 
+def _require_normal_variances(team_ids: Sequence[str], team_squares: list[float]) -> None:
+    """Raise a DomainError naming the first team whose squared deviation
+    fell below the smallest normal double: 1 / variance, its precision,
+    would then divide by zero or pass the largest double."""
+    tiny = sys.float_info.min
+    if min(team_squares) < tiny:
+        first = next(i for i, square in enumerate(team_squares) if square < tiny)
+        raise DomainError(f"team {team_ids[first]!r} deviation underflows when squared")
+
+
 class GlickoSystem(RatingSystem):
     name = "glicko"
     Params = GlickoParams
@@ -206,6 +220,7 @@ class GlickoSystem(RatingSystem):
         require_finite_variances(team_ids, team_squares)
         _require_finite_pair_sums(team_ids, team_squares)
         _require_beliefs(team_mu, team_sigma)
+        _require_normal_variances(team_ids, team_squares)
         pooled = _pooled(team_mu, team_sigma, q, buffer)
         residual = normalized_results(block) - pooled
         if math.inf in opponent_squares:

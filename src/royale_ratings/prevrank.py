@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, PlayerRating
+from .core import PlayerRating, require_at_least
 from .systems import MatchBlock, Posterior, RatingState, RatingSystem, row_sums
 
 __all__ = ["PreviousRankParams", "PreviousRankSystem", "player_prev_rank"]
@@ -31,8 +31,7 @@ def player_prev_rank(state: RatingState, player_id: str, team_count: int) -> flo
     Stored last placement if the player has one, else N/2 (real-valued,
     e.g. 25.0 in a 50-team match).
     """
-    if team_count < 2:
-        raise DomainError(f"team_count must be >= 2, got {team_count}")
+    require_at_least(2, team_count=team_count)
     rating = state.get(player_id)
     if rating is None or rating.last_observed_rank is None:
         return team_count / 2.0

@@ -56,6 +56,7 @@ from .core import (
     PlayerRating,
     PredictedRanking,
     match_from_layout,
+    require_at_least,
 )
 from .metrics import METRIC_NAMES, MetricReport, rank_pairs, score_match
 from .systems import RatingState, RatingSystem, RatingTable, rating_columns, row_sums
@@ -89,6 +90,9 @@ MATCH_LOG_COLUMNS = ("match_id", "timestamp", "team_id", "player_id", "team_plac
 SETUP_NAMES = ("all", "best", "frequent")
 
 STORE_MAGIC = "#royale-ratings-store v1"
+# snapshots are read, as logs are, as UTF-8 that may start with a
+# byte-order mark; save writes none
+_STORE_ENCODING = "utf-8-sig"
 _STORE_FIELDS = "#fields=player_id mu sigma games_played last_observed_rank"
 # snapshot lines joined per write: one write per line is slower than one
 # write of the whole snapshot, and a run of lines holds far less
@@ -508,14 +512,15 @@ class RatingStore:
     ratings: RatingState
 
     def check(self) -> str:
-        """Every check of ``save``, which opens no file, and the
+        """Every check of ``save``, which touches no file, and the
         snapshot's header.
 
         The params must be finite for JSON, no player id may hold a tab or
         a newline (the first such id in sorted order is named), and every
         string must encode as UTF-8 (the header first, then the ids in
-        sorted order).  A caller writing several artifacts runs this
-        before the first of them.
+        sorted order).  ``save`` runs it before it makes the file's
+        directory, so a caller that saves the store as its first write
+        leaves the directory as it was when this fails.
         """
         head = "\n".join(
             [
@@ -540,12 +545,14 @@ class RatingStore:
         """Versioned text snapshot, one player per line, sorted for
         reproducible bytes.
 
-        Every check (``check``) runs before the file is opened, so a
-        snapshot that fails leaves any file at ``path`` as it was.  The
-        lines are then written ``_STORE_ROWS`` at a time, so the snapshot
-        is never held whole in memory.
+        Every check (``check``) runs first, then the file's directory is
+        made if it is missing, then the file is opened; so a snapshot that
+        fails makes no directory and leaves any file at ``path`` as it
+        was.  The lines are written ``_STORE_ROWS`` at a time, so the
+        snapshot is never held whole in memory.
         """
         head = self.check()
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
         ids, *columns = rating_columns(self.ratings)
         order = sorted(range(len(ids)), key=ids.__getitem__)
         ids = [ids[i] for i in order]
@@ -561,11 +568,19 @@ class RatingStore:
             while run := "".join(islice(lines, _STORE_ROWS)):
                 handle.write(run)
 
+    @staticmethod
+    def is_snapshot(path: str | Path) -> bool:
+        """Whether the file at ``path`` starts with the snapshot's magic
+        line, read as ``load`` reads it."""
+        # bytes that are not UTF-8 are no snapshot; ingest names them
+        with open(path, encoding=_STORE_ENCODING, errors="replace") as handle:
+            return handle.readline().startswith(STORE_MAGIC)
+
     @classmethod
     def load(cls, path: str | Path) -> "RatingStore":
         path = Path(path)
         try:
-            lines = path.read_bytes().decode("utf-8").split("\n")
+            lines = path.read_bytes().decode(_STORE_ENCODING).split("\n")
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if lines[0] != STORE_MAGIC or _STORE_FIELDS not in lines:
@@ -811,12 +826,6 @@ def mean_metrics_alt_index(reports: Iterable[MatchReport]) -> dict[str, float]:
     return dict(zip(("ap", "ndcg"), _column_means(rows))) if rows else {}
 
 
-def _require_positive(**sizes: int) -> None:
-    for name, value in sizes.items():
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
-
-
 def setup_all_players(
     matches: Sequence[MatchRecord],
     system: RatingSystem,
@@ -827,7 +836,7 @@ def setup_all_players(
 ) -> tuple[ExperimentTrend, ReplayResult]:
     """Whole-population trend: trailing moving average over the match
     sequence."""
-    _require_positive(window=window)
+    require_at_least(1, window=window)
     result = replay(matches, system, seed=seed, position_index=position_index)
     rows = _metric_rows(result.reports)
     sums = [0.0] * (len(METRIC_NAMES) + 1)
@@ -936,7 +945,7 @@ def setup_best_players(
     position_index: str = "observed",
 ) -> tuple[ExperimentTrend, ReplayResult]:
     """Early games of the players who ended up rated best."""
-    _require_positive(top_k=top_k, horizon=horizon)
+    require_at_least(1, top_k=top_k, horizon=horizon)
     if not math.isfinite(conservative_k):
         raise DomainError(f"conservative_k must be finite, got {conservative_k}")
     params = {
@@ -962,7 +971,7 @@ def setup_frequent_players(
     position_index: str = "observed",
 ) -> tuple[ExperimentTrend, ReplayResult]:
     """Early games of everyone who went on to play a lot."""
-    _require_positive(horizon=horizon)
+    require_at_least(1, horizon=horizon)
     result = replay(matches, system, seed=seed, position_index=position_index)
     ids, _, _, games, _ = rating_columns(result.store.ratings)
     cohort = sorted(ids[i] for i in np.flatnonzero(games > min_games).tolist())

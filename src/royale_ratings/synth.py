@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import DomainError, MatchRecord, match_from_layout
+from .core import DomainError, MatchRecord, match_from_layout, require_at_least
 from .replay import MATCH_LOG_COLUMNS, format_timestamp
 from .systems import check_fields
 
@@ -56,14 +56,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.team_size < 1:
-            raise DomainError(f"team_size must be >= 1, got {self.team_size}")
-        if self.teams_per_match < 2:
-            raise DomainError(
-                f"teams_per_match must be >= 2, got {self.teams_per_match}"
-            )
-        if self.match_count < 1:
-            raise DomainError(f"match_count must be >= 1, got {self.match_count}")
+        require_at_least(1, team_size=self.team_size)
+        require_at_least(2, teams_per_match=self.teams_per_match)
+        require_at_least(1, match_count=self.match_count)
         players_needed = self.team_size * self.teams_per_match
         if self.player_count < players_needed:
             raise DomainError(
@@ -71,8 +66,7 @@ class SynthConfig:
                 f"{self.teams_per_match} teams of {self.team_size}"
             )
         check_fields(self, skill_mean="finite", skill_spread="> 0", noise_spread=">= 0")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        require_at_least(0, seed=self.seed)
 
 
 def generate(config: SynthConfig) -> tuple[list[MatchRecord], dict[str, float]]:

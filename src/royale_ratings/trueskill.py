@@ -58,7 +58,9 @@ winning split, so every member moves the same way as its team.
 The default dynamics noise tau = 0.833 is deliberately large, ten times
 the usual sigma0/100 choice for mu0 = 25; it is kept as a parameter so
 slower-moving beliefs are one flag away.  tau^2 is added to every
-participant's variance at the start of each of their matches.
+participant's variance at the start of each of their matches.  A tau
+whose square, or a beta whose 2 beta^2, passes the largest double fails
+each match's update with a DomainError naming the parameter.
 """
 
 from __future__ import annotations
@@ -235,7 +237,12 @@ class TrueSkillSystem(RatingSystem):
         by_mu = self.params.member_share == "mu"
         team_ids = block.match.team_ids
         sigmas = block.sigma[block.mask].tolist()
-        tau_sq = self.params.tau_dynamics**2
+        tau_sq, beta_sq = squares([self.params.tau_dynamics, self.params.beta])
+        rest = 2.0 * beta_sq
+        if tau_sq == math.inf:
+            raise DomainError("tau_dynamics^2 overflows")
+        if rest == math.inf:
+            raise DomainError("2 beta^2 overflows")
         squared = np.zeros(block.mask.shape)
         # these array steps stand in for Python float additions, which
         # overflow to inf silently: the add and the sqrt round as
@@ -258,7 +265,6 @@ class TrueSkillSystem(RatingSystem):
         # member_share="mu": the teams' member_weights in one flat list, each
         # team's read from its pre-match mus at its first split
         weights = [None] * len(mus) if by_mu else member_squares
-        rest = 2.0 * self.params.beta**2
         win, *losers = np.argsort(block.ranks).tolist()
         sqrt = math.sqrt
         mu_w, var_w = team_mus[win], variances[win]

@@ -517,6 +517,69 @@ class TestReplayCommand:
         assert all(rating.sigma > 0 for rating in ratings.values())
 
 
+    @pytest.mark.parametrize("sigma", ["1e-300", "1e-170"])
+    def test_glicko_deviation_underflow_names_the_team(self, capsys, tmp_path, sigma):
+        # every team deviation squares to 0.0, which 1 / sigma_t^2 would
+        # divide by
+        out = tmp_path / "run"
+        code, captured = run_cli(
+            capsys, "replay", "--input", str(GOLDEN_LOG), "--output-dir", str(out),
+            "--system", "glicko", "--glicko-sigma", sigma,
+        )
+        assert code == 1
+        assert re.fullmatch(
+            r"error: match 'm\d+': glicko update failed \(team 't\d+' deviation "
+            r"underflows when squared\)\n",
+            captured.err,
+        ), captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--beta", "1e300", "2 beta^2 overflows"),
+            ("--beta", "1e154", "2 beta^2 overflows"),
+            ("--tau", "1e300", "tau_dynamics^2 overflows"),
+        ],
+    )
+    def test_trueskill_parameter_overflow_names_the_parameter(
+        self, capsys, tmp_path, flag, value, message
+    ):
+        out = tmp_path / "run"
+        code, captured = run_cli(
+            capsys, "replay", "--input", str(GOLDEN_LOG), "--output-dir", str(out),
+            "--system", "trueskill", flag, value,
+        )
+        assert code == 1
+        assert re.fullmatch(
+            rf"error: match 'm\d+': trueskill update failed \({re.escape(message)}\)\n",
+            captured.err,
+        ), captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--system", "elo"],
+            ["experiment", "--setup", "best", "--system", "glicko"],
+        ],
+        ids=["replay", "experiment"],
+    )
+    def test_a_run_checks_its_store_once(self, capsys, tmp_path, monkeypatch, argv):
+        check, calls = RatingStore.check, []
+
+        def counted(store):
+            calls.append(store)
+            return check(store)
+
+        monkeypatch.setattr(RatingStore, "check", counted)
+        log = make_log(capsys, tmp_path, matches="4")
+        out = tmp_path / "run"
+        run_json(capsys, *argv, "--input", str(log), "--output-dir", str(out))
+        assert len(calls) == 1
+        assert (out / "rating_store.txt").exists()
+
+
 class TestExperimentCommand:
     def test_all_setup_writes_trend(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path)
@@ -791,6 +854,25 @@ class TestInspectCommand:
         before = set(tmp_path.rglob("*"))
         run_json(capsys, "inspect", "--input", str(log))
         assert set(tmp_path.rglob("*")) == before
+
+
+    def test_store_with_a_byte_order_mark_reads_like_its_twin(self, capsys, tmp_path):
+        # "UTF-8 with BOM", as an editor may save the snapshot again
+        log = make_log(capsys, tmp_path, matches="6")
+        out = tmp_path / "run"
+        run_json(
+            capsys, "replay", "--input", str(log), "--output-dir", str(out),
+            "--system", "glicko",
+        )
+        twin, marked = out / "rating_store.txt", tmp_path / "marked.txt"
+        marked.write_bytes("\ufeff".encode() + twin.read_bytes())
+        summaries = [
+            run_json(capsys, "inspect", "--input", str(path)) | {"input": None}
+            for path in (twin, marked)
+        ]
+        assert summaries[0]["kind"] == "rating_store"
+        assert summaries[1] == summaries[0]
+        assert RatingStore.load(marked) == RatingStore.load(twin)
 
 
 SYNTH_ARGV = [

@@ -700,3 +700,32 @@ def test_a_log_with_a_byte_order_mark_reads_like_its_twin(
         assert main(["inspect", "--input", str(path)]) == 0, capsys.readouterr().err
         summaries.append(json.loads(capsys.readouterr().out) | {"input": None})
     assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+def test_a_team_in_two_runs_of_the_first_teams_size_is_merged(
+    monkeypatch, tmp_path, quoted
+):
+    # t2's rows come in two runs of two, the first team's size, so the
+    # stepped team column repeats t2; the match is grouped row by row and
+    # t2 keeps all four members in first-appearance order
+    stamp = "2020-05-01T12:00:00Z"
+    rows = [
+        f"m1,{stamp},{team},{player},{team[1]}"
+        for team, player in zip(
+            ["t1", "t1", "t2", "t2", "t3", "t3", "t2", "t2"], "abcdefgh"
+        )
+    ]
+    if quoted:
+        rows[0] = rows[0].replace(",a,", ',"a",')
+    path = tmp_path / "log.csv"
+    path.write_text(rows_text(rows), encoding="utf-8", newline="")
+    calls = csv_pass_calls(monkeypatch)
+    result = outcome(ingest, path, None)
+    assert result == outcome(reference_ingest, path, None)
+    (match,), _, stats, warnings = result
+    assert match.team_ids == ("t1", "t2", "t3")
+    assert match.sizes == (2, 4, 2)
+    assert match.roster == ("a", "b", "c", "d", "g", "h", "e", "f")
+    assert stats.rejected == [] and warnings == []
+    assert calls == ([path] if quoted else [])

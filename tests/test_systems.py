@@ -188,6 +188,46 @@ def test_deviation_overflow_names_the_team(name, sigma):
         system.update_match(state, match, 0)
     assert state == before
 
+@pytest.mark.parametrize("sigma", [1e-170, 1e-155])
+def test_glicko_deviation_underflow_names_the_team(sigma):
+    # every member of the second team in record order carries a deviation
+    # whose team square falls below the smallest normal double: 0.0 at
+    # 1e-170, which 1 / sigma_t^2 divides by, and a subnormal at 1e-155,
+    # whose reciprocal passes the largest double
+    system = make_system("glicko")
+    match = quick_match([2, 1, 3], team_size=2, match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    for player in ("t2_p1", "t2_p2"):
+        state[player] = replace(state[player], sigma=sigma)
+    before = dict(state)
+    with pytest.raises(DomainError) as raised:
+        system.update_match(state, match, 0)
+    assert str(raised.value) == (
+        "match 'm7': glicko update failed (team 't2' deviation underflows when squared)"
+    )
+    assert state == before
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # beta**2 itself overflows
+        ({"beta": 1e300}, "2 beta^2 overflows"),
+        # beta**2 is finite, 2 beta^2 is not: no team deviation is at fault
+        ({"beta": 1e154}, "2 beta^2 overflows"),
+        ({"tau_dynamics": 1e300}, "tau_dynamics^2 overflows"),
+    ],
+)
+def test_trueskill_parameter_overflow_names_the_parameter(overrides, message):
+    system = make_system("trueskill", **overrides)
+    match = quick_match([2, 1, 3], team_size=2, match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    before = dict(state)
+    with pytest.raises(DomainError) as raised:
+        system.update_match(state, match, 0)
+    assert str(raised.value) == f"match 'm7': trueskill update failed ({message})"
+    assert state == before
+
 
 @pytest.mark.parametrize(
     "name, sigma, teams, pair",
