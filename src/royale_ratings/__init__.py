@@ -23,21 +23,20 @@ from .core import (
 )
 from .elo import EloParams, EloSystem
 from .glicko import GlickoParams, GlickoSystem
+from .matchlog import IngestStats, ingest
 from .metrics import METRIC_NAMES, MetricReport, rank_pairs, score_match
 from .prevrank import PreviousRankSystem, player_prev_rank
 from .replay import (
     ExperimentTrend,
-    IngestStats,
     MatchReport,
-    RatingStore,
     ReplayResult,
     TrendPoint,
-    ingest,
     replay,
     setup_all_players,
     setup_best_players,
     setup_frequent_players,
 )
+from .store import RatingStore
 from .synth import SynthConfig, generate
 from .systems import SYSTEM_NAMES, RatingSystem, RatingTable, make_system
 from .trueskill import TrueSkillParams, TrueSkillSystem, update_pair, v_exceeds, w_exceeds

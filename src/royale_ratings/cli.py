@@ -42,12 +42,10 @@ from typing import Any, Callable, Iterable
 # the replay module is imported by name because the package re-exports
 # its replay() function under the same name, shadowing the module attribute
 from . import synth
+from .matchlog import IngestStats, ingest
 from .metrics import POSITION_INDICES
 from .replay import (
     SETUP_NAMES,
-    IngestStats,
-    RatingStore,
-    ingest,
     mean_metrics,
     mean_metrics_alt_index,
     replay,
@@ -58,6 +56,7 @@ from .replay import (
     write_trend_csv,
 )
 from .core import RatingsError
+from .store import RatingStore
 from .systems import SYSTEM_NAMES, make_system
 from .trueskill import MEMBER_SHARES
 

@@ -18,7 +18,9 @@ own way, then share one kernel, ``_pooled``: it writes the pairwise
 logits (mu_ti - mu_tj) / d_scale into one n x n buffer and hands it to
 ``systems.pooled_logistic``, the step Glicko's kernel ends in too, which
 takes the logistic, zeroes the self-pairs and pools each row in place,
-so no step allocates a matrix of its own.
+so no step allocates a matrix of its own.  A logit past the largest
+double (a rating gap over a tiny d_scale) fails the update with a
+DomainError naming d_scale.
 
 Note the kernel is base e, not the classical base-10 curve; with
 d_scale = 400 the two differ by a factor ln(10)/1 in the exponent.
@@ -80,7 +82,10 @@ def _pooled(r: np.ndarray, d_scale: float) -> np.ndarray:
     """``win_probabilities`` of finite team ratings, at least two."""
     # the logit of p(i beats j) at [i, j]
     pairwise = np.subtract.outer(r, r)
-    pairwise /= d_scale
+    try:
+        pairwise /= d_scale
+    except FloatingPointError:  # raised only under update_match's errstate
+        raise DomainError("team rating gap / d_scale overflows") from None
     return pooled_logistic(pairwise)
 
 

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import DomainError, MatchRecord, match_from_layout, require_at_least
-from .replay import MATCH_LOG_COLUMNS, format_timestamp
+from .matchlog import MATCH_LOG_COLUMNS, format_timestamp
 from .systems import check_fields
 
 __all__ = ["SynthConfig", "generate", "write_match_log", "write_latent_skills"]

@@ -60,7 +60,10 @@ the usual sigma0/100 choice for mu0 = 25; it is kept as a parameter so
 slower-moving beliefs are one flag away.  tau^2 is added to every
 participant's variance at the start of each of their matches.  A tau
 whose square, or a beta whose 2 beta^2, passes the largest double fails
-each match's update with a DomainError naming the parameter.
+each match's update with a DomainError naming the parameter.  So does a
+tau whose square, counted once for each member whose inflated variance
+enters one overflowing sum (a team's variance, or a pair's c^2), passes
+it on its own, as long as no member's own inflated variance overflows.
 """
 
 from __future__ import annotations
@@ -177,13 +180,32 @@ def update_pair(
     The beliefs may be single players or whole-team aggregates
     (mu = sum of member mus, sigma = sqrt of summed member variances).
     Dynamics noise is not added here; callers inflate variances first.
-    Returns the posterior (mu, sigma) pairs, winner first.  Raises
-    OverflowError when c^2 passes the largest double.  Below
+    Returns the posterior (mu, sigma) pairs, winner first.  Raises a
+    DomainError when 2 beta^2 passes the largest double, and
+    OverflowError when c^2 does.  Below
     x = -40 the sigma factor 1 - (sigma^2/c^2) w is formed without its
     subtraction, so it stays positive where w rounds to 1.
     """
-    mu_w, sigma_w, mu_l, sigma_l = _pair(*winner, *loser, 2.0 * params.beta**2)
+    mu_w, sigma_w, mu_l, sigma_l = _pair(*winner, *loser, _twice_square(params.beta))
     return (mu_w, sigma_w), (mu_l, sigma_l)
+
+
+def _twice_square(beta: float) -> float:
+    """2 beta^2, the part of c^2 that beta gives, or a DomainError if it
+    passes the largest double."""
+    rest = 2.0 * squares([beta])[0]
+    if rest == math.inf:
+        raise DomainError("2 beta^2 overflows")
+    return rest
+
+
+def _require_finite_tau_sum(tau_sq: float, members: int) -> None:
+    """Raise a DomainError naming tau_dynamics when the tau^2 that the
+    given number of members' inflated variances carry passes the largest
+    double on its own, whatever their sigmas.  Called where a sum of
+    inflated variances, each finite, overflowed."""
+    if members * tau_sq == math.inf:
+        raise DomainError(f"tau_dynamics^2 over {members} members overflows")
 
 
 def _pair(
@@ -237,12 +259,10 @@ class TrueSkillSystem(RatingSystem):
         by_mu = self.params.member_share == "mu"
         team_ids = block.match.team_ids
         sigmas = block.sigma[block.mask].tolist()
-        tau_sq, beta_sq = squares([self.params.tau_dynamics, self.params.beta])
-        rest = 2.0 * beta_sq
+        tau_sq = squares([self.params.tau_dynamics])[0]
         if tau_sq == math.inf:
             raise DomainError("tau_dynamics^2 overflows")
-        if rest == math.inf:
-            raise DomainError("2 beta^2 overflows")
+        rest = _twice_square(self.params.beta)
         squared = np.zeros(block.mask.shape)
         # these array steps stand in for Python float additions, which
         # overflow to inf silently: the add and the sqrt round as
@@ -257,10 +277,14 @@ class TrueSkillSystem(RatingSystem):
             # infinite variance would turn the chain's sigmas to NaN
             variances = (row_sums(squared) + 0.0).tolist()
             team_mus = (row_sums(block.mu) + 0.0).tolist()
+        sizes = block.match.sizes
+        # a member whose own inflated variance overflows is its team's fault
+        if math.inf in variances and math.inf not in member_squares:
+            _require_finite_tau_sum(tau_sq, sizes[variances.index(math.inf)])
         require_finite_variances(team_ids, variances)
         mus = block.mu[block.mask].tolist()
         # each team's members, as one range of the flat member lists
-        ends = list(accumulate(block.match.sizes))
+        ends = list(accumulate(sizes))
         members = list(map(range, [0, *ends], ends))
         # member_share="mu": the teams' member_weights in one flat list, each
         # team's read from its pre-match mus at its first split
@@ -276,6 +300,7 @@ class TrueSkillSystem(RatingSystem):
                     mu_w, sigma_w, mu_l, sigma_l, rest
                 )
             except OverflowError:
+                _require_finite_tau_sum(tau_sq, sizes[win] + sizes[lose])
                 raise DomainError(
                     f"teams {team_ids[win]!r} and {team_ids[lose]!r} deviations "
                     "overflow when combined"

@@ -26,6 +26,7 @@ from royale_ratings import glicko as glicko_mod
 from royale_ratings.cli import main as cli_main
 from royale_ratings.elo import EloParams, EloSystem
 from royale_ratings.glicko import GlickoSystem
+from royale_ratings.matchlog import ingest
 from royale_ratings.metrics import (
     METRIC_NAMES,
     accuracy,
@@ -36,7 +37,7 @@ from royale_ratings.metrics import (
     ndcg,
 )
 from royale_ratings.prevrank import PreviousRankSystem
-from royale_ratings.replay import ingest, replay, setup_all_players
+from royale_ratings.replay import replay, setup_all_players
 from royale_ratings.synth import SynthConfig, generate
 from royale_ratings.systems import make_system
 from royale_ratings.trueskill import TrueSkillParams, TrueSkillSystem

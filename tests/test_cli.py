@@ -13,14 +13,14 @@ from pathlib import Path
 import pytest
 
 from royale_ratings.cli import _finite_float, build_parser, main
+from royale_ratings.matchlog import MATCH_LOG_COLUMNS
 from royale_ratings.metrics import POSITION_INDICES
 from royale_ratings.replay import (
-    MATCH_LOG_COLUMNS,
-    RatingStore,
     setup_all_players,
     setup_best_players,
     setup_frequent_players,
 )
+from royale_ratings.store import RatingStore
 from royale_ratings.synth import SynthConfig
 from royale_ratings.systems import SYSTEM_NAMES, make_system
 from royale_ratings.trueskill import MEMBER_SHARES
@@ -566,18 +566,73 @@ class TestReplayCommand:
         ids=["replay", "experiment"],
     )
     def test_a_run_checks_its_store_once(self, capsys, tmp_path, monkeypatch, argv):
-        check, calls = RatingStore.check, []
+        # every check of the store runs in its save
+        save, calls = RatingStore.save, []
 
-        def counted(store):
+        def counted(store, path):
             calls.append(store)
-            return check(store)
+            return save(store, path)
 
-        monkeypatch.setattr(RatingStore, "check", counted)
+        monkeypatch.setattr(RatingStore, "save", counted)
         log = make_log(capsys, tmp_path, matches="4")
         out = tmp_path / "run"
         run_json(capsys, *argv, "--input", str(log), "--output-dir", str(out))
         assert len(calls) == 1
         assert (out / "rating_store.txt").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--system", "elo", "--d-scale", "5e-324"],
+                r"elo update failed \(team rating gap / d_scale overflows\)",
+            ),
+            (
+                ["--system", "elo", "--default-rating", "1.7e308"],
+                r"elo prediction failed \(team 't\d+' rating sum overflows\)",
+            ),
+            (
+                ["--system", "glicko", "--glicko-mu", "1.7e308"],
+                r"glicko prediction failed \(team 't\d+' rating sum overflows\)",
+            ),
+            (
+                ["--system", "trueskill", "--ts-mu", "1.7e308"],
+                r"trueskill prediction failed \(team 't\d+' rating sum overflows\)",
+            ),
+        ],
+        ids=["d-scale", "default-rating", "glicko-mu", "ts-mu"],
+    )
+    def test_float_overflow_names_its_cause(self, capsys, tmp_path, flags, message):
+        log = make_log(capsys, tmp_path, matches="4")
+        out = tmp_path / "run"
+        code, captured = run_cli(
+            capsys, "replay", "--input", str(log), "--output-dir", str(out), *flags
+        )
+        assert code == 1
+        assert re.fullmatch(rf"error: match 'm\d+': {message}\n", captured.err), captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("team_size", ["1", "2"])
+    def test_trueskill_tau_overflow_names_tau(self, capsys, tmp_path, team_size):
+        # every member's own sigma is 8.33, but two of their variances,
+        # inflated by tau^2 = 1e308, sum past the largest double: in a duo
+        # team's variance, or in a pair of solo teams' c^2
+        data = tmp_path / "data"
+        run_json(
+            capsys, "synth", "--players", "12", "--team-size", team_size,
+            "--teams", "4", "--matches", "3", "--output-dir", str(data),
+        )
+        out = tmp_path / "run"
+        code, captured = run_cli(
+            capsys, "replay", "--input", str(data / "matches.csv"), "--output-dir",
+            str(out), "--system", "trueskill", "--tau", "1e154",
+        )
+        assert code == 1
+        assert captured.err == (
+            "error: match 'm000001': trueskill update failed "
+            "(tau_dynamics^2 over 2 members overflows)\n"
+        )
+        assert not out.exists()
 
 
 class TestExperimentCommand:
@@ -807,6 +862,22 @@ class TestInspectCommand:
         code, captured = run_cli(capsys, "inspect", "--input", str(store))
         assert code == 1
         assert f"{store}:3:" in captured.err
+
+    def test_deeply_nested_params_are_exit_one(self, capsys, tmp_path):
+        log = make_log(capsys, tmp_path, matches="2")
+        out = tmp_path / "run"
+        run_json(
+            capsys, "replay", "--input", str(log), "--output-dir", str(out), "--system", "elo"
+        )
+        store = out / "rating_store.txt"
+        lines = store.read_text().splitlines(keepends=True)
+        assert lines[4].startswith("#params=")
+        lines[4] = "#params=" + "[" * 2000 + "]" * 2000 + "\n"
+        store.write_text("".join(lines))
+        code, captured = run_cli(capsys, "inspect", "--input", str(store))
+        assert code == 1
+        assert f"error: {store}:5: bad #params value '[[[" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_store_repeating_a_player_is_exit_one(self, capsys, tmp_path):
         log = make_log(capsys, tmp_path, matches="2")

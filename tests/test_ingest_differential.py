@@ -1,4 +1,4 @@
-"""Differential test of ``replay.ingest`` against the DictReader reader it
+"""Differential test of ``matchlog.ingest`` against the DictReader reader it
 replaced.
 
 ``reference_ingest`` below is that earlier implementation, kept verbatim
@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 
 from royale_ratings.cli import main
 from royale_ratings.core import DataError, DomainError, MatchRecord, TeamEntry
-from royale_ratings.replay import (
+from royale_ratings.matchlog import (
     MATCH_LOG_COLUMNS,
     IngestStats,
     ingest,
@@ -50,8 +50,8 @@ from royale_ratings.replay import (
 )
 from royale_ratings.synth import SynthConfig, generate, write_match_log
 
-log = logging.getLogger("royale_ratings.replay")
-replay_module = importlib.import_module("royale_ratings.replay")
+log = logging.getLogger("royale_ratings.matchlog")
+replay_module = importlib.import_module("royale_ratings.matchlog")
 
 ROOT = Path(__file__).resolve().parents[1]
 # characters of a line in each column-pass chunk, here and in production

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from royale_ratings.cli import main
 from royale_ratings.core import DataError
-from royale_ratings.replay import MATCH_LOG_COLUMNS, ingest
+from royale_ratings.matchlog import MATCH_LOG_COLUMNS, ingest
 
 HEADER = ",".join(MATCH_LOG_COLUMNS) + "\n"
 ROW = "m1,2020-05-01T12:00:00Z,t1,a,1\n"

@@ -22,15 +22,12 @@ from royale_ratings.core import (
     TeamEntry,
 )
 from royale_ratings.elo import EloSystem
+from royale_ratings.matchlog import IngestStats, ingest, parse_timestamp
 from royale_ratings.metrics import METRIC_NAMES
 from royale_ratings.prevrank import PreviousRankSystem
 from royale_ratings.replay import (
-    IngestStats,
-    RatingStore,
-    ingest,
     mean_metrics,
     mean_metrics_alt_index,
-    parse_timestamp,
     replay,
     setup_all_players,
     setup_best_players,
@@ -38,6 +35,7 @@ from royale_ratings.replay import (
     write_match_metrics_csv,
     write_trend_csv,
 )
+from royale_ratings.store import RatingStore
 from royale_ratings.synth import SynthConfig, generate, write_match_log
 from royale_ratings.systems import RatingTable
 
@@ -301,7 +299,7 @@ class TestIngest:
         path = write_log(tmp_path, rows)
         path.write_bytes(path.read_bytes().replace(b"p59-10", b"p59-\xff"))
         assert path.stat().st_size > 2 * io.DEFAULT_BUFFER_SIZE
-        replay_module = importlib.import_module("royale_ratings.replay")
+        replay_module = importlib.import_module("royale_ratings.matchlog")
         add_run, built = replay_module._Kept.add_run, []
 
         def counted(kept, match_id, *columns):
@@ -393,7 +391,7 @@ class TestIngest:
 
     @pytest.mark.parametrize("log", list(ID_LOGS))
     def test_keeps_one_object_per_distinct_id(self, tmp_path, monkeypatch, log):
-        replay_module = importlib.import_module("royale_ratings.replay")
+        replay_module = importlib.import_module("royale_ratings.matchlog")
         calls = {"_group": 0, "_read_grouped": 0}
         for name in calls:
             function = getattr(replay_module, name)
@@ -451,7 +449,7 @@ class TestIngest:
         path = tmp_path / "log.csv"
         write_match_log(path, generate(config)[0])
         path.write_text(path.read_text().replace(",t01,", ',"t01",'))
-        replay_module = importlib.import_module("royale_ratings.replay")
+        replay_module = importlib.import_module("royale_ratings.matchlog")
         read_grouped, passes = replay_module._read_grouped, []
 
         def counted(*args):
@@ -792,7 +790,7 @@ class TestRatingStore:
             RatingStore.load(path)
 
     def test_chunked_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
-        replay_module = importlib.import_module("royale_ratings.replay")
+        replay_module = importlib.import_module("royale_ratings.store")
         # past one 4096-row run, with ids of one to three UTF-8 bytes a
         # character and players without a sigma or a last rank
         ratings = {

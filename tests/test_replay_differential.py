@@ -29,7 +29,8 @@ from hypothesis import strategies as st
 
 from royale_ratings.core import RatingsError, build_match
 from royale_ratings.metrics import POSITION_INDICES, rank_pairs, score_match
-from royale_ratings.replay import MatchReport, RatingStore, ReplayResult, replay
+from royale_ratings.replay import MatchReport, ReplayResult, replay
+from royale_ratings.store import RatingStore
 from royale_ratings.systems import RatingTable, make_system
 
 from conftest import BASE_TIME

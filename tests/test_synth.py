@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 
 from royale_ratings.core import DomainError
-from royale_ratings.replay import ingest
+from royale_ratings.matchlog import ingest
 from royale_ratings.synth import SynthConfig, generate, write_match_log
 
 

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from royale_ratings.core import build_match
-from royale_ratings.replay import MATCH_LOG_COLUMNS, format_timestamp, ingest
+from royale_ratings.matchlog import MATCH_LOG_COLUMNS, format_timestamp, ingest
 from royale_ratings.synth import (
     SynthConfig,
     generate,

@@ -142,6 +142,39 @@ def test_team_score_overflow_is_a_ratings_error(name, field):
 
 
 @pytest.mark.parametrize(
+    "name, field",
+    [("elo", "default_rating"), ("glicko", "default_mu"), ("trueskill", "default_mu")],
+)
+def test_team_score_overflow_names_the_team(name, field):
+    # the first team in record order whose two members' ratings sum past
+    # the largest double is named, not numpy's overflow flag
+    system = make_system(name, **{field: 1.7e308})
+    match = quick_match([2, 1], team_size=2, match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    with pytest.raises(RatingsError) as raised:
+        system.update_match(state, match, 0)
+    assert str(raised.value) == (
+        f"match 'm7': {name} prediction failed (team 't1' rating sum overflows)"
+    )
+
+
+def test_elo_logit_overflow_names_d_scale():
+    # a rating gap of 1 over the smallest subnormal d_scale passes the
+    # largest double
+    system = make_system("elo", d_scale=5e-324)
+    match = quick_match([2, 1], match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    state["t1_p1"] = replace(state["t1_p1"], mu=1501.0)
+    before = dict(state)
+    with pytest.raises(DomainError) as raised:
+        system.update_match(state, match, 0)
+    assert str(raised.value) == (
+        "match 'm7': elo update failed (team rating gap / d_scale overflows)"
+    )
+    assert state == before
+
+
+@pytest.mark.parametrize(
     "winner, loser, message",
     [
         # every sigma squares to 0.0, so the team sigma is 0
@@ -226,6 +259,31 @@ def test_trueskill_parameter_overflow_names_the_parameter(overrides, message):
     with pytest.raises(DomainError) as raised:
         system.update_match(state, match, 0)
     assert str(raised.value) == f"match 'm7': trueskill update failed ({message})"
+    assert state == before
+
+
+@pytest.mark.parametrize(
+    "team_size, members",
+    [
+        # a duo team's two inflated variances of about 1e308 sum past the
+        # largest double
+        (2, 2),
+        # so do the two solo teams' in the first pair's c^2
+        (1, 2),
+    ],
+)
+def test_trueskill_tau_overflow_over_members_names_the_parameter(team_size, members):
+    # tau^2 = 1e308 is finite and every member's own sigma is the default
+    system = make_system("trueskill", tau_dynamics=1e154)
+    match = quick_match([2, 1, 3], team_size=team_size, match_id="m7")
+    state = {p: system.initial_rating() for p in match.players()}
+    before = dict(state)
+    with pytest.raises(DomainError) as raised:
+        system.update_match(state, match, 0)
+    assert str(raised.value) == (
+        "match 'm7': trueskill update failed "
+        f"(tau_dynamics^2 over {members} members overflows)"
+    )
     assert state == before
 
 

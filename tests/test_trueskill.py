@@ -103,6 +103,12 @@ class TestTruncationMoments:
 
 
 class TestUpdatePair:
+    @pytest.mark.parametrize("beta", [1e300, 1e154])
+    def test_beta_overflow_names_beta(self, beta):
+        # beta**2 itself overflows at 1e300; at 1e154 only 2 beta^2 does
+        with pytest.raises(DomainError, match=r"^2 beta\^2 overflows$"):
+            update_pair((25.0, 8.0), (25.0, 8.0), TrueSkillParams(beta=beta))
+
     @pytest.mark.parametrize("x", [-40.5, -1e3, -3.3e8])
     def test_deep_tail_keeps_both_sigmas_positive(self, x):
         # a loser with nearly all of c^2: 1 - (sigma^2/c^2) w rounds to 0

@@ -37,6 +37,7 @@ from royale_ratings.trueskill import (
     TrueSkillParams,
     TrueSkillSystem,
     _pair,
+    _require_finite_tau_sum,
 )
 
 from conftest import BASE_TIME
@@ -74,6 +75,8 @@ def reference_apply(self, block):
     # each team's (mu, variance) sums as it enters the chain; an
     # infinite variance would turn the chain's sigmas to NaN
     variances = list(map(left_sum, team_squares))
+    if math.inf in variances and math.inf not in member_squares:
+        _require_finite_tau_sum(tau_sq, len(mus[variances.index(math.inf)]))
     require_finite_variances(team_ids, variances)
     team_mus = list(map(left_sum, mus))
     rest = 2.0 * params.beta**2
@@ -92,6 +95,7 @@ def reference_apply(self, block):
                 mu_w, sigma_w, mu_l, sigma_l, rest
             )
         except OverflowError:
+            _require_finite_tau_sum(tau_sq, len(mus[win]) + len(mus[lose]))
             raise DomainError(
                 f"teams {team_ids[win]!r} and {team_ids[lose]!r} deviations "
                 "overflow when combined"

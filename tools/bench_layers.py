@@ -163,6 +163,9 @@ class Layers:
     def __init__(
         self, package: str, src: Path, config: dict[str, Any], work: Path
     ) -> None:
+        # ingest is looked up on the package, which exports it from
+        # whichever module defines it
+        self.package = importlib.import_module(package)
         self.synth = importlib.import_module(f"{package}.synth")
         self.replay_module = importlib.import_module(f"{package}.replay")
         self.systems = importlib.import_module(f"{package}.systems")
@@ -200,7 +203,7 @@ class Layers:
             generated = self.synth.generate(self.config)[0]
 
         def ingest() -> None:
-            self.matches = self.replay_module.ingest(self.log)
+            self.matches = self.package.ingest(self.log)
 
         def replay(system: Any, scoring: dict[str, Callable[..., Any]]) -> None:
             nonlocal result
@@ -214,7 +217,7 @@ class Layers:
             with open(self.quoted, "w", encoding="utf-8", newline="") as twin:
                 twin.writelines(line.replace(",t01,", ',"t01",') for line in log)
         yield "ingest", ingest
-        yield "ingest.quoted", lambda: self.replay_module.ingest(self.quoted)
+        yield "ingest.quoted", lambda: self.package.ingest(self.quoted)
         for name in SYSTEMS:
             system = self.systems.make_system(name)
             system._apply = hook(f"apply.{name}", system._apply)
