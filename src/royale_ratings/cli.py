@@ -370,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RatingsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,13 +13,14 @@ term updates the whole team and members absorb it by the shared rule
 rating, or evenly when any member is rated <= 0.  The update is array
 code over the match's ``MatchBlock``, all teams at once.
 
-``win_probabilities`` and the update check the team ratings, each its
-own way, then share one kernel, ``_pooled``: it writes the pairwise
-logits (mu_ti - mu_tj) / d_scale into one n x n buffer and hands it to
+``win_probabilities`` and the update share one checked kernel,
+``_pooled``, run under the same ``np.errstate``: it rejects a team
+rating that is not finite, writes the pairwise logits
+(mu_ti - mu_tj) / d_scale into one n x n buffer and hands it to
 ``systems.pooled_logistic``, the step Glicko's kernel ends in too, which
 takes the logistic, zeroes the self-pairs and pools each row in place,
-so no step allocates a matrix of its own.  A logit past the largest
-double (a rating gap over a tiny d_scale) fails the update with a
+so no step allocates a matrix of its own.  A gap or a logit past the
+largest double (ratings near it, or a tiny d_scale) raises a
 DomainError naming d_scale.
 
 Note the kernel is base e, not the classical base-10 curve; with
@@ -68,23 +69,20 @@ def win_probabilities(team_ratings: Sequence[float], params: EloParams) -> np.nd
     n = len(team_ratings)
     if n < 2:
         raise DomainError(f"need >= 2 teams, got {n}")
-    r = np.asarray(team_ratings, dtype=np.float64)
-    _require_finite(r)
-    return _pooled(r, params.d_scale)
-
-
-def _require_finite(team_ratings: np.ndarray) -> None:
-    if not np.isfinite(team_ratings).all():
-        raise DomainError("team ratings must be finite")
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        return _pooled(np.asarray(team_ratings, dtype=np.float64), params.d_scale)
 
 
 def _pooled(r: np.ndarray, d_scale: float) -> np.ndarray:
-    """``win_probabilities`` of finite team ratings, at least two."""
-    # the logit of p(i beats j) at [i, j]
-    pairwise = np.subtract.outer(r, r)
+    """``win_probabilities`` of team ratings, at least two, under an
+    ``np.errstate`` that raises on overflow."""
+    if not np.isfinite(r).all():
+        raise DomainError("team ratings must be finite")
     try:
+        # the logit of p(i beats j) at [i, j]
+        pairwise = np.subtract.outer(r, r)
         pairwise /= d_scale
-    except FloatingPointError:  # raised only under update_match's errstate
+    except FloatingPointError:
         raise DomainError("team rating gap / d_scale overflows") from None
     return pooled_logistic(pairwise)
 
@@ -98,7 +96,6 @@ class EloSystem(RatingSystem):
 
     def _apply(self, block: MatchBlock) -> Posterior:
         team_mu = row_sums(block.mu)
-        _require_finite(team_mu)
         pooled = _pooled(team_mu, self.params.d_scale)
         surprise = normalized_results(block) - pooled
         delta_team = self.params.k_factor * surprise

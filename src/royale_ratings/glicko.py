@@ -28,15 +28,20 @@ in index order: a cumulative sum over the squares with the team's own
 entry zeroed, which rounds like the scalar loop (total minus own would
 not).  The squares themselves stay Python ``**``.
 
-``win_probabilities`` and the update check the team beliefs, each its
-own way, then share one kernel, ``_pooled``, whose n x n steps run in
-place on one buffer, the same float operations in the same order as the
-expression they replace: the pairwise logits, then
+``win_probabilities`` and the update share one checked kernel,
+``_pooled``, run under the same ``np.errstate``.  It rejects a team mu
+that is not finite or a sigma that is not positive and finite, and its
+n x n steps run in place on one buffer, the same float operations in the
+same order as the expression they replace: the pairwise logits, then
 ``systems.pooled_logistic``, the step Elo's kernel ends in too, which
 takes the logistic, zeroes the self-pairs and pools each row.  The
 update first sums the opponents' squares in that buffer, row i holding
 the squares with its own entry zeroed, and keeps the last column before
-the kernel takes the buffer over.
+the kernel takes the buffer over.  A rating gap past the largest double,
+or one that passes it when the kernel scales it, raises a DomainError;
+so does, in ``win_probabilities``, a deviation whose square, or two
+whose squares added, pass it (the update names such a team or pair
+before the kernel runs).
 
 Squared deviations that are each finite can still overflow when they
 are added: a pair of team squares in the kernel, or a team's opponents'
@@ -139,23 +144,24 @@ def win_probabilities(
         raise DomainError("mu and sigma lists differ in length")
     mu = np.asarray(team_mus, dtype=np.float64)
     sg = np.asarray(team_sigmas, dtype=np.float64)
-    _require_beliefs(mu, sg)
-    return _pooled(mu, sg, params.q_constant, np.empty((n, n)))
-
-
-def _require_beliefs(mu: np.ndarray, sigma: np.ndarray) -> None:
-    if not (np.isfinite(mu) & (sigma > 0) & (sigma < math.inf)).all():
-        raise DomainError("team beliefs must be finite with positive sigma")
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        return _pooled(mu, sg, params.q_constant, np.empty((n, n)))
 
 
 def _pooled(mu: np.ndarray, sigma: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
-    """``win_probabilities`` of finite team beliefs with positive sigma, at
-    least two teams, computed in ``out``, an n x n buffer."""
-    square = sigma**2
+    """``win_probabilities`` of team beliefs, at least two teams, computed
+    in ``out``, an n x n buffer, under an ``np.errstate`` that raises on
+    overflow."""
+    if not (np.isfinite(mu) & (sigma > 0) & (sigma < math.inf)).all():
+        raise DomainError("team beliefs must be finite with positive sigma")
     # g of the combined deviation sqrt(sigma_i^2 + sigma_j^2), squared
     # again, then E_ij = 1/(1+10^(-g (mu_i - mu_j)/400)) written through
     # the stable logistic
-    np.add.outer(square, square, out=out)
+    try:
+        square = sigma**2
+        np.add.outer(square, square, out=out)
+    except FloatingPointError:  # the update names the team or pair first
+        raise DomainError("team deviations overflow when squared or combined") from None
     np.sqrt(out, out=out)
     np.square(out, out=out)
     out *= 3.0 * q * q
@@ -164,7 +170,10 @@ def _pooled(mu: np.ndarray, sigma: np.ndarray, q: float, out: np.ndarray) -> np.
     np.sqrt(out, out=out)
     np.divide(1.0, out, out=out)
     out *= _LN10
-    out *= np.subtract.outer(mu, mu)
+    try:
+        out *= np.subtract.outer(mu, mu)
+    except FloatingPointError:
+        raise DomainError("team rating gap overflows") from None
     out /= 400.0
     return pooled_logistic(out)
 
@@ -219,7 +228,6 @@ class GlickoSystem(RatingSystem):
         opponent_squares = buffer[:, -1].copy()
         require_finite_variances(team_ids, team_squares)
         _require_finite_pair_sums(team_ids, team_squares)
-        _require_beliefs(team_mu, team_sigma)
         _require_normal_variances(team_ids, team_squares)
         pooled = _pooled(team_mu, team_sigma, q, buffer)
         residual = normalized_results(block) - pooled

@@ -78,7 +78,8 @@ raises or stays silent, so each numpy step states what it does:
 - ``predict`` sums team scores under ``np.errstate(over="raise")``; a
   sum past the largest double becomes a ``RatingsError`` naming the
   match, the system and the first team whose sum overflowed, with no
-  ``RuntimeWarning``.
+  ``RuntimeWarning``.  An overflow is the only fault that state raises,
+  so a ``FloatingPointError`` there always has an infinite sum to name.
 - ``update_match`` runs ``_apply`` under ``np.errstate(divide="raise",
   over="raise", invalid="raise")``.  The ``FloatingPointError``, like any
   ``ArithmeticError`` (a Python overflow or division by zero at extreme
@@ -501,16 +502,13 @@ class RatingSystem(ABC):
         try:
             with np.errstate(over="raise"):
                 scores = self.team_scores(block).tolist()
-        except ArithmeticError as exc:
+        except FloatingPointError as exc:
+            # only an overflow raises here, so some team's sum is infinite
             with np.errstate(over="ignore"):
                 overflowed = np.isinf(self.team_scores(block)).tolist()
-            reason = (
-                f"team {match.team_ids[overflowed.index(True)]!r} rating sum overflows"
-                if True in overflowed
-                else exc
-            )
             raise RatingsError(
-                f"match {match.match_id!r}: {self.name} prediction failed ({reason})"
+                f"match {match.match_id!r}: {self.name} prediction failed (team "
+                f"{match.team_ids[overflowed.index(True)]!r} rating sum overflows)"
             ) from exc
         return rank_teams_by_score(list(zip(match.team_ids, scores)), rng_seed)
 

@@ -181,8 +181,8 @@ def update_pair(
     (mu = sum of member mus, sigma = sqrt of summed member variances).
     Dynamics noise is not added here; callers inflate variances first.
     Returns the posterior (mu, sigma) pairs, winner first.  Raises a
-    DomainError when 2 beta^2 passes the largest double, and
-    OverflowError when c^2 does.  Below
+    DomainError when 2 beta^2 passes the largest double, or when the gap
+    of two finite means does, and OverflowError when c^2 does.  Below
     x = -40 the sigma factor 1 - (sigma^2/c^2) w is formed without its
     subtraction, so it stays positive where w rounds to 1.
     """
@@ -237,6 +237,8 @@ def _pair(
         # is within 1/x^2 of 1 and 1 - (sigma^2/c^2) w cancels to 0 or
         # below once sigma^2 is most of c^2; the same factor is formed as
         # (c^2 - sigma^2)/c^2 + (sigma^2/c^2)(1 - w), a sum of positives
+        if math.isfinite(mu_w) and math.isfinite(mu_l) and math.isinf(mu_w - mu_l):
+            raise DomainError("team rating gap overflows")
         v, _, slack = _moments(x)
         shrink_w = (rest + sq_l) / c_sq + (sq_w / c_sq) * slack
         shrink_l = (rest + sq_w) / c_sq + (sq_l / c_sq) * slack

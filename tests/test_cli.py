@@ -184,6 +184,36 @@ class TestSynthCommand:
         assert done.stdout == ""
         assert not (out / "matches.csv").exists()
 
+    def test_out_of_memory_is_exit_one(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        cap = 512 << 20
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        # only ever run under the cap: uncapped, this player count takes
+        # every byte the host has
+        out = tmp_path / "gen"
+        paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "royale_ratings.cli", "synth",
+                "--players", "99999999999999999999", "--output-dir", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+                "OPENBLAS_NUM_THREADS": "1",
+            },
+            preexec_fn=limit_address_space,
+            timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == "error: out of memory\n"
+        assert not (out / "matches.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--team-size", "--matches"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_non_positive_size_is_exit_two(self, capsys, tmp_path, flag, value):

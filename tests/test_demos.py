@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion in a fresh interpreter."""
+"""Every script under demos/ runs to completion in a fresh interpreter,
+where a numpy RuntimeWarning is an error, as in the suite itself."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ def test_demo_runs_cleanly(script, tmp_path):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     done = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -128,6 +128,17 @@ class TestWinProbability:
         with pytest.raises(DomainError, match=r"^team ratings must be finite$"):
             win_probabilities([1500.0, bad, 1400.0], EloParams())
 
+    @pytest.mark.parametrize(
+        "ratings, d_scale",
+        [([1.0, 2.0], 5e-324), ([1.7e308, -1.7e308], 400.0)],
+        ids=["tiny-d-scale", "gap"],
+    )
+    def test_gap_overflow_is_a_domain_error(self, ratings, d_scale):
+        # the logit passes the largest double in the divide, or the gap
+        # already in the subtract; no RuntimeWarning may escape
+        with pytest.raises(DomainError, match=r"^team rating gap / d_scale overflows$"):
+            win_probabilities(ratings, EloParams(d_scale=d_scale))
+
 
 class TestEloUpdate:
     def test_three_fresh_duos_split_k_evenly(self):

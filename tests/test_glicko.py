@@ -131,6 +131,22 @@ class TestWinProbability:
         ):
             win_probabilities([1500.0, 1400.0], [350.0, bad], GlickoParams())
 
+    @pytest.mark.parametrize(
+        "mus, sigmas, message",
+        [
+            # the gap overflows in the subtract, or once the kernel scales it
+            ([1.7e308, -1.7e308], [10.0, 10.0], "team rating gap overflows"),
+            ([0.0, 1e308], [10.0, 10.0], "team rating gap overflows"),
+            # a square overflows, or two finite squares do when added
+            ([0.0, 1.0], [1e200, 1.0], "team deviations overflow when squared or combined"),
+            ([0.0, 1.0], [1e154, 1e154], "team deviations overflow when squared or combined"),
+        ],
+        ids=["gap", "scaled-gap", "square", "combined"],
+    )
+    def test_overflow_is_a_domain_error(self, mus, sigmas, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            win_probabilities(mus, sigmas, GlickoParams())
+
 
 class TestGlickoUpdate:
     def test_two_fresh_duo_teams_golden(self):

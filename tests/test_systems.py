@@ -175,6 +175,30 @@ def test_elo_logit_overflow_names_d_scale():
 
 
 @pytest.mark.parametrize(
+    "name, mus, sigma, message",
+    [
+        ("elo", (1.7e308, -1.7e308), None, "team rating gap / d_scale overflows"),
+        ("glicko", (1.7e308, -1.7e308), 10.0, "team rating gap overflows"),
+        # the gap is finite, the kernel's scaled gap is not
+        ("glicko", (0.0, 1e308), 10.0, "team rating gap overflows"),
+        ("trueskill", (1.7e308, -1.7e308), 1.0, "team rating gap overflows"),
+    ],
+    ids=["elo", "glicko", "glicko-scaled", "trueskill"],
+)
+def test_rating_gap_overflow_names_the_gap(name, mus, sigma, message):
+    system = make_system(name)
+    match = quick_match([2, 1], match_id="m7")
+    state = {
+        player: PlayerRating(mu, sigma) for player, mu in zip(match.players(), mus)
+    }
+    before = dict(state)
+    with pytest.raises(DomainError) as raised:
+        system.update_match(state, match, 0)
+    assert str(raised.value) == f"match 'm7': {name} update failed ({message})"
+    assert state == before
+
+
+@pytest.mark.parametrize(
     "winner, loser, message",
     [
         # every sigma squares to 0.0, so the team sigma is 0

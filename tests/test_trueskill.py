@@ -109,6 +109,12 @@ class TestUpdatePair:
         with pytest.raises(DomainError, match=r"^2 beta\^2 overflows$"):
             update_pair((25.0, 8.0), (25.0, 8.0), TrueSkillParams(beta=beta))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rating_gap_overflow_names_the_gap(self, sign):
+        # both means are finite, their difference is not
+        with pytest.raises(DomainError, match=r"^team rating gap overflows$"):
+            update_pair((sign * 1.7e308, 1.0), (-sign * 1.7e308, 1.0), TrueSkillParams())
+
     @pytest.mark.parametrize("x", [-40.5, -1e3, -3.3e8])
     def test_deep_tail_keeps_both_sigmas_positive(self, x):
         # a loser with nearly all of c^2: 1 - (sigma^2/c^2) w rounds to 0
